@@ -15,17 +15,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateDenominator, EmptyCatalystSet, PreconditionViolated
-from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, binary_entropy,
-                      entropy, kron, majorizes, nielsen_convertible, prefix_sums, schmidt_rank)
+from .errors import (DegenerateDenominator, EmptyCatalystSet, NotACatalyst,
+                     PreconditionViolated)
+from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _constants,
+                      binary_entropy, entropy, kron, majorizes, make_schmidt,
+                      nielsen_convertible, prefix_sums, schmidt_rank)
+
+#: Width below which a bisected verdict boundary counts as located.
+REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CatalyticPair:
     """An ordered pair of main-system vectors, zero-padded to equal dimension.
 
-    nontrivial records whether the bare transformation a -> b is blocked,
-    i.e. whether a catalyst is needed at all.
+    Both vectors are coerced into the policy's arithmetic; a vector already
+    in it is kept as given.  The per-pair facts every question about the
+    pair needs are computed once and cached: nontrivial records whether the
+    bare transformation a -> b is blocked, i.e. whether a catalyst is needed
+    at all, and dim4 whether both Schmidt ranks are at most 4, the domain of
+    the closed-form two-level interval.
     """
 
     a: SchmidtVector
@@ -33,9 +42,11 @@ class CatalyticPair:
     policy: ComparisonPolicy = FLOAT_POLICY
 
     def __post_init__(self):
-        n = max(self.a.dim, self.b.dim)
-        object.__setattr__(self, "a", self.a.padded(n))
-        object.__setattr__(self, "b", self.b.padded(n))
+        a, b = (v if v.exact == self.policy.exact else make_schmidt(v.coefficients, self.policy)
+                for v in (self.a, self.b))
+        n = max(a.dim, b.dim)
+        object.__setattr__(self, "a", a.padded(n))
+        object.__setattr__(self, "b", b.padded(n))
 
     @cached_property
     def nontrivial(self) -> bool:
@@ -45,6 +56,22 @@ class CatalyticPair:
     def entropy_drop(self) -> float:
         return entropy(self.a) - entropy(self.b)
 
+    @cached_property
+    def rank_a(self) -> int:
+        return schmidt_rank(self.a, self.policy)
+
+    @cached_property
+    def rank_b(self) -> int:
+        return schmidt_rank(self.b, self.policy)
+
+    @cached_property
+    def dim4(self) -> bool:
+        return self.rank_a <= 4 and self.rank_b <= 4
+
+    @cached_property
+    def _interval(self) -> CatalystInterval:
+        return _closed_form_interval(self)
+
 
 @dataclass(frozen=True)
 class CatalystInterval:
@@ -53,9 +80,6 @@ class CatalystInterval:
     x_min: Real
     x_max: Real
     nonempty: bool
-
-    def contains(self, x: Real) -> bool:
-        return self.nonempty and self.x_min <= x <= self.x_max
 
     @property
     def width(self) -> float:
@@ -71,10 +95,18 @@ def is_catalyst(pair: CatalyticPair, c: SchmidtVector) -> bool:
     return majorizes(kron(pair.b, c), kron(pair.a, c), pair.policy)
 
 
+def _require_loan(pair: CatalyticPair, c: SchmidtVector):
+    """Preconditions of every gain computation for the borrowed state c."""
+    if not is_catalyst(pair, c):
+        raise NotACatalyst("the borrowed state is not a catalyst for this pair")
+    if pair.entropy_drop <= pair.policy.tol_strict:
+        raise PreconditionViolated("main transformation has no entropy drop")
+
+
 def _require_dim4_nontrivial(pair: CatalyticPair, op: str):
     if not pair.nontrivial:
         raise PreconditionViolated(f"{op}: the transformation already succeeds without a catalyst")
-    if schmidt_rank(pair.a, pair.policy) > 4 or schmidt_rank(pair.b, pair.policy) > 4:
+    if not pair.dim4:
         raise PreconditionViolated(f"{op}: both Schmidt ranks must be at most 4")
 
 
@@ -90,12 +122,6 @@ def necessary_conditions_4d(pair: CatalyticPair) -> bool:
     return p.leq(fa[0], fb[0]) and p.strictly_greater(fa[1], fb[1]) and p.leq(fa[2], fb[2])
 
 
-def _half_one(exact: bool):
-    if exact:
-        return Fraction(1, 2), Fraction(1)
-    return 0.5, 1.0
-
-
 def rank2_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     """Closed-form interval of two-level catalysts for rank <= 4 pairs.
 
@@ -104,9 +130,14 @@ def rank2_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     can only vanish at the tolerance boundary of the necessary conditions; the
     corresponding constraint then degenerates to a sign condition (skip the
     term, or declare the set empty), which the grid oracle cross-validates.
+    The interval is computed once per pair and cached on it.
     """
+    return pair._interval
+
+
+def _closed_form_interval(pair: CatalyticPair) -> CatalystInterval:
     _require_dim4_nontrivial(pair, "rank2_catalyst_interval")
-    half, one = _half_one(pair.policy.exact)
+    _, half, one = _constants(pair.policy.exact)
     if not necessary_conditions_4d(pair):
         return CatalystInterval(one, half, False)
 
@@ -154,21 +185,26 @@ def rank2_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     return CatalystInterval(x_min, x_max, x_min <= x_max)
 
 
-def _two_level(x, exact: bool) -> SchmidtVector:
-    one = Fraction(1) if exact else 1.0
-    return SchmidtVector((x, one - x))
+def probe_two_level(x: Real, policy: ComparisonPolicy) -> SchmidtVector:
+    """The two-level vector (x, 1-x) in the policy's arithmetic.
 
-
-def probe_two_level(x: float, policy: ComparisonPolicy) -> SchmidtVector:
-    """A (x, 1-x) probe in the policy's arithmetic.
-
-    Exact mode takes the exact binary value of the float, so probe vectors
-    sum to exactly 1 and membership verdicts carry no rounding noise.
+    Exact mode keeps the value of a Fraction and takes the exact binary
+    value of a float, so the vector sums to exactly 1 and membership
+    verdicts carry no rounding noise.
     """
-    if policy.exact:
-        fx = Fraction(x)
-        return SchmidtVector((fx, 1 - fx))
-    return SchmidtVector((x, 1.0 - x))
+    x = Fraction(x) if policy.exact else float(x)
+    return SchmidtVector((x, 1 - x))
+
+
+def _bisect(predicate, x_false: float, x_true: float, tol: float) -> float:
+    """Boundary of a verdict change, returned on the True side."""
+    while abs(x_true - x_false) > tol:
+        mid = 0.5 * (x_false + x_true)
+        if predicate(mid):
+            x_true = mid
+        else:
+            x_false = mid
+    return x_true
 
 
 def _probe_simplex(parts, steps: int, policy: ComparisonPolicy) -> SchmidtVector:
@@ -182,7 +218,7 @@ def least_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
     interval = rank2_catalyst_interval(pair)
     if not interval.nonempty:
         raise EmptyCatalystSet("no two-level catalyst exists for this pair")
-    return _two_level(interval.x_max, pair.policy.exact)
+    return probe_two_level(interval.x_max, pair.policy)
 
 
 def most_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
@@ -190,7 +226,7 @@ def most_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
     interval = rank2_catalyst_interval(pair)
     if not interval.nonempty:
         raise EmptyCatalystSet("no two-level catalyst exists for this pair")
-    return _two_level(interval.x_min, pair.policy.exact)
+    return probe_two_level(interval.x_min, pair.policy)
 
 
 def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
@@ -199,10 +235,7 @@ def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
     Schmidt rank is multiplicative under composition and cannot grow under
     LOCC, so floor(SR(a) * SR(c) / SR(b)) bounds the returned state's rank.
     """
-    ra = schmidt_rank(pair.a, pair.policy)
-    rb = schmidt_rank(pair.b, pair.policy)
-    rc = schmidt_rank(c, pair.policy)
-    return (ra * rc) // rb
+    return (pair.rank_a * schmidt_rank(c, pair.policy)) // pair.rank_b
 
 
 @dataclass(frozen=True)
@@ -243,28 +276,25 @@ def _ordered_simplex_grid(r: int, steps: int):
     yield from rec(steps, steps, ())
 
 
-def _rank2_scan(pair: CatalyticPair, resolution: float, refine_tol: float = 1e-9):
+def _rank2_scan(pair: CatalyticPair, resolution: float):
     """Smallest catalytic x over two-level catalysts (x, 1-x), or None.
 
     Scans [0.5, 1] at the given resolution, then bisects the verdict boundary.
     """
+
+    def member(x: float) -> bool:
+        return is_catalyst(pair, probe_two_level(x, pair.policy))
+
     resolution = min(resolution, 1e-3)
     steps = int(round(0.5 / resolution))
     xs = [min(0.5 + i * resolution, 1.0) for i in range(steps + 1)]
-    verdicts = [is_catalyst(pair, probe_two_level(x, pair.policy)) for x in xs]
+    verdicts = [member(x) for x in xs]
     if not any(verdicts):
         return None
     i = verdicts.index(True)
     if i == 0:
         return xs[0]
-    bad, good = xs[i - 1], xs[i]
-    while good - bad > refine_tol:
-        mid = 0.5 * (bad + good)
-        if is_catalyst(pair, probe_two_level(mid, pair.policy)):
-            good = mid
-        else:
-            bad = mid
-    return good
+    return _bisect(member, xs[i - 1], xs[i], REFINE_TOL)
 
 
 def max_catalyst_entropy(pair: CatalyticPair, r: int,
@@ -285,26 +315,25 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int,
         # nontrivial pair
         raise EmptyCatalystSet("separable states never catalyze a blocked transformation")
 
-    dim4 = schmidt_rank(pair.a, pair.policy) <= 4 and schmidt_rank(pair.b, pair.policy) <= 4
-    if r == 2 and dim4:
+    if r == 2 and pair.dim4:
         interval = rank2_catalyst_interval(pair)
         if not interval.nonempty:
             raise EmptyCatalystSet("closed-form interval is empty")
-        cert = _two_level(interval.x_min, pair.policy.exact)
+        cert = probe_two_level(interval.x_min, pair.policy)
         return CatalystEntropySearch(binary_entropy(interval.x_min), cert, True)
 
     if r == 2:
         x = _rank2_scan(pair, budget.grid_step)
         if x is None:
             raise EmptyCatalystSet("no two-level catalyst found at this resolution")
-        return CatalystEntropySearch(binary_entropy(x), _two_level(x, False), False)
+        return CatalystEntropySearch(binary_entropy(x), probe_two_level(x, pair.policy), False)
 
     best_val, best_cert = -1.0, None
-    if dim4:
+    if pair.dim4:
         # rank-2 catalysts are members of every larger-rank catalyst set
         interval = rank2_catalyst_interval(pair)
         if interval.nonempty:
-            cert = _two_level(interval.x_min, pair.policy.exact)
+            cert = probe_two_level(interval.x_min, pair.policy)
             best_val, best_cert = binary_entropy(interval.x_min), cert
 
     steps = max(2, int(round(1.0 / budget.grid_step)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .catalysis import CatalyticPair, probe_two_level, rank2_catalyst_interval
+from .catalysis import REFINE_TOL, CatalyticPair, probe_two_level, rank2_catalyst_interval
 from .errors import CatalysisError, IndexOutOfRange, NegativeEntry, NotNormalized
 from .examples import EXAMPLE_PAIRS, example_pair
 from .oracle import GridSpec, grid_catalyst_interval, grid_gmax_rank2
@@ -58,12 +58,7 @@ def parse_vector(text: str, policy: ComparisonPolicy) -> SchmidtVector:
         raise MalformedInput(f"cannot parse vector {text!r}: {exc}") from None
     if not parts:
         raise MalformedInput(f"empty vector {text!r}")
-    if not policy.exact:
-        parts = [float(x) for x in parts]
-    try:
-        return make_schmidt(parts, policy)
-    except (NegativeEntry, NotNormalized) as exc:
-        raise MalformedInput(str(exc)) from None
+    return make_schmidt(parts, policy)
 
 
 def _policy_json(policy: ComparisonPolicy) -> dict:
@@ -182,7 +177,7 @@ def _run_sweep_files(pair: CatalyticPair, points: int, out_csv: Path, command: s
         command=command,
         inputs=inputs,
         policy=_policy_json(pair.policy),
-        sweep={"n_points": points, "refinement_tol": 1e-9},
+        sweep={"n_points": points, "refinement_tol": REFINE_TOL},
         outputs=[str(out_csv), str(stem) + ".summary.json"],
     )
     _write(out_csv, _sweep_csv(sweep))
@@ -309,10 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NegativeEntry, NotNormalized, IndexOutOfRange) as exc:
+    except (MalformedInput, NegativeEntry, NotNormalized, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CatalysisError as exc:

@@ -24,7 +24,4 @@ EXAMPLE_PAIRS = {
 def example_pair(name: str, policy: ComparisonPolicy = FLOAT_POLICY) -> CatalyticPair:
     """Build one of the bundled pairs under the given comparison policy."""
     raw_a, raw_b = EXAMPLE_PAIRS[name]
-    if not policy.exact:
-        raw_a = tuple(float(x) for x in raw_a)
-        raw_b = tuple(float(x) for x in raw_b)
     return CatalyticPair(make_schmidt(raw_a, policy), make_schmidt(raw_b, policy), policy)

@@ -10,35 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalysis import (CatalyticPair, CatalystInterval, is_catalyst, probe_two_level,
-                        schmidt_rank)
-from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
+from .catalysis import (CatalyticPair, CatalystInterval, _bisect, _require_loan, is_catalyst,
+                        probe_two_level)
+from .errors import EmptyCatalystSet, PreconditionViolated
 from .schmidt import SchmidtVector, binary_entropy, entropy, kron, majorizes
 from .supercatalysis import GRID_METHOD, GainResult
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan resolution, boundary refinement target, and seed for random parts."""
+    """Scan resolution and boundary refinement target."""
 
     resolution: float = 1e-3
     refinement_tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.refinement_tol <= self.resolution:
             raise ValueError("need 0 < refinement_tol <= resolution")
-
-
-def _bisect(predicate, x_false: float, x_true: float, tol: float) -> float:
-    """Boundary of a verdict change, returned on the True side."""
-    while abs(x_true - x_false) > tol:
-        mid = 0.5 * (x_false + x_true)
-        if predicate(mid):
-            x_true = mid
-        else:
-            x_false = mid
-    return x_true
 
 
 def grid_catalyst_interval(pair: CatalyticPair, spec: GridSpec = GridSpec()) -> CatalystInterval:
@@ -49,7 +37,7 @@ def grid_catalyst_interval(pair: CatalyticPair, spec: GridSpec = GridSpec()) -> 
     """
     if not pair.nontrivial:
         raise PreconditionViolated("pair is convertible without a catalyst")
-    if schmidt_rank(pair.a, pair.policy) > 4 or schmidt_rank(pair.b, pair.policy) > 4:
+    if not pair.dim4:
         raise PreconditionViolated("oracle covers Schmidt ranks up to 4 only")
 
     def member(x: float) -> bool:
@@ -77,10 +65,7 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector,
     the scan keeps the smallest feasible y (the most entangled feasible
     returned state) and bisects the feasibility boundary just below it.
     """
-    if not is_catalyst(pair, c):
-        raise NotACatalyst("the borrowed state is not a catalyst for this pair")
-    if pair.entropy_drop <= pair.policy.tol_strict:
-        raise PreconditionViolated("main transformation has no entropy drop")
+    _require_loan(pair, c)
     target = kron(pair.a, c)
     c1 = float(c[0])
 
@@ -92,13 +77,13 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector,
     ys = [0.5 + span * i / steps for i in range(steps + 1)]
     flags = [feasible(y) for y in ys]
     if not any(flags):
-        return GainResult(0.0, c, True, GRID_METHOD)
+        return GainResult(0.0, c, GRID_METHOD)
     first = flags.index(True)
     y_star = ys[first]
     if first > 0:
         y_star = _bisect(feasible, ys[first - 1], ys[first], spec.refinement_tol)
     if y_star >= c1 - pair.policy.tol_strict:
-        return GainResult(0.0, c, True, GRID_METHOD)
+        return GainResult(0.0, c, GRID_METHOD)
     g = (binary_entropy(y_star) - entropy(c)) / pair.entropy_drop
-    return GainResult(min(max(g, 0.0), 1.0), probe_two_level(y_star, pair.policy), True,
+    return GainResult(min(max(g, 0.0), 1.0), probe_two_level(y_star, pair.policy),
                       GRID_METHOD)

@@ -112,11 +112,8 @@ class SchmidtVector:
         """Same vector with zeros appended up to dimension n."""
         if n <= self.dim:
             return self
-        zero = Fraction(0) if self.exact else 0.0
+        zero = _constants(self.exact)[0]
         return SchmidtVector(self.coefficients + (zero,) * (n - self.dim))
-
-    def as_floats(self) -> tuple:
-        return tuple(float(x) for x in self.coefficients)
 
     def to_json_value(self) -> list:
         """JSON form: decimals in float mode, "p/q" strings in exact mode."""
@@ -125,35 +122,42 @@ class SchmidtVector:
         return list(self.coefficients)
 
 
+_EXACT_CONSTANTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+_FLOAT_CONSTANTS = (0.0, 0.5, 1.0)
+
+
+def _constants(exact: bool) -> tuple:
+    """(0, 1/2, 1) as Fractions in exact mode, as floats otherwise."""
+    return _EXACT_CONSTANTS if exact else _FLOAT_CONSTANTS
+
+
 def _coerce(x, policy: ComparisonPolicy):
-    if policy.exact:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, float):
-            # interpret a float by its shortest decimal repr, so a literal
-            # like 0.4 means 2/5 rather than its binary expansion
-            return Fraction(str(x))
-        return Fraction(x)
-    return float(x)
+    if isinstance(x, float) or not policy.exact:
+        x = float(x)
+        if not math.isfinite(x):
+            raise NotNormalized(f"non-finite coefficient {x}")
+        # exact mode reads a float by its shortest decimal repr, so a
+        # literal like 0.4 means 2/5 rather than its binary expansion
+        return Fraction(str(x)) if policy.exact else x
+    return Fraction(x)
 
 
-def make_schmidt(raw: Iterable[Real], policy: ComparisonPolicy = FLOAT_POLICY,
-                 norm_tol: float = NORM_TOL) -> SchmidtVector:
+def make_schmidt(raw: Iterable[Real], policy: ComparisonPolicy = FLOAT_POLICY) -> SchmidtVector:
     """Validate, sort descending, clamp tiny negatives and renormalize.
 
-    Raises NegativeEntry if any entry is below -norm_tol and NotNormalized if
-    the total differs from 1 by more than norm_tol.
+    Raises NegativeEntry if any entry is below -NORM_TOL and NotNormalized if
+    an entry is not finite or the total differs from 1 by more than NORM_TOL.
     """
     entries = [_coerce(x, policy) for x in raw]
     if not entries:
         raise NotNormalized("empty coefficient list")
     low = min(entries)
-    if low < -norm_tol:
-        raise NegativeEntry(f"coefficient {low} below -{norm_tol}")
+    if low < -NORM_TOL:
+        raise NegativeEntry(f"coefficient {low} below -{NORM_TOL}")
     total = _total(entries)
-    if abs(total - 1) > norm_tol:
+    if abs(total - 1) > NORM_TOL:
         raise NotNormalized(f"coefficients sum to {total}, not 1")
-    zero = Fraction(0) if policy.exact else 0.0
+    zero = _constants(policy.exact)[0]
     entries = [max(x, zero) for x in entries]
     total = _total(entries)
     entries = [x / total for x in entries]
@@ -214,10 +218,10 @@ def entropy(v: SchmidtVector) -> float:
     return -math.fsum(float(p) * math.log2(float(p)) for p in v if p > 0)
 
 
-def binary_entropy(x: Real, tol: float = NORM_TOL) -> float:
+def binary_entropy(x: Real) -> float:
     """Entropy of the distribution (x, 1-x) in bits."""
     xf = float(x)
-    if xf < -tol or xf > 1 + tol:
+    if xf < -NORM_TOL or xf > 1 + NORM_TOL:
         raise DomainError(f"binary entropy argument {xf} outside [0, 1]")
     xf = min(max(xf, 0.0), 1.0)
     if xf in (0.0, 1.0):
@@ -244,6 +248,7 @@ def split_partial_sum(u: SchmidtVector, c: SchmidtVector, k1: int, k2: int) -> R
         raise IndexOutOfRange(f"need k1 >= k2 >= 0, got k1={k1}, k2={k2}")
     if k1 > u.dim or k2 > u.dim:
         raise IndexOutOfRange(f"split indices ({k1}, {k2}) exceed dim {u.dim}")
-    s1 = partial_sum(u, k1) if k1 else (Fraction(0) if u.exact else 0.0)
-    s2 = partial_sum(u, k2) if k2 else (Fraction(0) if u.exact else 0.0)
+    zero = _constants(u.exact)[0]
+    s1 = partial_sum(u, k1) if k1 else zero
+    s2 = partial_sum(u, k2) if k2 else zero
     return c[0] * s1 + c[1] * s2

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalysis import (CatalyticPair, CatalystInterval, SearchBudget, _ordered_simplex_grid,
-                        _probe_simplex, is_catalyst, max_catalyst_entropy,
-                        rank2_catalyst_interval, returned_rank_bound)
+from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _ordered_simplex_grid,
+                        _probe_simplex, _require_loan, is_catalyst, max_catalyst_entropy,
+                        probe_two_level, rank2_catalyst_interval, returned_rank_bound)
 from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
                      PreconditionViolated, ZeroDenominator)
-from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, binary_entropy,
-                      entropy, kron, majorizes, make_schmidt, nielsen_convertible, prefix_sums,
-                      schmidt_rank)
+from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _constants,
+                      binary_entropy, entropy, kron, majorizes, make_schmidt,
+                      nielsen_convertible, prefix_sums, schmidt_rank)
 
 EXACT_METHOD = "exact-piecewise-linear"
 GRID_METHOD = "grid-approximate"
@@ -42,12 +42,7 @@ class GainResult:
 
     gain: float
     returned_state: SchmidtVector
-    feasible: bool
     method: str
-
-    def to_json_value(self) -> dict:
-        return {"gain": self.gain, "returned_state": self.returned_state.to_json_value(),
-                "feasible": self.feasible, "method": self.method}
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,6 @@ class SweepResult:
     argmax_x: float
     interval: CatalystInterval
     envelope_bound: float
-    n_points: int
 
     @property
     def gmax_at_x_min(self) -> float:
@@ -79,10 +73,10 @@ class SweepResult:
     def gmax_at_x_max(self) -> float:
         return self.points[-1].gmax
 
-    def interior_optimum(self, margin: float = 1e-9) -> bool:
-        """Does some interior borrowed state beat both interval endpoints?"""
-        return (self.tilde_gmax > self.gmax_at_x_min + margin
-                and self.tilde_gmax > self.gmax_at_x_max + margin)
+    def interior_optimum(self) -> bool:
+        """Does some interior borrowed state beat both interval endpoints by 1e-9?"""
+        return (self.tilde_gmax > self.gmax_at_x_min + 1e-9
+                and self.tilde_gmax > self.gmax_at_x_max + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -106,14 +100,6 @@ class SupercatalysisVerdict:
         # both states must be catalysts whenever the four defining conditions
         # hold; anything else signals an internal problem
         return self.ok and not (self.borrowed_is_catalyst and self.returned_is_catalyst)
-
-    def to_json_value(self) -> dict:
-        return {"base_blocked": self.base_blocked, "states_differ": self.states_differ,
-                "joint_feasible": self.joint_feasible,
-                "returned_reaches_borrowed": self.returned_reaches_borrowed,
-                "borrowed_is_catalyst": self.borrowed_is_catalyst,
-                "returned_is_catalyst": self.returned_is_catalyst,
-                "ok": self.ok, "consistency_error": self.consistency_error}
 
 
 def _sorted_equal(u: SchmidtVector, v: SchmidtVector, policy: ComparisonPolicy) -> bool:
@@ -167,12 +153,6 @@ def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
     )
 
 
-def _typed_consts(exact: bool):
-    if exact:
-        return Fraction(0), Fraction(1, 2), Fraction(1)
-    return 0.0, 0.5, 1.0
-
-
 def _min_feasible_y(b_coeffs: Sequence[Real], targets: Sequence[Real], lo: Real, hi: Real,
                     policy: ComparisonPolicy) -> Optional[Real]:
     """Smallest y in [lo, hi] with every prefix sum of b (x) (y, 1-y) at least
@@ -192,7 +172,7 @@ def _min_feasible_y(b_coeffs: Sequence[Real], targets: Sequence[Real], lo: Real,
     if lo > hi:
         return None
     exact = policy.exact
-    zero, _, one = _typed_consts(exact)
+    zero, _, one = _constants(exact)
     slack = zero if exact else policy.tol_eq
     slope_tol = zero if exact else policy.tol_eq
 
@@ -254,7 +234,7 @@ def _min_feasible_y(b_coeffs: Sequence[Real], targets: Sequence[Real], lo: Real,
 def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     """Exact best gain when the returned state is forced to two levels."""
     policy = pair.policy
-    _, half, _ = _typed_consts(policy.exact)
+    half = _constants(policy.exact)[1]
     c1 = c[0]
     n = pair.b.dim
     targets = prefix_sums(kron(pair.a, c))[:2 * n]
@@ -267,20 +247,17 @@ def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
         else:
             no_better = y >= c1 - policy.tol_strict
     if no_better:
-        return GainResult(0.0, c, True, EXACT_METHOD)
+        return GainResult(0.0, c, EXACT_METHOD)
 
-    one = Fraction(1) if policy.exact else 1.0
-    d = SchmidtVector((y, one - y))
     g = (binary_entropy(y) - entropy(c)) / pair.entropy_drop
-    return GainResult(min(max(g, 0.0), 1.0), d, True, EXACT_METHOD)
+    return GainResult(min(max(g, 0.0), 1.0), probe_two_level(y, policy), EXACT_METHOD)
 
 
 def _ordered_descending(t) -> bool:
     return all(t[i] >= t[i + 1] for i in range(len(t) - 1)) and t[-1] >= 0
 
 
-def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
-                    grid_steps: Optional[int]) -> GainResult:
+def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int) -> GainResult:
     """Approximate best gain over returned states of rank <= rank_cap."""
     policy = pair.policy
     target = kron(pair.a, c)
@@ -296,8 +273,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
         if ent > best_ent:
             best_ent, best_d = ent, seed.returned_state
 
-    if grid_steps is None:
-        grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
+    grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
     for parts in _ordered_simplex_grid(rank_cap, grid_steps):
         v = _probe_simplex(parts, grid_steps, policy)
         ent = entropy(v)
@@ -305,7 +281,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
             best_ent, best_d = ent, v
 
     # local hill-climb around the best candidate with shrinking moves
-    zero = Fraction(0) if policy.exact else 0.0
+    zero = _constants(policy.exact)[0]
     cur = tuple(best_d.padded(rank_cap).coefficients[:rank_cap])
     step = Fraction(1, grid_steps) if policy.exact else 1.0 / grid_steps
     while step > 1e-7:
@@ -328,13 +304,12 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
         if not improved:
             step /= 2
     if best_ent <= ent_c + 1e-12:
-        return GainResult(0.0, c, True, GRID_METHOD)
+        return GainResult(0.0, c, GRID_METHOD)
     g = (best_ent - ent_c) / pair.entropy_drop
-    return GainResult(min(max(g, 0.0), 1.0), best_d, True, GRID_METHOD)
+    return GainResult(min(max(g, 0.0), 1.0), best_d, GRID_METHOD)
 
 
-def gmax_given_c(pair: CatalyticPair, c: SchmidtVector,
-                 grid_steps: Optional[int] = None) -> GainResult:
+def gmax_given_c(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     """Best achievable gain for the pair when c is the borrowed state.
 
     Maximizes the entropy of the returned state d subject to the joint
@@ -344,18 +319,14 @@ def gmax_given_c(pair: CatalyticPair, c: SchmidtVector,
     search.  When no returned state beats c the result is plain catalysis:
     gain 0 with d = c.
     """
-    if not is_catalyst(pair, c):
-        raise NotACatalyst("the borrowed state is not a catalyst for this pair")
-    if pair.entropy_drop <= pair.policy.tol_strict:
-        raise PreconditionViolated("main transformation has no entropy drop")
+    _require_loan(pair, c)
     rank_cap = returned_rank_bound(pair, c)
     if rank_cap <= 2:
         return _exact_rank2_gain(pair, c)
-    return _grid_rank_gain(pair, c, rank_cap, grid_steps)
+    return _grid_rank_gain(pair, c, rank_cap)
 
 
-def bound_gmax(pair: CatalyticPair, c: SchmidtVector,
-               budget: SearchBudget = SearchBudget()) -> float:
+def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
     """Upper bound on the gain for borrowed state c.
 
     The returned state is confined to catalysts of rank at most the
@@ -364,12 +335,9 @@ def bound_gmax(pair: CatalyticPair, c: SchmidtVector,
     closed form (rank cap 2 with main dimension at most 4); for larger caps
     it inherits the lower-bound character of the entropy search.
     """
-    if not is_catalyst(pair, c):
-        raise NotACatalyst("the borrowed state is not a catalyst for this pair")
-    if pair.entropy_drop <= pair.policy.tol_strict:
-        raise PreconditionViolated("main transformation has no entropy drop")
+    _require_loan(pair, c)
     rank_cap = returned_rank_bound(pair, c)
-    search = max_catalyst_entropy(pair, rank_cap, budget)
+    search = max_catalyst_entropy(pair, rank_cap)
     ent_c = entropy(c)
     top = max(search.value, ent_c)  # c itself is a catalyst of admissible rank
     return (top - ent_c) / pair.entropy_drop
@@ -380,8 +348,7 @@ def _affine_grid(lo: Real, hi: Real, n: int):
     return [lo + span * i / (n - 1) for i in range(n)]
 
 
-def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200,
-                     refine_tol: float = 1e-9) -> SweepResult:
+def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     """Sweep the whole two-level catalyst range and maximize the gain.
 
     Samples n_points values of x uniformly over [x_min, x_max] (endpoints
@@ -399,17 +366,10 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200,
     if not interval.nonempty:
         raise EmptyCatalystSet("no two-level catalyst exists for this pair")
 
-    exact = pair.policy.exact
-    _, _, one = _typed_consts(exact)
-
-    def gain_at(x) -> float:
-        c = SchmidtVector((x, one - x))
-        return gmax_given_c(pair, c).gain
-
     xs = _affine_grid(interval.x_min, interval.x_max, n_points)
     points = []
     for x in xs:
-        c = SchmidtVector((x, one - x))
+        c = probe_two_level(x, pair.policy)
         g = gmax_given_c(pair, c).gain
         bnd = bound_gmax(pair, c)
         points.append(SweepPoint(float(x), binary_entropy(x), g, bnd))
@@ -421,10 +381,10 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200,
     lo = xs[i_best - 1] if i_best > 0 else xs[0]
     hi = xs[i_best + 1] if i_best < len(xs) - 1 else xs[-1]
     for _ in range(40):
-        if float(hi - lo) <= refine_tol:
+        if float(hi - lo) <= REFINE_TOL:
             break
         grid = _affine_grid(lo, hi, 9)
-        vals = [gain_at(x) for x in grid]
+        vals = [gmax_given_c(pair, probe_two_level(x, pair.policy)).gain for x in grid]
         j = max(range(9), key=vals.__getitem__)
         if vals[j] > best_v:
             best_v, best_x = vals[j], grid[j]
@@ -433,7 +393,7 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200,
 
     envelope = (binary_entropy(interval.x_min) - binary_entropy(interval.x_max)) / pair.entropy_drop
     return SweepResult(points=tuple(points), tilde_gmax=best_v, argmax_x=float(best_x),
-                       interval=interval, envelope_bound=envelope, n_points=n_points)
+                       interval=interval, envelope_bound=envelope)
 
 
 def rank_reduce_returned(d: SchmidtVector, c: SchmidtVector,
@@ -450,8 +410,7 @@ def rank_reduce_returned(d: SchmidtVector, c: SchmidtVector,
         raise PreconditionViolated("target state must have rank exactly 2")
     if not nielsen_convertible(d, c, policy):
         raise PreconditionViolated("returned state does not reach the target")
-    exact = d.exact and c.exact
-    zero, half, one = _typed_consts(exact)
+    zero, half, one = _constants(d.exact and c.exact)
     c1 = c[0]
     alpha = d[0] + d[1] - c1 / 2 - half
     if alpha < zero:
@@ -535,10 +494,9 @@ def epsilon_family(eps: Real, policy: ComparisonPolicy = FLOAT_POLICY) -> Epsilo
     """
     if policy.exact:
         e = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
-        one, half = Fraction(1), Fraction(1, 2)
     else:
         e = float(eps)
-        one, half = 1.0, 0.5
+    _, half, one = _constants(policy.exact)
     if e <= 0:
         raise InvalidEpsilon("epsilon must be positive")
     root = _exact_sqrt(e) if policy.exact else math.sqrt(e)

@@ -8,10 +8,10 @@ from supercat import (CatalyticPair, EXACT_POLICY, SchmidtVector, binary_entropy
                       is_catalyst, kron, least_entangled_rank2_catalyst, make_schmidt,
                       max_catalyst_entropy, most_entangled_rank2_catalyst,
                       necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
-                      returned_rank_bound, SearchBudget)
+                      returned_rank_bound, SearchBudget, tilde_gmax_sweep)
 from supercat.catalysis import probe_two_level
 from supercat.errors import EmptyCatalystSet, PreconditionViolated
-from supercat.examples import example_pair
+from supercat.examples import EXAMPLE_PAIRS, example_pair
 
 from conftest import random_nontrivial_pair, random_sorted_simplex
 
@@ -89,6 +89,19 @@ class TestRank2Interval:
         for name, (lo, hi) in expected.items():
             interval = rank2_catalyst_interval(exact_pairs[name])
             assert (interval.x_min, interval.x_max) == (lo, hi), name
+
+    def test_float_vectors_coerced_under_exact_policy(self):
+        pair = CatalyticPair(vec(0.4, 0.4, 0.1, 0.1), vec(0.5, 0.25, 0.25, 0), EXACT_POLICY)
+        interval = rank2_catalyst_interval(pair)
+        assert (interval.x_min, interval.x_max) == (Fraction(3, 5), Fraction(5, 8))
+
+    def test_float_built_pairs_match_exact_pairs(self, exact_pairs):
+        for name, (raw_a, raw_b) in EXAMPLE_PAIRS.items():
+            pair = CatalyticPair(make_schmidt(raw_a), make_schmidt(raw_b), EXACT_POLICY)
+            want = exact_pairs[name]
+            assert rank2_catalyst_interval(pair) == rank2_catalyst_interval(want), name
+            assert tilde_gmax_sweep(pair, n_points=11) == tilde_gmax_sweep(want, n_points=11), \
+                name
 
     def test_family_pair_symbolic(self):
         # the near-maximal-gain family has x_min = (1+e)/2, x_max = (1-2e-e^2)/(1-e)

@@ -1,0 +1,29 @@
+"""Packaging guards: the runtime needs nothing outside the standard library."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# prints the modules that importing the package and its CLI adds to sys.modules
+IMPORT_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+               "import supercat, supercat.cli; print(*sorted(set(sys.modules) - before))")
+
+
+def test_no_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == []
+
+
+def test_import_loads_only_stdlib_modules():
+    out = subprocess.run([sys.executable, "-I", "-c", IMPORT_CODE, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    loaded = out.stdout.split()
+    assert "supercat.cli" in loaded
+    foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names
+               and m.split(".")[0] != "supercat"]
+    assert foreign == []

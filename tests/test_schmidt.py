@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercat import (EXACT_POLICY, SchmidtVector, binary_entropy, entropy, kron, majorizes,
-                      make_schmidt, nielsen_convertible, partial_sum, prefix_sums,
+from supercat import (EXACT_POLICY, CatalyticPair, SchmidtVector, binary_entropy, entropy, kron,
+                      majorizes, make_schmidt, nielsen_convertible, partial_sum, prefix_sums,
                       schmidt_rank, split_partial_sum)
 from supercat.errors import (DomainError, IndexOutOfRange, NegativeEntry, NotNormalized,
                              PreconditionViolated)
@@ -64,6 +64,17 @@ class TestMakeSchmidt:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             vec(0.5, 0.4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_schmidt([math.nan, 1.0]),
+        lambda: make_schmidt([1.0, -math.inf]),
+        lambda: make_schmidt([math.nan], EXACT_POLICY),
+        lambda: make_schmidt([math.inf, 0.0], EXACT_POLICY),
+        lambda: CatalyticPair(SchmidtVector((math.nan, 1.0)), vec(1.0), EXACT_POLICY),
+    ], ids=["float-nan", "float-minus-inf", "exact-nan", "exact-inf", "pair-coercion"])
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(NotNormalized):
+            build()
 
     def test_renormalizes_within_tolerance(self):
         v = make_schmidt((0.5 + 4e-10, 0.5 + 4e-10))

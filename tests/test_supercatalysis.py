@@ -106,7 +106,6 @@ class TestGmaxGivenC:
         pair = pairs["1"]
         result = gmax_given_c(pair, vec(0.625, 0.375))
         assert result.method == "exact-piecewise-linear"
-        assert result.feasible
         assert result.gain == pytest.approx(TIGHT_GAIN, abs=1e-10)
         assert result.returned_state.coefficients[0] == pytest.approx(0.6, abs=1e-9)
 
