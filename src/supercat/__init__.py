@@ -4,14 +4,14 @@ LOCC convertibility, entanglement catalysis, and supercatalytic gain
 optimization for probability vectors of squared Schmidt coefficients.
 """
 
-from .catalysis import (CatalystEntropySearch, CatalystInterval, CatalyticPair, SearchBudget,
-                        is_catalyst, least_entangled_rank2_catalyst, max_catalyst_entropy,
+from .catalysis import (CatalystEntropySearch, CatalystInterval, CatalyticPair, is_catalyst,
+                        least_entangled_rank2_catalyst, max_catalyst_entropy,
                         most_entangled_rank2_catalyst, necessary_conditions_4d,
                         rank2_catalyst_interval, returned_rank_bound)
 from .errors import (CatalysisError, DegenerateDenominator, DomainError, EmptyCatalystSet,
                      IndexOutOfRange, InvalidConfiguration, InvalidEpsilon, NegativeEntry,
                      NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
-from .oracle import GridSpec, grid_catalyst_interval, grid_gmax_rank2
+from .oracle import grid_catalyst_interval, grid_gmax_rank2
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, NORM_TOL, ComparisonPolicy, SchmidtVector,
                       binary_entropy, entropy, kron, majorizes, make_schmidt,
                       nielsen_convertible, partial_sum, prefix_sums, schmidt_rank,
@@ -27,9 +27,9 @@ __all__ = [
     "CatalysisError", "CatalystEntropySearch", "CatalystInterval", "CatalyticPair",
     "ComparisonPolicy", "DegenerateDenominator", "DomainError", "EXACT_POLICY",
     "EmptyCatalystSet", "EpsilonFamily", "EpsilonFamilyReport", "FLOAT_POLICY", "GainResult",
-    "GridSpec", "IndexOutOfRange", "InvalidConfiguration", "InvalidEpsilon", "NORM_TOL",
-    "NegativeEntry", "NotACatalyst", "NotNormalized", "PreconditionViolated", "SchmidtVector",
-    "SearchBudget", "SupercatalysisVerdict", "SweepPoint", "SweepResult", "ZeroDenominator",
+    "IndexOutOfRange", "InvalidConfiguration", "InvalidEpsilon", "NORM_TOL", "NegativeEntry",
+    "NotACatalyst", "NotNormalized", "PreconditionViolated", "SchmidtVector",
+    "SupercatalysisVerdict", "SweepPoint", "SweepResult", "ZeroDenominator",
     "binary_entropy", "bound_gmax", "check_supercatalytic", "entropy", "epsilon_family", "gain",
     "gmax_given_c", "grid_catalyst_interval", "grid_gmax_rank2", "is_catalyst", "kron",
     "least_entangled_rank2_catalyst", "majorizes", "make_schmidt", "max_catalyst_entropy",

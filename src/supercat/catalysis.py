@@ -23,6 +23,13 @@ from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _cons
 
 #: Width below which a bisected verdict boundary counts as located.
 REFINE_TOL = 1e-9
+#: Grid step of every scan over two-level vectors (x, 1-x).
+SCAN_RESOLUTION = 1e-3
+#: Effort of the rank >= 3 catalyst-entropy search: steps of the ordered
+#: simplex grid, then seeded random samples.
+SIMPLEX_STEPS = 60
+RANDOM_SAMPLES = 2000
+SEARCH_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -196,15 +203,47 @@ def probe_two_level(x: Real, policy: ComparisonPolicy) -> SchmidtVector:
     return SchmidtVector((x, 1 - x))
 
 
-def _bisect(predicate, x_false: float, x_true: float, tol: float) -> float:
-    """Boundary of a verdict change, returned on the True side."""
-    while abs(x_true - x_false) > tol:
+def _bisect(predicate, x_false: float, x_true: float) -> float:
+    """Boundary of a verdict change, located to REFINE_TOL, on the True side."""
+    while abs(x_true - x_false) > REFINE_TOL:
         mid = 0.5 * (x_false + x_true)
         if predicate(mid):
             x_true = mid
         else:
             x_false = mid
     return x_true
+
+
+def _scan(member, xs):
+    """(first, last) passing points of the grid xs, or None if none passes.
+
+    Each is bisected against its failing grid neighbour and returned on the
+    passing side; a passing end of the grid is returned as it is.
+    """
+    verdicts = [member(x) for x in xs]
+    if True not in verdicts:
+        return None
+    first = verdicts.index(True)
+    last = len(xs) - 1 - verdicts[::-1].index(True)
+    lo = xs[first] if first == 0 else _bisect(member, xs[first - 1], xs[first])
+    hi = xs[last] if last == len(xs) - 1 else _bisect(member, xs[last + 1], xs[last])
+    return lo, hi
+
+
+def _scan_two_level(pair: CatalyticPair):
+    """_scan over two-level catalysts (x, 1-x), x from 1/2 to 1 in SCAN_RESOLUTION steps."""
+
+    def member(x: float) -> bool:
+        return is_catalyst(pair, probe_two_level(x, pair.policy))
+
+    steps = int(round(0.5 / SCAN_RESOLUTION))
+    return _scan(member, [min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(steps + 1)])
+
+
+def _affine_grid(lo: Real, hi: Real, n: int):
+    """n evenly spaced points from lo to hi, both included."""
+    span = hi - lo
+    return [lo + span * i / (n - 1) for i in range(n)]
 
 
 def _probe_simplex(parts, steps: int, policy: ComparisonPolicy) -> SchmidtVector:
@@ -239,15 +278,6 @@ def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """Effort knobs for the rank >= 3 catalyst-entropy search."""
-
-    grid_step: float = 1.0 / 60.0
-    samples: int = 2000
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class CatalystEntropySearch:
     """Maximal catalyst entropy of bounded rank, with its certificate.
 
@@ -276,29 +306,7 @@ def _ordered_simplex_grid(r: int, steps: int):
     yield from rec(steps, steps, ())
 
 
-def _rank2_scan(pair: CatalyticPair, resolution: float):
-    """Smallest catalytic x over two-level catalysts (x, 1-x), or None.
-
-    Scans [0.5, 1] at the given resolution, then bisects the verdict boundary.
-    """
-
-    def member(x: float) -> bool:
-        return is_catalyst(pair, probe_two_level(x, pair.policy))
-
-    resolution = min(resolution, 1e-3)
-    steps = int(round(0.5 / resolution))
-    xs = [min(0.5 + i * resolution, 1.0) for i in range(steps + 1)]
-    verdicts = [member(x) for x in xs]
-    if not any(verdicts):
-        return None
-    i = verdicts.index(True)
-    if i == 0:
-        return xs[0]
-    return _bisect(member, xs[i - 1], xs[i], REFINE_TOL)
-
-
-def max_catalyst_entropy(pair: CatalyticPair, r: int,
-                         budget: SearchBudget = SearchBudget()) -> CatalystEntropySearch:
+def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
     """Largest entanglement entropy over catalysts of Schmidt rank <= r.
 
     For r = 2 with main dimension at most 4 the answer is the binary entropy
@@ -323,9 +331,10 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int,
         return CatalystEntropySearch(binary_entropy(interval.x_min), cert, True)
 
     if r == 2:
-        x = _rank2_scan(pair, budget.grid_step)
-        if x is None:
+        found = _scan_two_level(pair)
+        if found is None:
             raise EmptyCatalystSet("no two-level catalyst found at this resolution")
+        x = found[0]
         return CatalystEntropySearch(binary_entropy(x), probe_two_level(x, pair.policy), False)
 
     best_val, best_cert = -1.0, None
@@ -336,11 +345,10 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int,
             cert = probe_two_level(interval.x_min, pair.policy)
             best_val, best_cert = binary_entropy(interval.x_min), cert
 
-    steps = max(2, int(round(1.0 / budget.grid_step)))
-    candidates = [_probe_simplex(parts, steps, pair.policy)
-                  for parts in _ordered_simplex_grid(r, steps)]
-    rng = random.Random(budget.seed)
-    for _ in range(budget.samples):
+    candidates = [_probe_simplex(parts, SIMPLEX_STEPS, pair.policy)
+                  for parts in _ordered_simplex_grid(r, SIMPLEX_STEPS)]
+    rng = random.Random(SEARCH_SEED)
+    for _ in range(RANDOM_SAMPLES):
         raw = sorted((rng.random() for _ in range(r)), reverse=True)
         if pair.policy.exact:
             exact_raw = [Fraction(x) for x in raw]

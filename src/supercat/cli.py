@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .catalysis import REFINE_TOL, CatalyticPair, probe_two_level, rank2_catalyst_interval
 from .errors import CatalysisError, IndexOutOfRange, NegativeEntry, NotNormalized
 from .examples import EXAMPLE_PAIRS, example_pair
-from .oracle import GridSpec, grid_catalyst_interval, grid_gmax_rank2
+from .oracle import grid_catalyst_interval, grid_gmax_rank2
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, SchmidtVector, entropy,
                       make_schmidt, nielsen_convertible, prefix_sums)
 from .supercatalysis import bound_gmax, epsilon_family, gmax_given_c, tilde_gmax_sweep, \
@@ -34,21 +33,6 @@ ORACLE_INTERVAL_TOL = 1e-6
 
 class MalformedInput(ValueError):
     """Input text that cannot be parsed into vectors or numbers."""
-
-
-@dataclass
-class RunManifest:
-    """Provenance record written next to every numeric output file."""
-
-    command: str
-    inputs: dict
-    policy: dict
-    sweep: dict | None = None
-    outputs: list = field(default_factory=list)
-
-    def to_json_value(self) -> dict:
-        return {"command": self.command, "inputs": self.inputs, "policy": self.policy,
-                "sweep": self.sweep, "outputs": self.outputs}
 
 
 def parse_vector(text: str, policy: ComparisonPolicy) -> SchmidtVector:
@@ -113,7 +97,7 @@ def cmd_catalyst_range(args) -> int:
     interval = rank2_catalyst_interval(pair)
     payload = interval.to_json_value()
     if args.verify:
-        grid = grid_catalyst_interval(pair, GridSpec())
+        grid = grid_catalyst_interval(pair)
         agree = (abs(float(interval.x_min) - float(grid.x_min)) <= ORACLE_INTERVAL_TOL
                  and abs(float(interval.x_max) - float(grid.x_max)) <= ORACLE_INTERVAL_TOL)
         payload["oracle"] = grid.to_json_value()
@@ -156,7 +140,7 @@ def _verify_sweep(pair: CatalyticPair, sweep) -> list:
     mismatches = []
     for p in sweep.points:
         c = probe_two_level(p.x, pair.policy)
-        g = grid_gmax_rank2(pair, c, GridSpec()).gain
+        g = grid_gmax_rank2(pair, c).gain
         if abs(g - p.gmax) > ORACLE_GAIN_TOL:
             mismatches.append({"x": p.x, "gmax": p.gmax, "oracle_gmax": g})
     return mismatches
@@ -173,16 +157,12 @@ def _run_sweep_files(pair: CatalyticPair, points: int, out_csv: Path, command: s
         if mismatches:
             status = 2
     stem = out_csv.with_suffix("")
-    manifest = RunManifest(
-        command=command,
-        inputs=inputs,
-        policy=_policy_json(pair.policy),
-        sweep={"n_points": points, "refinement_tol": REFINE_TOL},
-        outputs=[str(out_csv), str(stem) + ".summary.json"],
-    )
+    manifest = {"command": command, "inputs": inputs, "policy": _policy_json(pair.policy),
+                "sweep": {"n_points": points, "refinement_tol": REFINE_TOL},
+                "outputs": [str(out_csv), str(stem) + ".summary.json"]}
     _write(out_csv, _sweep_csv(sweep))
     _write(Path(str(stem) + ".summary.json"), _dump_json(summary))
-    _write(Path(str(stem) + ".manifest.json"), _dump_json(manifest.to_json_value()))
+    _write(Path(str(stem) + ".manifest.json"), _dump_json(manifest))
     return summary, status
 
 
@@ -203,7 +183,7 @@ def cmd_gain_sweep(args) -> int:
             "method": result.method,
         }
         if args.verify:
-            oracle_gain = grid_gmax_rank2(pair, c, GridSpec()).gain
+            oracle_gain = grid_gmax_rank2(pair, c).gain
             payload["oracle_gain"] = oracle_gain
             payload["oracle_agrees"] = abs(oracle_gain - result.gain) <= ORACLE_GAIN_TOL
             if not payload["oracle_agrees"]:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 from .errors import DomainError, IndexOutOfRange, NegativeEntry, NotNormalized, PreconditionViolated
 
@@ -32,21 +32,19 @@ NORM_TOL = 1e-9
 class ComparisonPolicy:
     """How numeric comparisons are decided.
 
-    mode:        "float" compares with absolute tolerances, "exact" compares
-                 rationals exactly (both tolerances are ignored).
+    mode:        "float" compares with the fixed absolute tolerances below,
+                 "exact" compares rationals exactly (both are ignored).
     tol_eq:      slack allowed when testing non-strict inequalities/equality.
     tol_strict:  margin required before an inequality counts as strict.
     """
 
     mode: str = "float"
-    tol_eq: float = 1e-12
-    tol_strict: float = 1e-9
+    tol_eq: ClassVar[float] = 1e-12
+    tol_strict: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         if self.mode not in ("float", "exact"):
             raise ValueError(f"unknown comparison mode {self.mode!r}")
-        if self.tol_eq < 0 or self.tol_strict < 0:
-            raise ValueError("tolerances must be non-negative")
 
     @property
     def exact(self) -> bool:
@@ -132,21 +130,25 @@ def _constants(exact: bool) -> tuple:
 
 
 def _coerce(x, policy: ComparisonPolicy):
-    if isinstance(x, float) or not policy.exact:
+    try:
+        if not isinstance(x, float) and policy.exact:
+            return Fraction(x)
         x = float(x)
-        if not math.isfinite(x):
-            raise NotNormalized(f"non-finite coefficient {x}")
-        # exact mode reads a float by its shortest decimal repr, so a
-        # literal like 0.4 means 2/5 rather than its binary expansion
-        return Fraction(str(x)) if policy.exact else x
-    return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise NotNormalized(f"coefficient {x!r} is not a finite number") from None
+    if not math.isfinite(x):
+        raise NotNormalized(f"non-finite coefficient {x}")
+    # exact mode reads a float by its shortest decimal repr, so a
+    # literal like 0.4 means 2/5 rather than its binary expansion
+    return Fraction(str(x)) if policy.exact else x
 
 
 def make_schmidt(raw: Iterable[Real], policy: ComparisonPolicy = FLOAT_POLICY) -> SchmidtVector:
     """Validate, sort descending, clamp tiny negatives and renormalize.
 
     Raises NegativeEntry if any entry is below -NORM_TOL and NotNormalized if
-    an entry is not finite or the total differs from 1 by more than NORM_TOL.
+    an entry does not denote a finite number or the total differs from 1 by
+    more than NORM_TOL.
     """
     entries = [_coerce(x, policy) for x in raw]
     if not entries:

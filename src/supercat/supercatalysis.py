@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _ordered_simplex_grid,
-                        _probe_simplex, _require_loan, is_catalyst, max_catalyst_entropy,
-                        probe_two_level, rank2_catalyst_interval, returned_rank_bound)
+from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _affine_grid,
+                        _ordered_simplex_grid, _probe_simplex, _require_loan, is_catalyst,
+                        max_catalyst_entropy, probe_two_level, rank2_catalyst_interval,
+                        returned_rank_bound)
 from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
                      PreconditionViolated, ZeroDenominator)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _constants,
@@ -175,15 +176,6 @@ def _min_feasible_y(b_coeffs: Sequence[Real], targets: Sequence[Real], lo: Real,
     zero, _, one = _constants(exact)
     slack = zero if exact else policy.tol_eq
     slope_tol = zero if exact else policy.tol_eq
-
-    if lo == hi:
-        prods = sorted((bi * w for bi in b_coeffs for w in (lo, one - lo)), reverse=True)
-        running = zero
-        for k in range(2 * len(b_coeffs)):
-            running += prods[k]
-            if running < targets[k] - slack:
-                return None
-        return lo
 
     cuts = {lo, hi}
     for bi in b_coeffs:
@@ -341,11 +333,6 @@ def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
     ent_c = entropy(c)
     top = max(search.value, ent_c)  # c itself is a catalyst of admissible rank
     return (top - ent_c) / pair.entropy_drop
-
-
-def _affine_grid(lo: Real, hi: Real, n: int):
-    span = hi - lo
-    return [lo + span * i / (n - 1) for i in range(n)]
 
 
 def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercat import (EXACT_POLICY, GridSpec, SchmidtVector, check_supercatalytic, entropy,
+from supercat import (EXACT_POLICY, SchmidtVector, check_supercatalytic, entropy,
                       epsilon_family, gain, grid_catalyst_interval, grid_gmax_rank2,
                       gmax_given_c, is_catalyst, kron, least_entangled_rank2_catalyst,
                       majorizes, make_schmidt, most_entangled_rank2_catalyst, prefix_sums,
@@ -42,11 +42,10 @@ def sweeps(pairs):
 
 
 def test_criterion_01_interval_closed_form_matches_grid_oracle(exact_pairs, rng):
-    spec = GridSpec(resolution=1e-3, refinement_tol=1e-9)
     checked = 0
     for pair in exact_pairs.values():
         closed = rank2_catalyst_interval(pair)
-        grid = grid_catalyst_interval(pair, spec)
+        grid = grid_catalyst_interval(pair)
         assert abs(float(closed.x_min) - grid.x_min) <= 1e-6
         assert abs(float(closed.x_max) - grid.x_max) <= 1e-6
         for x in (closed.x_min, closed.x_max):
@@ -55,7 +54,7 @@ def test_criterion_01_interval_closed_form_matches_grid_oracle(exact_pairs, rng)
     for _ in range(100):
         pair = random_nontrivial_pair(rng, EXACT_POLICY, min_width=5e-3)
         closed = rank2_catalyst_interval(pair)
-        grid = grid_catalyst_interval(pair, spec)
+        grid = grid_catalyst_interval(pair)
         assert abs(float(closed.x_min) - grid.x_min) <= 1e-6
         assert abs(float(closed.x_max) - grid.x_max) <= 1e-6
         for x in (closed.x_min, closed.x_max):
@@ -65,7 +64,7 @@ def test_criterion_01_interval_closed_form_matches_grid_oracle(exact_pairs, rng)
     for _ in range(10):
         pair = random_blocked_pair_with_empty_interval(rng)
         with pytest.raises(EmptyCatalystSet):
-            grid_catalyst_interval(pair, spec)
+            grid_catalyst_interval(pair)
     ok(f"1 (interval oracle equivalence on {checked} pairs, endpoints exact members)")
 
 

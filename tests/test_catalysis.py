@@ -8,7 +8,7 @@ from supercat import (CatalyticPair, EXACT_POLICY, SchmidtVector, binary_entropy
                       is_catalyst, kron, least_entangled_rank2_catalyst, make_schmidt,
                       max_catalyst_entropy, most_entangled_rank2_catalyst,
                       necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
-                      returned_rank_bound, SearchBudget, tilde_gmax_sweep)
+                      returned_rank_bound, tilde_gmax_sweep)
 from supercat.catalysis import probe_two_level
 from supercat.errors import EmptyCatalystSet, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
@@ -187,6 +187,18 @@ class TestMaxCatalystEntropy:
             assert search.value == pytest.approx(binary_entropy(0.6), abs=1e-12)
             assert search.certificate.coefficients == pytest.approx((0.6, 0.4), abs=1e-12)
 
+    def test_rank2_scan_beyond_rank4(self):
+        # bundled pair 1 with its last level split: rank 5 -> 3, so no
+        # closed form applies and the two-level range is scanned
+        pair = CatalyticPair(vec(0.4, 0.4, 0.1, 0.05, 0.05), vec(0.5, 0.25, 0.25, 0, 0))
+        search = max_catalyst_entropy(pair, 2)
+        assert not search.exact
+        x = search.certificate[0]
+        assert x == pytest.approx(0.6, abs=1e-9)
+        assert is_catalyst(pair, search.certificate)
+        assert not is_catalyst(pair, probe_two_level(x - 2e-9, pair.policy))
+        assert search.value == pytest.approx(binary_entropy(0.6), abs=1e-9)
+
     def test_convertible_pair_rejected(self):
         pair = CatalyticPair(vec(0.25, 0.25, 0.25, 0.25), vec(0.5, 0.25, 0.25, 0))
         with pytest.raises(PreconditionViolated):
@@ -197,16 +209,14 @@ class TestMaxCatalystEntropy:
             max_catalyst_entropy(pairs["1"], 1)
 
     def test_rank3_search_dominates_rank2(self, pairs):
-        budget = SearchBudget(grid_step=1 / 40, samples=400, seed=7)
-        search = max_catalyst_entropy(pairs["1"], 3, budget)
+        search = max_catalyst_entropy(pairs["1"], 3)
         assert not search.exact
         assert search.value >= binary_entropy(0.6) - 1e-12
         assert is_catalyst(pairs["1"], search.certificate)
 
     def test_deterministic_given_seed(self, pairs):
-        budget = SearchBudget(grid_step=1 / 20, samples=200, seed=3)
-        s1 = max_catalyst_entropy(pairs["2"], 3, budget)
-        s2 = max_catalyst_entropy(pairs["2"], 3, budget)
+        s1 = max_catalyst_entropy(pairs["2"], 3)
+        s2 = max_catalyst_entropy(pairs["2"], 3)
         assert s1.value == s2.value
         assert s1.certificate.coefficients == s2.certificate.coefficients
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from supercat import (CatalyticPair, GridSpec, SchmidtVector, grid_catalyst_interval,
-                      grid_gmax_rank2, gmax_given_c, make_schmidt, rank2_catalyst_interval)
+from supercat import (CatalyticPair, SchmidtVector, grid_catalyst_interval, grid_gmax_rank2,
+                      gmax_given_c, make_schmidt, rank2_catalyst_interval)
 from supercat.errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from supercat.examples import example_pair
 
@@ -12,14 +12,6 @@ from conftest import random_nontrivial_pair
 
 def vec(*xs):
     return make_schmidt(xs)
-
-
-class TestGridSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(resolution=1e-3, refinement_tol=1e-2)
-        with pytest.raises(ValueError):
-            GridSpec(refinement_tol=0.0)
 
 
 class TestGridCatalystInterval:
@@ -75,16 +67,14 @@ class TestOracleAgreement:
             assert grid.x_max == pytest.approx(float(closed.x_max), abs=2e-9), name
 
     def test_interval_endpoints_on_random_pairs(self, rng):
-        spec = GridSpec(resolution=1e-3)
         for _ in range(25):
             pair = random_nontrivial_pair(rng, min_width=5e-3)
             closed = rank2_catalyst_interval(pair)
-            grid = grid_catalyst_interval(pair, spec)
+            grid = grid_catalyst_interval(pair)
             assert grid.x_min == pytest.approx(float(closed.x_min), abs=2e-9)
             assert grid.x_max == pytest.approx(float(closed.x_max), abs=2e-9)
 
     def test_gmax_on_random_pairs(self, rng):
-        spec = GridSpec(resolution=1e-4)
         for _ in range(25):
             pair = random_nontrivial_pair(rng, min_width=5e-3)
             closed = rank2_catalyst_interval(pair)
@@ -92,13 +82,12 @@ class TestOracleAgreement:
                 x = float(closed.x_min) + t * (float(closed.x_max) - float(closed.x_min))
                 c = SchmidtVector((x, 1 - x))
                 exact = gmax_given_c(pair, c).gain
-                grid = grid_gmax_rank2(pair, c, spec).gain
+                grid = grid_gmax_rank2(pair, c).gain
                 assert exact == pytest.approx(grid, abs=1e-5)
 
     def test_gmax_against_fine_grid_on_tight_instance(self):
-        # the bound-attaining configuration, scanned at one-in-a-million steps
+        # the bound-attaining configuration
         pair = example_pair("1")
         c = vec(0.625, 0.375)
         exact = gmax_given_c(pair, c).gain
-        fine = grid_gmax_rank2(pair, c, GridSpec(resolution=1e-6)).gain
-        assert exact == pytest.approx(fine, abs=1e-5)
+        assert exact == pytest.approx(grid_gmax_rank2(pair, c).gain, abs=1e-5)

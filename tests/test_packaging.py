@@ -1,10 +1,13 @@
-"""Packaging guards: the runtime needs nothing outside the standard library."""
+"""Packaging guards: the runtime needs nothing outside the standard library, and
+every exported name resolves."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import supercat
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +30,8 @@ def test_import_loads_only_stdlib_modules():
     foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names
                and m.split(".")[0] != "supercat"]
     assert foreign == []
+
+
+def test_exports_resolve_once():
+    assert [name for name in supercat.__all__ if not hasattr(supercat, name)] == []
+    assert len(set(supercat.__all__)) == len(supercat.__all__)

@@ -71,7 +71,13 @@ class TestMakeSchmidt:
         lambda: make_schmidt([math.nan], EXACT_POLICY),
         lambda: make_schmidt([math.inf, 0.0], EXACT_POLICY),
         lambda: CatalyticPair(SchmidtVector((math.nan, 1.0)), vec(1.0), EXACT_POLICY),
-    ], ids=["float-nan", "float-minus-inf", "exact-nan", "exact-inf", "pair-coercion"])
+        lambda: make_schmidt(["nan"], EXACT_POLICY),
+        lambda: make_schmidt(["inf", "0"], EXACT_POLICY),
+        lambda: make_schmidt(["abc", "1"]),
+        lambda: make_schmidt(["abc", "1"], EXACT_POLICY),
+    ], ids=["float-nan", "float-minus-inf", "exact-nan", "exact-inf", "pair-coercion",
+            "exact-nan-string", "exact-inf-string", "float-garbage-string",
+            "exact-garbage-string"])
     def test_non_finite_rejected(self, build):
         with pytest.raises(NotNormalized):
             build()
