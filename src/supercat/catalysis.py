@@ -79,6 +79,48 @@ class CatalyticPair:
     def _interval(self) -> CatalystInterval:
         return _closed_form_interval(self)
 
+    @cached_property
+    def _segments(self) -> tuple:
+        return _breakpoint_segments(self.b.coefficients, self.policy.exact)
+
+
+def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
+    """The 2n products of b (x) (y, 1-y) as piecewise-linear functions of y.
+
+    The cuts are 1/2, the sorted distinct breakpoints b_j / (b_i + b_j) in
+    (1/2, 1) where two products can tie, and 1.  Between consecutive cuts the
+    sorted order of the products is fixed, so every prefix sum is linear in
+    y there.  Returns one (lo, hi, sums) per segment, where sums lists the
+    cumulative (y-coefficient, constant, slope) of the k largest products,
+    k = 1..2n.  The order is taken at the segment's midpoint, strictly
+    between two cuts, so no tie between products of different coefficients
+    can enter it.
+    """
+    zero, half, one = _constants(exact)
+    cuts = set()
+    for bi in b_coeffs:
+        for bj in b_coeffs:
+            den = bi + bj
+            if den > 0:
+                y = bj / den
+                if half < y < one:
+                    cuts.add(y)
+    cuts = (half, *sorted(cuts), one)
+    segments = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        terms = [(bi * mid, bi, zero) for bi in b_coeffs]
+        terms += [(bi * (one - mid), zero, bi) for bi in b_coeffs]
+        terms.sort(key=lambda t: t[0], reverse=True)
+        coef_y = coef_const = zero
+        sums = []
+        for _, dy, dc in terms:
+            coef_y += dy
+            coef_const += dc
+            sums.append((coef_y, coef_const, coef_y - coef_const))
+        segments.append((lo, hi, tuple(sums)))
+    return tuple(segments)
+
 
 @dataclass(frozen=True)
 class CatalystInterval:
@@ -102,12 +144,18 @@ def is_catalyst(pair: CatalyticPair, c: SchmidtVector) -> bool:
     return majorizes(kron(pair.b, c), kron(pair.a, c), pair.policy)
 
 
-def _require_loan(pair: CatalyticPair, c: SchmidtVector):
-    """Preconditions of every gain computation for the borrowed state c."""
-    if not is_catalyst(pair, c):
+def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> SchmidtVector:
+    """Preconditions of every gain computation for the borrowed state c.
+
+    Returns the joint target a (x) c of the membership test, which every
+    gain computation needs again.
+    """
+    target = kron(pair.a, c)
+    if not majorizes(kron(pair.b, c), target, pair.policy):
         raise NotACatalyst("the borrowed state is not a catalyst for this pair")
     if pair.entropy_drop <= pair.policy.tol_strict:
         raise PreconditionViolated("main transformation has no entropy drop")
+    return target
 
 
 def _require_dim4_nontrivial(pair: CatalyticPair, op: str):

@@ -24,7 +24,7 @@ from .examples import EXAMPLE_PAIRS, example_pair
 from .oracle import grid_catalyst_interval, grid_gmax_rank2
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, SchmidtVector, entropy,
                       make_schmidt, nielsen_convertible, prefix_sums)
-from .supercatalysis import bound_gmax, epsilon_family, gmax_given_c, tilde_gmax_sweep, \
+from .supercatalysis import _gain_bound, epsilon_family, gmax_given_c, tilde_gmax_sweep, \
     verify_epsilon_family
 
 ORACLE_GAIN_TOL = 1e-5
@@ -147,7 +147,9 @@ def _verify_sweep(pair: CatalyticPair, sweep) -> list:
 
 
 def _run_sweep_files(pair: CatalyticPair, points: int, out_csv: Path, command: str,
-                     inputs: dict, verify: bool) -> tuple[dict, int]:
+                     inputs: dict, verify: bool) -> tuple[dict, str, int]:
+    """Sweep, write the CSV, summary and manifest files, and return the
+    summary, its encoded text and the exit status."""
     sweep = tilde_gmax_sweep(pair, n_points=points)
     summary = _sweep_summary(pair, sweep, points)
     status = 0
@@ -160,10 +162,11 @@ def _run_sweep_files(pair: CatalyticPair, points: int, out_csv: Path, command: s
     manifest = {"command": command, "inputs": inputs, "policy": _policy_json(pair.policy),
                 "sweep": {"n_points": points, "refinement_tol": REFINE_TOL},
                 "outputs": [str(out_csv), str(stem) + ".summary.json"]}
+    text = _dump_json(summary)
     _write(out_csv, _sweep_csv(sweep))
-    _write(Path(str(stem) + ".summary.json"), _dump_json(summary))
+    _write(Path(str(stem) + ".summary.json"), text)
     _write(Path(str(stem) + ".manifest.json"), _dump_json(manifest))
-    return summary, status
+    return summary, text, status
 
 
 def cmd_gain_sweep(args) -> int:
@@ -175,10 +178,12 @@ def cmd_gain_sweep(args) -> int:
     if args.c:
         c = parse_vector(args.c, policy)
         result = gmax_given_c(pair, c)
+        bound, certified = _gain_bound(pair, c)
         payload = {
             "c": c.to_json_value(),
             "gain": result.gain,
-            "bound": bound_gmax(pair, c),
+            "bound": bound,
+            "bound_certified": certified,
             "returned_state": result.returned_state.to_json_value(),
             "method": result.method,
         }
@@ -194,9 +199,9 @@ def cmd_gain_sweep(args) -> int:
 
     out_csv = Path(args.out) if args.out else Path("gain_sweep.csv")
     inputs = {"a": a.to_json_value(), "b": b.to_json_value()}
-    summary, status = _run_sweep_files(pair, args.points, out_csv, "gain-sweep", inputs,
+    _, text, status = _run_sweep_files(pair, args.points, out_csv, "gain-sweep", inputs,
                                        args.verify)
-    sys.stdout.write(_dump_json(summary))
+    sys.stdout.write(text)
     return status
 
 
@@ -225,7 +230,7 @@ def cmd_examples(args) -> int:
         a, b = pair.a, pair.b
         inputs = {"a": a.to_json_value(), "b": b.to_json_value()}
         out_csv = out_dir / f"example{name}.csv"
-        summary, st = _run_sweep_files(pair, args.points, out_csv, "examples", inputs,
+        summary, _, st = _run_sweep_files(pair, args.points, out_csv, "examples", inputs,
                                        args.verify)
         summaries[name] = summary
         status = max(status, st)

@@ -39,8 +39,7 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     the scan keeps the smallest feasible y (the most entangled feasible
     returned state) and bisects the feasibility boundary just below it.
     """
-    _require_loan(pair, c)
-    target = kron(pair.a, c)
+    target = _require_loan(pair, c)
     c1 = float(c[0])
 
     def feasible(y: float) -> bool:

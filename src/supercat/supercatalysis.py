@@ -154,54 +154,37 @@ def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
     )
 
 
-def _min_feasible_y(b_coeffs: Sequence[Real], targets: Sequence[Real], lo: Real, hi: Real,
-                    policy: ComparisonPolicy) -> Optional[Real]:
-    """Smallest y in [lo, hi] with every prefix sum of b (x) (y, 1-y) at least
-    the corresponding target.
+def _min_feasible_y(pair: CatalyticPair, targets: Sequence[Real], hi: Real) -> Optional[Real]:
+    """Smallest y in [1/2, hi] with every prefix sum of b (x) (y, 1-y) at
+    least the corresponding target.
 
     Between consecutive breakpoints (y values where b_i * y == b_j * (1-y))
     the sorted order of the 2n products is constant, so each prefix sum is a
     linear function of y and every constraint clips the segment to a
-    subinterval.  Segments are visited left to right; the first nonempty
-    feasible subinterval yields the optimum.
+    subinterval.  The pair caches the breakpoints and each segment's prefix
+    sums; segments are visited left to right, the last one clipped at hi,
+    and the first nonempty feasible subinterval yields the optimum.
 
     In float mode, constraints that are constant in y are compared with
     tol_eq slack so exact ties survive rounding; sloped constraints are
     solved without slack, since slack would shift the optimum and let the
     reported gain creep past its upper bound.
     """
-    if lo > hi:
-        return None
+    policy = pair.policy
     exact = policy.exact
     zero, _, one = _constants(exact)
     slack = zero if exact else policy.tol_eq
     slope_tol = zero if exact else policy.tol_eq
 
-    cuts = {lo, hi}
-    for bi in b_coeffs:
-        for bj in b_coeffs:
-            den = bi + bj
-            if den > 0:
-                y = bj / den
-                if lo < y < hi:
-                    cuts.add(y)
-    points = sorted(cuts)
-
-    n_constraints = 2 * len(b_coeffs)
-    for seg_lo, seg_hi in zip(points, points[1:]):
+    for seg_lo, seg_hi, sums in pair._segments:
+        if not seg_lo < hi:
+            break
+        if not seg_hi < hi:
+            seg_hi = hi
         mid = (seg_lo + seg_hi) / 2
-        terms = [(bi * mid, bi, zero) for bi in b_coeffs]
-        terms += [(bi * (one - mid), zero, bi) for bi in b_coeffs]
-        terms.sort(key=lambda t: t[0], reverse=True)
-
         cur_lo, cur_hi = seg_lo, seg_hi
         ok = True
-        coef_y = zero
-        coef_const = zero
-        for k in range(n_constraints):
-            coef_y += terms[k][1]
-            coef_const += terms[k][2]
-            slope = coef_y - coef_const
+        for k, (coef_y, coef_const, slope) in enumerate(sums):
             if slope > slope_tol:
                 bound = (targets[k] - coef_const) / slope
                 if bound > cur_lo:
@@ -223,14 +206,13 @@ def _min_feasible_y(b_coeffs: Sequence[Real], targets: Sequence[Real], lo: Real,
     return None
 
 
-def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
-    """Exact best gain when the returned state is forced to two levels."""
+def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target: SchmidtVector) -> GainResult:
+    """Exact best gain when the returned state is forced to two levels;
+    target is a (x) c."""
     policy = pair.policy
-    half = _constants(policy.exact)[1]
     c1 = c[0]
-    n = pair.b.dim
-    targets = prefix_sums(kron(pair.a, c))[:2 * n]
-    y = _min_feasible_y(pair.b.coefficients, targets, half, c1, policy)
+    targets = prefix_sums(target)[:2 * pair.b.dim]
+    y = _min_feasible_y(pair, targets, c1)
 
     no_better = y is None
     if not no_better:
@@ -249,10 +231,11 @@ def _ordered_descending(t) -> bool:
     return all(t[i] >= t[i + 1] for i in range(len(t) - 1)) and t[-1] >= 0
 
 
-def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int) -> GainResult:
-    """Approximate best gain over returned states of rank <= rank_cap."""
+def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
+                    target: SchmidtVector) -> GainResult:
+    """Approximate best gain over returned states of rank <= rank_cap;
+    target is a (x) c."""
     policy = pair.policy
-    target = kron(pair.a, c)
     ent_c = entropy(c)
 
     def feasible(v: SchmidtVector) -> bool:
@@ -260,7 +243,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int) -> Gai
 
     best_ent, best_d = ent_c, c
     if schmidt_rank(c, policy) <= 2:
-        seed = _exact_rank2_gain(pair, c)
+        seed = _exact_rank2_gain(pair, c, target)
         ent = entropy(seed.returned_state)
         if ent > best_ent:
             best_ent, best_d = ent, seed.returned_state
@@ -311,11 +294,11 @@ def gmax_given_c(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     search.  When no returned state beats c the result is plain catalysis:
     gain 0 with d = c.
     """
-    _require_loan(pair, c)
+    target = _require_loan(pair, c)
     rank_cap = returned_rank_bound(pair, c)
     if rank_cap <= 2:
-        return _exact_rank2_gain(pair, c)
-    return _grid_rank_gain(pair, c, rank_cap)
+        return _exact_rank2_gain(pair, c, target)
+    return _grid_rank_gain(pair, c, rank_cap, target)
 
 
 def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
@@ -323,16 +306,23 @@ def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
 
     The returned state is confined to catalysts of rank at most the
     multiplicativity bound, so its entropy cannot exceed the maximal catalyst
-    entropy of that rank.  The bound is exact whenever that maximum has a
-    closed form (rank cap 2 with main dimension at most 4); for larger caps
-    it inherits the lower-bound character of the entropy search.
+    entropy of that rank.  The bound is certified whenever that maximum has a
+    closed form (rank cap 2 with main dimension at most 4).  For larger caps
+    the maximum is a search lower bound, so the value is not certified and is
+    clamped to the trivial bound 1.
     """
     _require_loan(pair, c)
+    return _gain_bound(pair, c)[0]
+
+
+def _gain_bound(pair: CatalyticPair, c: SchmidtVector) -> tuple:
+    """(bound_gmax value, certified) for a loan that passed _require_loan."""
     rank_cap = returned_rank_bound(pair, c)
     search = max_catalyst_entropy(pair, rank_cap)
     ent_c = entropy(c)
     top = max(search.value, ent_c)  # c itself is a catalyst of admissible rank
-    return (top - ent_c) / pair.entropy_drop
+    bound = (top - ent_c) / pair.entropy_drop
+    return (bound if search.exact else min(bound, 1.0)), search.exact
 
 
 def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
@@ -353,13 +343,20 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     if not interval.nonempty:
         raise EmptyCatalystSet("no two-level catalyst exists for this pair")
 
+    evaluated = {}
+
+    def evaluate(x):
+        """(borrowed state, best gain) at x, computed once per sweep."""
+        if x not in evaluated:
+            c = probe_two_level(x, pair.policy)
+            evaluated[x] = c, gmax_given_c(pair, c).gain
+        return evaluated[x]
+
     xs = _affine_grid(interval.x_min, interval.x_max, n_points)
     points = []
     for x in xs:
-        c = probe_two_level(x, pair.policy)
-        g = gmax_given_c(pair, c).gain
-        bnd = bound_gmax(pair, c)
-        points.append(SweepPoint(float(x), binary_entropy(x), g, bnd))
+        c, g = evaluate(x)
+        points.append(SweepPoint(float(x), binary_entropy(x), g, _gain_bound(pair, c)[0]))
 
     values = [p.gmax for p in points]
     i_best = max(range(len(values)), key=values.__getitem__)
@@ -371,7 +368,7 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
         if float(hi - lo) <= REFINE_TOL:
             break
         grid = _affine_grid(lo, hi, 9)
-        vals = [gmax_given_c(pair, probe_two_level(x, pair.policy)).gain for x in grid]
+        vals = [evaluate(x)[1] for x in grid]
         j = max(range(9), key=vals.__getitem__)
         if vals[j] > best_v:
             best_v, best_x = vals[j], grid[j]

@@ -85,6 +85,22 @@ class TestGainSweep:
         assert payload["oracle_agrees"] is True
         assert payload["gain"] <= payload["bound"] + 1e-12
 
+    def test_uncertified_bound_clamped_and_labelled(self, capsys):
+        # returned-rank cap 4, so the bound rests on a search lower bound
+        code, out, _ = run(capsys, "gain-sweep", "--a", A1, "--b", B1, "--c", "0.5,0.3,0.2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound_certified"] is False
+        assert payload["gain"] <= payload["bound"] <= 1.0
+
+    def test_certified_rank2_bound_keeps_its_value(self, capsys):
+        code, out, _ = run(capsys, "gain-sweep", "--a", "0.65,0.19,0.11,0.05",
+                           "--b", "0.68,0.15,0.13,0.04", "--c", "0.75,0.25")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound_certified"] is True
+        assert payload["bound"] == pytest.approx(2.547363408710921, abs=1e-9)
+
     def test_sweep_files(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "gain-sweep", "--a", A1, "--b", B1,

@@ -1,18 +1,27 @@
 """Gain computation, exact optimization, bounds, sweeps, constructions."""
 
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from supercat import (CatalyticPair, EXACT_POLICY, SchmidtVector, binary_entropy, bound_gmax,
-                      check_supercatalytic, entropy, epsilon_family, gain, gmax_given_c, kron,
-                      least_entangled_rank2_catalyst, majorizes, make_schmidt,
-                      most_entangled_rank2_catalyst, nielsen_convertible,
-                      rank2_catalyst_interval, rank_reduce_returned, tilde_gmax_sweep,
-                      trivial_swap_construction, verify_epsilon_family)
+import supercat.schmidt
+import supercat.supercatalysis
+from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
+                      bound_gmax, check_supercatalytic, entropy, epsilon_family, gain,
+                      gmax_given_c, kron, least_entangled_rank2_catalyst, majorizes,
+                      make_schmidt, most_entangled_rank2_catalyst, nielsen_convertible,
+                      prefix_sums, rank2_catalyst_interval, rank_reduce_returned,
+                      returned_rank_bound, tilde_gmax_sweep, trivial_swap_construction,
+                      verify_epsilon_family)
+from supercat.catalysis import _affine_grid, probe_two_level
 from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon,
                              NotACatalyst, PreconditionViolated, ZeroDenominator)
 from supercat.examples import example_pair
+from supercat.schmidt import _constants
+from supercat.supercatalysis import _gain_bound, _min_feasible_y
 
 from conftest import random_nontrivial_pair, random_rational_sorted_simplex
 
@@ -166,6 +175,107 @@ class TestBoundGmax:
         assert bound > 0.4
         assert gmax_given_c(pair, c).gain == 0.0
 
+    def test_uncertified_bound_clamped_to_one(self, pairs):
+        # returned-rank cap 4: E_4 is a search lower bound, and the unclamped
+        # value (2.19) exceeded the trivial bound 1
+        pair, c = pairs["1"], vec(0.5, 0.3, 0.2)
+        assert returned_rank_bound(pair, c) == 4
+        bound, certified = _gain_bound(pair, c)
+        assert certified is False
+        assert gmax_given_c(pair, c).gain <= bound <= 1.0
+        assert bound_gmax(pair, c) == bound
+
+    def test_certified_rank2_bound_not_clamped(self):
+        # small entropy drop: the certified rank-2 bound is loose and above 1
+        pair = CatalyticPair(vec(0.65, 0.19, 0.11, 0.05), vec(0.68, 0.15, 0.13, 0.04))
+        c = vec(0.75, 0.25)
+        expected = (binary_entropy(4 / 7) - binary_entropy(0.75)) / pair.entropy_drop
+        bound, certified = _gain_bound(pair, c)
+        assert certified is True
+        assert bound == pytest.approx(expected, abs=1e-12)
+        assert bound > 2.5
+        assert bound_gmax(pair, c) == bound
+
+
+def reference_min_feasible_y(b_coeffs, targets, lo, hi, policy):
+    """The breakpoint solve rebuilt from scratch on every call: cuts from b,
+    and the sorted products at each segment's midpoint.  Reference for the
+    solve on the pair's cached segments, with the same arithmetic."""
+    if lo > hi:
+        return None
+    exact = policy.exact
+    zero, _, one = _constants(exact)
+    slack = zero if exact else policy.tol_eq
+    slope_tol = zero if exact else policy.tol_eq
+
+    cuts = {lo, hi}
+    for bi in b_coeffs:
+        for bj in b_coeffs:
+            den = bi + bj
+            if den > 0:
+                y = bj / den
+                if lo < y < hi:
+                    cuts.add(y)
+    points = sorted(cuts)
+
+    n_constraints = 2 * len(b_coeffs)
+    for seg_lo, seg_hi in zip(points, points[1:]):
+        mid = (seg_lo + seg_hi) / 2
+        terms = [(bi * mid, bi, zero) for bi in b_coeffs]
+        terms += [(bi * (one - mid), zero, bi) for bi in b_coeffs]
+        terms.sort(key=lambda t: t[0], reverse=True)
+
+        cur_lo, cur_hi = seg_lo, seg_hi
+        ok = True
+        coef_y = zero
+        coef_const = zero
+        for k in range(n_constraints):
+            coef_y += terms[k][1]
+            coef_const += terms[k][2]
+            slope = coef_y - coef_const
+            if slope > slope_tol:
+                bound = (targets[k] - coef_const) / slope
+                if bound > cur_lo:
+                    cur_lo = bound
+            elif slope < -slope_tol:
+                bound = (targets[k] - coef_const) / slope
+                if bound < cur_hi:
+                    cur_hi = bound
+            else:
+                if coef_y * mid + coef_const * (one - mid) < targets[k] - slack:
+                    ok = False
+                    break
+            if cur_lo > cur_hi:
+                ok = False
+                break
+        if ok and cur_lo <= cur_hi:
+            return cur_lo
+    return None
+
+
+class TestMinFeasibleY:
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_cached_segments_match_reference(self, policy):
+        rng = random.Random(4417)
+        half = _constants(policy.exact)[1]
+        clipped = 0
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng, policy)
+            b = pair.b.coefficients
+            interval = rank2_catalyst_interval(pair)
+            # both endpoints and 20 interior points, then every breakpoint
+            # of b as c1, where the last segment is clipped exactly at a cut
+            loans = _affine_grid(interval.x_min, interval.x_max, 22)
+            loans += sorted({bj / (bi + bj) for bi in b for bj in b
+                             if bi + bj > 0 and half < bj / (bi + bj) < 1})
+            for x in loans:
+                c = probe_two_level(x, policy)
+                targets = prefix_sums(kron(pair.a, c))[:2 * pair.b.dim]
+                want = reference_min_feasible_y(b, targets, half, c[0], policy)
+                assert _min_feasible_y(pair, targets, c[0]) == want, (pair, x)
+                clipped += any(c[0] == hi for _, hi, _ in pair._segments)
+        assert clipped > 0
+
 
 class TestSweep:
     def test_first_pair_miserly_optimal_and_tight(self, pairs):
@@ -223,6 +333,41 @@ class TestSweep:
         pair = CatalyticPair(vec(0.6, 0.4, 0, 0), vec(0.7, 0.25, 0.05, 0))
         with pytest.raises(EmptyCatalystSet):
             tilde_gmax_sweep(pair, n_points=11)
+
+    def test_each_x_evaluated_once_with_one_loan_check(self, monkeypatch):
+        # count calls in every supercat module that binds the function, since
+        # the package imports names with "from .schmidt import kron"
+        counts = Counter()
+        modules = [m for name, m in sys.modules.items()
+                   if name == "supercat" or name.startswith("supercat.")]
+        for name in ("kron", "majorizes"):
+            original = getattr(supercat.schmidt, name)
+
+            def counted(*args, _name=name, _fn=original):
+                counts[_name] += 1
+                return _fn(*args)
+
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        evaluated = []
+        original_gmax = supercat.supercatalysis.gmax_given_c
+
+        def gmax(pair, c):
+            evaluated.append(c[0])
+            return original_gmax(pair, c)
+
+        monkeypatch.setattr(supercat.supercatalysis, "gmax_given_c", gmax)
+        pair = example_pair("3")
+        rank2_catalyst_interval(pair)  # per-pair facts are computed once, not per x
+        counts.clear()
+
+        tilde_gmax_sweep(pair, n_points=200)
+        distinct = len(set(evaluated))
+        assert len(evaluated) == distinct
+        assert distinct <= 290
+        assert counts["majorizes"] == distinct
+        assert counts["kron"] == 2 * distinct
 
 
 class TestRankReduceReturned:
