@@ -8,9 +8,9 @@ from .catalysis import (CatalystEntropySearch, CatalystInterval, CatalyticPair, 
                         least_entangled_rank2_catalyst, max_catalyst_entropy,
                         most_entangled_rank2_catalyst, necessary_conditions_4d,
                         rank2_catalyst_interval, returned_rank_bound)
-from .errors import (CatalysisError, DegenerateDenominator, DomainError, EmptyCatalystSet,
-                     IndexOutOfRange, InvalidConfiguration, InvalidEpsilon, NegativeEntry,
-                     NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
+from .errors import (CatalysisError, DomainError, EmptyCatalystSet, IndexOutOfRange,
+                     InvalidConfiguration, InvalidEpsilon, NegativeEntry, NotACatalyst,
+                     NotNormalized, PreconditionViolated, ZeroDenominator)
 from .oracle import grid_catalyst_interval, grid_gmax_rank2
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, NORM_TOL, ComparisonPolicy, SchmidtVector,
                       binary_entropy, entropy, kron, majorizes, make_schmidt,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatalysisError", "CatalystEntropySearch", "CatalystInterval", "CatalyticPair",
-    "ComparisonPolicy", "DegenerateDenominator", "DomainError", "EXACT_POLICY",
+    "ComparisonPolicy", "DomainError", "EXACT_POLICY",
     "EmptyCatalystSet", "EpsilonFamily", "EpsilonFamilyReport", "FLOAT_POLICY", "GainResult",
     "IndexOutOfRange", "InvalidConfiguration", "InvalidEpsilon", "NORM_TOL", "NegativeEntry",
     "NotACatalyst", "NotNormalized", "PreconditionViolated", "SchmidtVector",

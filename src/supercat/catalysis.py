@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (DegenerateDenominator, EmptyCatalystSet, NotACatalyst,
-                     PreconditionViolated)
+from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _constants,
                       binary_entropy, entropy, kron, majorizes, make_schmidt,
                       nielsen_convertible, prefix_sums, schmidt_rank)
@@ -36,12 +35,12 @@ SEARCH_SEED = 0
 class CatalyticPair:
     """An ordered pair of main-system vectors, zero-padded to equal dimension.
 
-    Both vectors are coerced into the policy's arithmetic; a vector already
-    in it is kept as given.  The per-pair facts every question about the
-    pair needs are computed once and cached: nontrivial records whether the
-    bare transformation a -> b is blocked, i.e. whether a catalyst is needed
-    at all, and dim4 whether both Schmidt ranks are at most 4, the domain of
-    the closed-form two-level interval.
+    Both vectors are converted into the policy's arithmetic by _convert, and
+    so is every vector a question about the pair is asked of.  The per-pair
+    facts every question about the pair needs are computed once and cached:
+    nontrivial records whether the bare transformation a -> b is blocked,
+    i.e. whether a catalyst is needed at all, and dim4 whether both Schmidt
+    ranks are at most 4, the domain of the closed-form two-level interval.
     """
 
     a: SchmidtVector
@@ -49,11 +48,14 @@ class CatalyticPair:
     policy: ComparisonPolicy = FLOAT_POLICY
 
     def __post_init__(self):
-        a, b = (v if v.exact == self.policy.exact else make_schmidt(v.coefficients, self.policy)
-                for v in (self.a, self.b))
-        n = max(a.dim, b.dim)
+        a, b = self._convert(self.a), self._convert(self.b)
+        n = max(len(a), len(b))
         object.__setattr__(self, "a", a.padded(n))
         object.__setattr__(self, "b", b.padded(n))
+
+    def _convert(self, v: SchmidtVector) -> SchmidtVector:
+        """v in the policy's arithmetic; a vector already in it is kept as given."""
+        return v if v.exact == self.policy.exact else make_schmidt(v, self.policy)
 
     @cached_property
     def nontrivial(self) -> bool:
@@ -81,7 +83,7 @@ class CatalyticPair:
 
     @cached_property
     def _segments(self) -> tuple:
-        return _breakpoint_segments(self.b.coefficients, self.policy.exact)
+        return _breakpoint_segments(self.b, self.policy.exact)
 
 
 def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
@@ -140,29 +142,43 @@ class CatalystInterval:
 
 
 def is_catalyst(pair: CatalyticPair, c: SchmidtVector) -> bool:
-    """Membership of c in the catalyst set of the pair."""
+    """Membership of c, in the pair's arithmetic, in the catalyst set of the pair."""
+    c = pair._convert(c)
     return majorizes(kron(pair.b, c), kron(pair.a, c), pair.policy)
 
 
-def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> SchmidtVector:
+def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     """Preconditions of every gain computation for the borrowed state c.
 
-    Returns the joint target a (x) c of the membership test, which every
-    gain computation needs again.
+    Returns c in the pair's arithmetic and the joint target a (x) c of the
+    membership test, which every gain computation needs again.
     """
+    c = pair._convert(c)
     target = kron(pair.a, c)
     if not majorizes(kron(pair.b, c), target, pair.policy):
         raise NotACatalyst("the borrowed state is not a catalyst for this pair")
     if pair.entropy_drop <= pair.policy.tol_strict:
         raise PreconditionViolated("main transformation has no entropy drop")
-    return target
+    return c, target
 
 
-def _require_dim4_nontrivial(pair: CatalyticPair, op: str):
+def _require_blocked(pair: CatalyticPair):
     if not pair.nontrivial:
-        raise PreconditionViolated(f"{op}: the transformation already succeeds without a catalyst")
+        raise PreconditionViolated("the transformation already succeeds without a catalyst")
+
+
+def _require_dim4_nontrivial(pair: CatalyticPair):
+    _require_blocked(pair)
     if not pair.dim4:
-        raise PreconditionViolated(f"{op}: both Schmidt ranks must be at most 4")
+        raise PreconditionViolated("both Schmidt ranks must be at most 4")
+
+
+def _require_interval(pair: CatalyticPair) -> CatalystInterval:
+    """The pair's two-level catalyst interval, which must be nonempty."""
+    interval = rank2_catalyst_interval(pair)
+    if not interval.nonempty:
+        raise EmptyCatalystSet("no two-level catalyst exists for this pair")
+    return interval
 
 
 def necessary_conditions_4d(pair: CatalyticPair) -> bool:
@@ -170,7 +186,7 @@ def necessary_conditions_4d(pair: CatalyticPair) -> bool:
 
     f_1(a) <= f_1(b), f_2(a) > f_2(b) strictly, f_3(a) <= f_3(b).
     """
-    _require_dim4_nontrivial(pair, "necessary_conditions_4d")
+    _require_dim4_nontrivial(pair)
     a, b = pair.a.padded(4), pair.b.padded(4)
     fa, fb = prefix_sums(a), prefix_sums(b)
     p = pair.policy
@@ -191,24 +207,18 @@ def rank2_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
 
 
 def _closed_form_interval(pair: CatalyticPair) -> CatalystInterval:
-    _require_dim4_nontrivial(pair, "rank2_catalyst_interval")
     _, half, one = _constants(pair.policy.exact)
     if not necessary_conditions_4d(pair):
         return CatalystInterval(one, half, False)
 
     a, b = pair.a.padded(4), pair.b.padded(4)
-    a1, a2, a3, a4 = a.coefficients[:4]
-    b1, b2, b3, b4 = b.coefficients[:4]
+    a1, a2, a3, a4 = a[:4]
+    b1, b2, b3, b4 = b[:4]
     p = pair.policy
     empty = False
 
-    lower = []
-    if p.positive(b2 + b3):
-        lower.append((a1 + a2 - b1) / (b2 + b3))
-    else:
-        # b has rank 1 and majorizes everything; unreachable past the
-        # nontriviality check
-        raise DegenerateDenominator("b2 + b3 vanished for a nontrivial pair")
+    # b2 + b3 >= b3 + b4 = 1 - f2(b) > 0, since the necessary conditions give f2(a) > f2(b)
+    lower = [(a1 + a2 - b1) / (b2 + b3)]
     den = b3 - a3
     if p.positive(den):
         lower.append(1 - (a4 - b4) / den)
@@ -296,24 +306,18 @@ def _affine_grid(lo: Real, hi: Real, n: int):
 
 def _probe_simplex(parts, steps: int, policy: ComparisonPolicy) -> SchmidtVector:
     if policy.exact:
-        return SchmidtVector(tuple(Fraction(k, steps) for k in parts))
-    return SchmidtVector(tuple(k / steps for k in parts))
+        return SchmidtVector(Fraction(k, steps) for k in parts)
+    return SchmidtVector(k / steps for k in parts)
 
 
 def least_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
     """The two-level catalyst with the least entanglement: (x_max, 1-x_max)."""
-    interval = rank2_catalyst_interval(pair)
-    if not interval.nonempty:
-        raise EmptyCatalystSet("no two-level catalyst exists for this pair")
-    return probe_two_level(interval.x_max, pair.policy)
+    return probe_two_level(_require_interval(pair).x_max, pair.policy)
 
 
 def most_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
     """The two-level catalyst with the most entanglement: (x_min, 1-x_min)."""
-    interval = rank2_catalyst_interval(pair)
-    if not interval.nonempty:
-        raise EmptyCatalystSet("no two-level catalyst exists for this pair")
-    return probe_two_level(interval.x_min, pair.policy)
+    return probe_two_level(_require_interval(pair).x_min, pair.policy)
 
 
 def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
@@ -364,17 +368,14 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
     """
     if r < 1:
         raise PreconditionViolated("catalyst rank bound must be at least 1")
-    if not pair.nontrivial:
-        raise PreconditionViolated("pair is convertible without a catalyst")
+    _require_blocked(pair)
     if r == 1:
         # a separable catalyst changes nothing, so none exists for a
         # nontrivial pair
         raise EmptyCatalystSet("separable states never catalyze a blocked transformation")
 
     if r == 2 and pair.dim4:
-        interval = rank2_catalyst_interval(pair)
-        if not interval.nonempty:
-            raise EmptyCatalystSet("closed-form interval is empty")
+        interval = _require_interval(pair)
         cert = probe_two_level(interval.x_min, pair.policy)
         return CatalystEntropySearch(binary_entropy(interval.x_min), cert, True)
 
@@ -401,10 +402,10 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
         if pair.policy.exact:
             exact_raw = [Fraction(x) for x in raw]
             total = sum(exact_raw)
-            candidates.append(SchmidtVector(tuple(x / total for x in exact_raw)))
+            candidates.append(SchmidtVector(x / total for x in exact_raw))
         else:
             total = sum(raw)
-            candidates.append(SchmidtVector(tuple(x / total for x in raw)))
+            candidates.append(SchmidtVector(x / total for x in raw))
 
     for v in candidates:
         ent = entropy(v)

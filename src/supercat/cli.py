@@ -23,7 +23,7 @@ from .errors import CatalysisError, IndexOutOfRange, NegativeEntry, NotNormalize
 from .examples import EXAMPLE_PAIRS, example_pair
 from .oracle import grid_catalyst_interval, grid_gmax_rank2
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, SchmidtVector, entropy,
-                      make_schmidt, nielsen_convertible, prefix_sums)
+                      make_schmidt, prefix_sums)
 from .supercatalysis import _gain_bound, epsilon_family, gmax_given_c, tilde_gmax_sweep, \
     verify_epsilon_family
 
@@ -73,7 +73,7 @@ def cmd_convert_check(args) -> int:
     policy = _policy_of(args)
     a = parse_vector(args.a, policy)
     b = parse_vector(args.b, policy)
-    n = max(a.dim, b.dim)
+    n = max(len(a), len(b))
     fa, fb = prefix_sums(a.padded(n)), prefix_sums(b.padded(n))
     rows = []
     violated = []
@@ -82,7 +82,7 @@ def cmd_convert_check(args) -> int:
         rows.append({"k": k, "partial_sum_a": float(sa), "partial_sum_b": float(sb), "ok": ok})
         if not ok:
             violated.append(k)
-    convertible = nielsen_convertible(a, b, policy)
+    convertible = not violated
     for row in rows:
         mark = "ok" if row["ok"] else "violated"
         print(f"k={row['k']}: f_k(a)={row['partial_sum_a']:.12g} "
@@ -96,17 +96,17 @@ def cmd_catalyst_range(args) -> int:
     pair = CatalyticPair(parse_vector(args.a, policy), parse_vector(args.b, policy), policy)
     interval = rank2_catalyst_interval(pair)
     payload = interval.to_json_value()
+    agree = True
     if args.verify:
         grid = grid_catalyst_interval(pair)
         agree = (abs(float(interval.x_min) - float(grid.x_min)) <= ORACLE_INTERVAL_TOL
                  and abs(float(interval.x_max) - float(grid.x_max)) <= ORACLE_INTERVAL_TOL)
         payload["oracle"] = grid.to_json_value()
         payload["oracle_agrees"] = agree
-        if not agree:
-            _emit(args, payload)
-            print("closed-form interval disagrees with grid oracle", file=sys.stderr)
-            return 2
     _emit(args, payload)
+    if not agree:
+        print("closed-form interval disagrees with grid oracle", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -187,15 +187,14 @@ def cmd_gain_sweep(args) -> int:
             "returned_state": result.returned_state.to_json_value(),
             "method": result.method,
         }
+        agree = True
         if args.verify:
             oracle_gain = grid_gmax_rank2(pair, c).gain
+            agree = abs(oracle_gain - result.gain) <= ORACLE_GAIN_TOL
             payload["oracle_gain"] = oracle_gain
-            payload["oracle_agrees"] = abs(oracle_gain - result.gain) <= ORACLE_GAIN_TOL
-            if not payload["oracle_agrees"]:
-                _emit(args, payload)
-                return 2
+            payload["oracle_agrees"] = agree
         _emit(args, payload)
-        return 0
+        return 0 if agree else 2
 
     out_csv = Path(args.out) if args.out else Path("gain_sweep.csv")
     inputs = {"a": a.to_json_value(), "b": b.to_json_value()}
@@ -247,10 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="supercatalytic entanglement gain toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_b=True):
+    def add_common(p):
         p.add_argument("--a", required=True, help="input Schmidt vector (decimals or p/q)")
-        if need_b:
-            p.add_argument("--b", required=True, help="output Schmidt vector")
+        p.add_argument("--b", required=True, help="output Schmidt vector")
         p.add_argument("--exact", action="store_true", help="use exact rational comparisons")
         p.add_argument("--out", help="write the JSON result to this file")
 

@@ -29,12 +29,6 @@ class PreconditionViolated(CatalysisError, ValueError):
     """An operation was invoked on inputs that violate its stated preconditions."""
 
 
-class DegenerateDenominator(CatalysisError, ArithmeticError):
-    """A closed-form denominator vanished in a configuration the sign rules
-    cannot resolve.  Not expected to occur for inputs passing the necessary
-    conditions; raised only as an internal-consistency guard."""
-
-
 class EmptyCatalystSet(CatalysisError, ValueError):
     """No catalyst of the requested rank exists for the pair."""
 

@@ -10,8 +10,9 @@ them, and do not scale beyond small main systems.
 from __future__ import annotations
 
 from .catalysis import (SCAN_RESOLUTION, CatalyticPair, CatalystInterval, _affine_grid,
-                        _require_loan, _scan, _scan_two_level, probe_two_level)
-from .errors import EmptyCatalystSet, PreconditionViolated
+                        _require_dim4_nontrivial, _require_loan, _scan, _scan_two_level,
+                        probe_two_level)
+from .errors import EmptyCatalystSet
 from .schmidt import SchmidtVector, binary_entropy, entropy, kron, majorizes
 from .supercatalysis import GRID_METHOD, GainResult
 
@@ -22,10 +23,7 @@ def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     Raises EmptyCatalystSet when no scanned point is a catalyst (intervals
     narrower than the resolution are invisible to this oracle).
     """
-    if not pair.nontrivial:
-        raise PreconditionViolated("pair is convertible without a catalyst")
-    if not pair.dim4:
-        raise PreconditionViolated("oracle covers Schmidt ranks up to 4 only")
+    _require_dim4_nontrivial(pair)
     found = _scan_two_level(pair)
     if found is None:
         raise EmptyCatalystSet("no two-level catalyst found at this resolution")
@@ -39,7 +37,7 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     the scan keeps the smallest feasible y (the most entangled feasible
     returned state) and bisects the feasibility boundary just below it.
     """
-    target = _require_loan(pair, c)
+    c, target = _require_loan(pair, c)
     c1 = float(c[0])
 
     def feasible(y: float) -> bool:

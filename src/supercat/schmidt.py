@@ -78,46 +78,32 @@ FLOAT_POLICY = ComparisonPolicy()
 EXACT_POLICY = ComparisonPolicy(mode="exact")
 
 
-@dataclass(frozen=True)
-class SchmidtVector:
+class SchmidtVector(tuple):
     """Non-increasing probability vector of squared Schmidt coefficients.
 
-    Instances are built by make_schmidt (which validates, sorts, clamps and
-    renormalizes) or arise from kron; the coefficients tuple is either all
-    floats or all Fractions and is never mutated.
+    A tuple of coefficients, all floats or all Fractions.  Instances are
+    built by make_schmidt (which validates, sorts, clamps and renormalizes)
+    or arise from kron; SchmidtVector(iterable) wraps entries as given.
     """
 
-    coefficients: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.coefficients)
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
-        return bool(self.coefficients) and isinstance(self.coefficients[0], Fraction)
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __iter__(self):
-        return iter(self.coefficients)
-
-    def __getitem__(self, i):
-        return self.coefficients[i]
+        return bool(self) and isinstance(self[0], Fraction)
 
     def padded(self, n: int) -> "SchmidtVector":
         """Same vector with zeros appended up to dimension n."""
-        if n <= self.dim:
+        if n <= len(self):
             return self
         zero = _constants(self.exact)[0]
-        return SchmidtVector(self.coefficients + (zero,) * (n - self.dim))
+        return SchmidtVector(self + (zero,) * (n - len(self)))
 
     def to_json_value(self) -> list:
         """JSON form: decimals in float mode, "p/q" strings in exact mode."""
         if self.exact:
-            return [f"{x.numerator}/{x.denominator}" for x in self.coefficients]
-        return list(self.coefficients)
+            return [f"{x.numerator}/{x.denominator}" for x in self]
+        return list(self)
 
 
 _EXACT_CONSTANTS = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -164,7 +150,7 @@ def make_schmidt(raw: Iterable[Real], policy: ComparisonPolicy = FLOAT_POLICY) -
     total = _total(entries)
     entries = [x / total for x in entries]
     entries.sort(reverse=True)
-    return SchmidtVector(tuple(entries))
+    return SchmidtVector(entries)
 
 
 def _total(entries: Sequence[Real]):
@@ -174,20 +160,20 @@ def _total(entries: Sequence[Real]):
 
 
 def _pad_to_match(u: SchmidtVector, v: SchmidtVector):
-    n = max(u.dim, v.dim)
+    n = max(len(u), len(v))
     return u.padded(n), v.padded(n)
 
 
 def prefix_sums(v: SchmidtVector) -> tuple:
     """All partial sums f_1..f_dim of the (already sorted) coefficients."""
-    return tuple(accumulate(v.coefficients))
+    return tuple(accumulate(v))
 
 
 def partial_sum(v: SchmidtVector, k: int) -> Real:
     """Sum of the k largest coefficients, 1 <= k <= dim."""
-    if not 1 <= k <= v.dim:
-        raise IndexOutOfRange(f"k={k} outside [1, {v.dim}]")
-    head = v.coefficients[:k]
+    if not 1 <= k <= len(v):
+        raise IndexOutOfRange(f"k={k} outside [1, {len(v)}]")
+    head = v[:k]
     if v.exact:
         return sum(head)
     return math.fsum(head)
@@ -211,8 +197,7 @@ def nielsen_convertible(a: SchmidtVector, b: SchmidtVector,
 
 def kron(u: SchmidtVector, v: SchmidtVector) -> SchmidtVector:
     """Schmidt vector of the joint state: all pairwise products, sorted."""
-    prods = sorted((x * y for x in u for y in v), reverse=True)
-    return SchmidtVector(tuple(prods))
+    return SchmidtVector(sorted((x * y for x in u for y in v), reverse=True))
 
 
 def entropy(v: SchmidtVector) -> float:
@@ -244,12 +229,12 @@ def split_partial_sum(u: SchmidtVector, c: SchmidtVector, k1: int, k2: int) -> R
     dominates every other split of the same total.  The empty sum (k2 = 0)
     is 0.
     """
-    if c.dim != 2:
-        raise PreconditionViolated(f"auxiliary vector must have dimension 2, got {c.dim}")
+    if len(c) != 2:
+        raise PreconditionViolated(f"auxiliary vector must have dimension 2, got {len(c)}")
     if not (k1 >= k2 >= 0):
         raise IndexOutOfRange(f"need k1 >= k2 >= 0, got k1={k1}, k2={k2}")
-    if k1 > u.dim or k2 > u.dim:
-        raise IndexOutOfRange(f"split indices ({k1}, {k2}) exceed dim {u.dim}")
+    if k1 > len(u) or k2 > len(u):
+        raise IndexOutOfRange(f"split indices ({k1}, {k2}) exceed dim {len(u)}")
     zero = _constants(u.exact)[0]
     s1 = partial_sum(u, k1) if k1 else zero
     s2 = partial_sum(u, k2) if k2 else zero

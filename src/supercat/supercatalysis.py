@@ -9,11 +9,11 @@ drop is recovered in the auxiliary system:
     gain = (E(d) - E(c)) / (E(a) - E(b)),   always in [0, 1].
 
 For a fixed borrowed two-level state the best returned two-level state is
-found exactly: the prefix sums of b (x) (y, 1-y) are piecewise linear in y
-with breakpoints where two product coefficients tie, so the feasible set of y
-is a finite union of closed intervals and the optimum is the feasible point
-closest to 1/2.  Higher returned ranks fall back to a simplex grid search
-and are flagged approximate.
+found exactly: the prefix sums of b (x) (y, 1-y) are piecewise linear and
+nondecreasing in y with breakpoints where two product coefficients tie, so
+the feasible y form a single interval [y*, c1] and the optimum is its left
+end y*, the feasible point closest to 1/2.  Higher returned ranks fall back
+to a simplex grid search and are flagged approximate.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _affine_grid,
-                        _ordered_simplex_grid, _probe_simplex, _require_loan, is_catalyst,
-                        max_catalyst_entropy, probe_two_level, rank2_catalyst_interval,
-                        returned_rank_bound)
-from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
-                     PreconditionViolated, ZeroDenominator)
+                        _ordered_simplex_grid, _probe_simplex, _require_interval, _require_loan,
+                        is_catalyst, max_catalyst_entropy, probe_two_level,
+                        rank2_catalyst_interval, returned_rank_bound)
+from .errors import (InvalidConfiguration, InvalidEpsilon, NotACatalyst, PreconditionViolated,
+                     ZeroDenominator)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _constants,
                       binary_entropy, entropy, kron, majorizes, make_schmidt,
                       nielsen_convertible, prefix_sums, schmidt_rank)
@@ -104,7 +104,7 @@ class SupercatalysisVerdict:
 
 
 def _sorted_equal(u: SchmidtVector, v: SchmidtVector, policy: ComparisonPolicy) -> bool:
-    n = max(u.dim, v.dim)
+    n = max(len(u), len(v))
     u, v = u.padded(n), v.padded(n)
     return all(policy.eq(x, y) for x, y in zip(u, v))
 
@@ -118,22 +118,26 @@ def gain(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector, d: SchmidtVector,
     yields 0 (plain catalysis).  When the joint vectors coincide up to
     reordering the transformation is a local unitary and the gain is exactly
     1; this shortcut keeps the trivial-swap construction exact in float mode.
+    All four vectors are taken in the policy's arithmetic.
     """
+    pair = CatalyticPair(a, b, policy)
+    c, d = pair._convert(c), pair._convert(d)
+    joint_in, joint_out = kron(pair.a, c), kron(pair.b, d)
     failures = []
-    if nielsen_convertible(a, b, policy):
+    if not pair.nontrivial:
         failures.append("main transformation needs no catalyst")
-    if not majorizes(kron(b, d), kron(a, c), policy):
+    if not majorizes(joint_out, joint_in, policy):
         failures.append("joint transformation a(x)c -> b(x)d is infeasible")
     if not nielsen_convertible(d, c, policy):
         failures.append("returned state cannot reach borrowed state")
     if failures:
         raise InvalidConfiguration(failures)
-    drop = entropy(a) - entropy(b)
+    drop = pair.entropy_drop
     if drop <= policy.tol_strict:
         raise ZeroDenominator(f"entropy drop {drop} too small")
     if _sorted_equal(c, d, policy):
         return 0.0
-    if _sorted_equal(kron(a, c), kron(b, d), policy):
+    if _sorted_equal(joint_in, joint_out, policy):
         return 1.0
     g = (entropy(d) - entropy(c)) / drop
     return min(max(g, 0.0), 1.0)
@@ -142,12 +146,14 @@ def gain(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector, d: SchmidtVector,
 def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
                          d: SchmidtVector,
                          policy: ComparisonPolicy = FLOAT_POLICY) -> SupercatalysisVerdict:
-    """Evaluate each defining condition of supercatalysis separately."""
+    """Evaluate each defining condition of supercatalysis separately, with
+    all four vectors in the policy's arithmetic."""
     pair = CatalyticPair(a, b, policy)
+    c, d = pair._convert(c), pair._convert(d)
     return SupercatalysisVerdict(
         base_blocked=pair.nontrivial,
         states_differ=not _sorted_equal(c, d, policy),
-        joint_feasible=majorizes(kron(b, d), kron(a, c), policy),
+        joint_feasible=majorizes(kron(pair.b, d), kron(pair.a, c), policy),
         returned_reaches_borrowed=nielsen_convertible(d, c, policy),
         borrowed_is_catalyst=is_catalyst(pair, c),
         returned_is_catalyst=is_catalyst(pair, d),
@@ -160,10 +166,12 @@ def _min_feasible_y(pair: CatalyticPair, targets: Sequence[Real], hi: Real) -> O
 
     Between consecutive breakpoints (y values where b_i * y == b_j * (1-y))
     the sorted order of the 2n products is constant, so each prefix sum is a
-    linear function of y and every constraint clips the segment to a
-    subinterval.  The pair caches the breakpoints and each segment's prefix
-    sums; segments are visited left to right, the last one clipped at hi,
-    and the first nonempty feasible subinterval yields the optimum.
+    linear function of y.  Its slope is never negative: for y >= 1/2 every
+    b_i (1-y) among the k largest products has its partner b_i y there too.
+    So every constraint only bounds y from below, and the feasible y form
+    the single interval [y*, hi].  The pair caches the breakpoints and each
+    segment's prefix sums; segments are visited left to right, the last one
+    clipped at hi, and the first segment with a feasible point yields y*.
 
     In float mode, constraints that are constant in y are compared with
     tol_eq slack so exact ties survive rounding; sloped constraints are
@@ -171,10 +179,8 @@ def _min_feasible_y(pair: CatalyticPair, targets: Sequence[Real], hi: Real) -> O
     reported gain creep past its upper bound.
     """
     policy = pair.policy
-    exact = policy.exact
-    zero, _, one = _constants(exact)
-    slack = zero if exact else policy.tol_eq
-    slope_tol = zero if exact else policy.tol_eq
+    zero, _, one = _constants(policy.exact)
+    tol = zero if policy.exact else policy.tol_eq
 
     for seg_lo, seg_hi, sums in pair._segments:
         if not seg_lo < hi:
@@ -182,27 +188,19 @@ def _min_feasible_y(pair: CatalyticPair, targets: Sequence[Real], hi: Real) -> O
         if not seg_hi < hi:
             seg_hi = hi
         mid = (seg_lo + seg_hi) / 2
-        cur_lo, cur_hi = seg_lo, seg_hi
-        ok = True
+        y = seg_lo
         for k, (coef_y, coef_const, slope) in enumerate(sums):
-            if slope > slope_tol:
+            if slope > tol:
                 bound = (targets[k] - coef_const) / slope
-                if bound > cur_lo:
-                    cur_lo = bound
-            elif slope < -slope_tol:
-                bound = (targets[k] - coef_const) / slope
-                if bound < cur_hi:
-                    cur_hi = bound
-            else:
+                if bound > y:
+                    y = bound
+                    if y > seg_hi:
+                        break
+            elif coef_y * mid + coef_const * (one - mid) < targets[k] - tol:
                 # constraint is (numerically) constant on the segment
-                if coef_y * mid + coef_const * (one - mid) < targets[k] - slack:
-                    ok = False
-                    break
-            if cur_lo > cur_hi:
-                ok = False
                 break
-        if ok and cur_lo <= cur_hi:
-            return cur_lo
+        else:
+            return y
     return None
 
 
@@ -211,7 +209,7 @@ def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target: SchmidtVect
     target is a (x) c."""
     policy = pair.policy
     c1 = c[0]
-    targets = prefix_sums(target)[:2 * pair.b.dim]
+    targets = prefix_sums(target)[:2 * len(pair.b)]
     y = _min_feasible_y(pair, targets, c1)
 
     no_better = y is None
@@ -257,7 +255,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
 
     # local hill-climb around the best candidate with shrinking moves
     zero = _constants(policy.exact)[0]
-    cur = tuple(best_d.padded(rank_cap).coefficients[:rank_cap])
+    cur = best_d.padded(rank_cap)[:rank_cap]
     step = Fraction(1, grid_steps) if policy.exact else 1.0 / grid_steps
     while step > 1e-7:
         improved = False
@@ -271,7 +269,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
                 cand.sort(reverse=True)
                 if cand[-1] < zero:
                     continue
-                v = SchmidtVector(tuple(cand))
+                v = SchmidtVector(cand)
                 ent = entropy(v)
                 if ent > best_ent and feasible(v):
                     best_ent, best_d, cur = ent, v, tuple(cand)
@@ -294,7 +292,7 @@ def gmax_given_c(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     search.  When no returned state beats c the result is plain catalysis:
     gain 0 with d = c.
     """
-    target = _require_loan(pair, c)
+    c, target = _require_loan(pair, c)
     rank_cap = returned_rank_bound(pair, c)
     if rank_cap <= 2:
         return _exact_rank2_gain(pair, c, target)
@@ -311,7 +309,7 @@ def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
     the maximum is a search lower bound, so the value is not certified and is
     clamped to the trivial bound 1.
     """
-    _require_loan(pair, c)
+    c, _ = _require_loan(pair, c)
     return _gain_bound(pair, c)[0]
 
 
@@ -337,11 +335,7 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     """
     if n_points < 2:
         raise PreconditionViolated("a sweep needs at least two points")
-    if not pair.nontrivial:
-        raise PreconditionViolated("pair is convertible without a catalyst")
-    interval = rank2_catalyst_interval(pair)
-    if not interval.nonempty:
-        raise EmptyCatalystSet("no two-level catalyst exists for this pair")
+    interval = _require_interval(pair)
 
     evaluated = {}
 
@@ -409,8 +403,9 @@ def trivial_swap_construction(pair: CatalyticPair, c: SchmidtVector):
     The joint input a (x) (c (x) b) and joint output b (x) (c (x) a) carry the
     same coefficient multiset, so the protocol is a local register swap; the
     returned state reaches the borrowed one precisely because c is a
-    catalyst.
+    catalyst.  c is taken in the pair's arithmetic.
     """
+    c = pair._convert(c)
     if not is_catalyst(pair, c):
         raise NotACatalyst("the auxiliary state is not a catalyst for this pair")
     borrowed = kron(c, pair.b)

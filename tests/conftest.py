@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import settings
@@ -40,6 +41,12 @@ def random_nontrivial_pair(rng: random.Random, policy: ComparisonPolicy = FLOAT_
         if policy.exact:
             raw_a = random_rational_sorted_simplex(rng, 4)
             raw_b = random_rational_sorted_simplex(rng, 4)
+            # the raw rationals are the pair's vectors, so a candidate failing
+            # a necessary condition is dropped before the pair is built;
+            # f2(a) > f2(b) also makes the transformation blocked
+            fa, fb = tuple(accumulate(raw_a)), tuple(accumulate(raw_b))
+            if not (fa[0] <= fb[0] and fa[1] > fb[1] and fa[2] <= fb[2]):
+                continue
         else:
             raw_a = random_sorted_simplex(rng, 4)
             raw_b = random_sorted_simplex(rng, 4)

@@ -167,7 +167,7 @@ def test_criterion_10_swap_construction_gain_one(exact_pairs):
     assert gain(pair.a, pair.b, borrowed, returned, EXACT_POLICY) == 1.0
     lhs = kron(pair.a, borrowed)
     rhs = kron(pair.b, returned)
-    assert lhs.coefficients == rhs.coefficients  # exact entrywise equality
+    assert lhs == rhs  # exact entrywise equality
     ok("10 (register swap: gain exactly 1, joint coefficients identical)")
 
 

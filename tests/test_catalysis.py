@@ -1,5 +1,6 @@
 """Catalyst membership, the closed-form interval, extreme catalysts, E_r."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from supercat.catalysis import probe_two_level
 from supercat.errors import EmptyCatalystSet, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 
-from conftest import random_nontrivial_pair, random_sorted_simplex
+from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
 
 
 def vec(*xs):
@@ -150,15 +151,15 @@ class TestRank2Interval:
 
 class TestExtremeCatalysts:
     def test_least_entangled(self, pairs, exact_pairs):
-        assert least_entangled_rank2_catalyst(pairs["1"]).coefficients == \
+        assert least_entangled_rank2_catalyst(pairs["1"]) == \
             pytest.approx((0.625, 0.375), abs=1e-12)
-        assert least_entangled_rank2_catalyst(exact_pairs["4"]).coefficients == \
+        assert least_entangled_rank2_catalyst(exact_pairs["4"]) == \
             (Fraction(2, 3), Fraction(1, 3))
 
     def test_most_entangled(self, pairs, exact_pairs):
-        assert most_entangled_rank2_catalyst(pairs["1"]).coefficients == \
+        assert most_entangled_rank2_catalyst(pairs["1"]) == \
             pytest.approx((0.6, 0.4), abs=1e-12)
-        assert most_entangled_rank2_catalyst(exact_pairs["4"]).coefficients == \
+        assert most_entangled_rank2_catalyst(exact_pairs["4"]) == \
             (Fraction(3, 5), Fraction(2, 5))
 
     def test_empty_set_raises(self):
@@ -185,7 +186,7 @@ class TestMaxCatalystEntropy:
             search = max_catalyst_entropy(pairs[name], 2)
             assert search.exact
             assert search.value == pytest.approx(binary_entropy(0.6), abs=1e-12)
-            assert search.certificate.coefficients == pytest.approx((0.6, 0.4), abs=1e-12)
+            assert search.certificate == pytest.approx((0.6, 0.4), abs=1e-12)
 
     def test_rank2_scan_beyond_rank4(self):
         # bundled pair 1 with its last level split: rank 5 -> 3, so no
@@ -218,7 +219,7 @@ class TestMaxCatalystEntropy:
         s1 = max_catalyst_entropy(pairs["2"], 3)
         s2 = max_catalyst_entropy(pairs["2"], 3)
         assert s1.value == s2.value
-        assert s1.certificate.coefficients == s2.certificate.coefficients
+        assert s1.certificate == s2.certificate
 
 
 class TestReturnedRankBound:
@@ -255,3 +256,32 @@ class TestCatalystSetStructure:
             interval = rank2_catalyst_interval(pair)
             for x in (interval.x_min, interval.x_max):
                 assert is_catalyst(pair, SchmidtVector((x, 1 - x)))
+
+
+def reference_random_nontrivial_pair(rng, policy, min_width):
+    """The exact-mode pair generator without its prefilter on raw prefix
+    sums: every candidate is built as a pair and then rejected."""
+    while True:
+        raw_a = random_rational_sorted_simplex(rng, 4)
+        raw_b = random_rational_sorted_simplex(rng, 4)
+        pair = CatalyticPair(make_schmidt(raw_a, policy), make_schmidt(raw_b, policy), policy)
+        if not pair.nontrivial:
+            continue
+        try:
+            if not necessary_conditions_4d(pair):
+                continue
+        except PreconditionViolated:
+            continue
+        interval = rank2_catalyst_interval(pair)
+        if not interval.nonempty or interval.width < min_width:
+            continue
+        return pair
+
+
+@pytest.mark.parametrize("min_width", [0.0, 5e-3])
+def test_exact_pair_prefilter_keeps_the_same_pairs(min_width):
+    rng, ref_rng = random.Random(31), random.Random(31)
+    for _ in range(30):
+        got = random_nontrivial_pair(rng, EXACT_POLICY, min_width)
+        want = reference_random_nontrivial_pair(ref_rng, EXACT_POLICY, min_width)
+        assert (got.a, got.b) == (want.a, want.b)

@@ -33,7 +33,7 @@ def robin_hood(v: SchmidtVector, frac: float) -> SchmidtVector:
     The classic mass-equalizing transfer: the result is majorized by v,
     strictly when the gap and fraction are positive.
     """
-    entries = list(v.coefficients)
+    entries = list(v)
     gap = entries[0] - entries[-1]
     t = frac * gap / 2
     entries[0] -= t
@@ -43,15 +43,22 @@ def robin_hood(v: SchmidtVector, frac: float) -> SchmidtVector:
 
 class TestMakeSchmidt:
     def test_sorts_descending(self):
-        assert vec(0.1, 0.4, 0.4, 0.1).coefficients == (0.4, 0.4, 0.1, 0.1)
+        assert vec(0.1, 0.4, 0.4, 0.1) == (0.4, 0.4, 0.1, 0.1)
 
     def test_separable(self):
-        assert vec(1.0).coefficients == (1.0,)
+        assert vec(1.0) == (1.0,)
 
     def test_trailing_zero_kept(self):
         v = vec(0.5, 0.25, 0.25, 0.0)
-        assert v.coefficients == (0.5, 0.25, 0.25, 0.0)
-        assert v.dim == 4
+        assert v == (0.5, 0.25, 0.25, 0.0)
+        assert len(v) == 4
+
+    def test_vector_is_an_immutable_tuple(self):
+        v = vec(0.6, 0.4)
+        assert isinstance(v, tuple) and v == (0.6, 0.4)
+        with pytest.raises(AttributeError):
+            v.label = "c"
+        assert not hasattr(v, "__dict__")
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntry):
@@ -59,7 +66,7 @@ class TestMakeSchmidt:
 
     def test_tiny_negative_clamped(self):
         v = make_schmidt((1.0, -1e-12))
-        assert v.coefficients[-1] == 0.0
+        assert v[-1] == 0.0
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
@@ -84,13 +91,13 @@ class TestMakeSchmidt:
 
     def test_renormalizes_within_tolerance(self):
         v = make_schmidt((0.5 + 4e-10, 0.5 + 4e-10))
-        assert math.isclose(sum(v.coefficients), 1.0, abs_tol=1e-15)
+        assert math.isclose(sum(v), 1.0, abs_tol=1e-15)
 
     def test_exact_mode_from_strings(self):
         v = make_schmidt(("0.4", "0.4", "0.1", "0.1"), EXACT_POLICY)
-        assert v.coefficients == (Fraction(2, 5), Fraction(2, 5), Fraction(1, 10),
+        assert v == (Fraction(2, 5), Fraction(2, 5), Fraction(1, 10),
                                   Fraction(1, 10))
-        assert sum(v.coefficients) == 1
+        assert sum(v) == 1
 
     def test_exact_mode_json_roundtrip(self):
         v = make_schmidt(("1/3", "1/3", "1/3"), EXACT_POLICY)
@@ -145,16 +152,16 @@ class TestNielsenConvertible:
 class TestKron:
     def test_separable_factor_is_identity(self):
         v = vec(0.5, 0.3, 0.2)
-        assert kron(vec(1.0), v).coefficients == v.coefficients
+        assert kron(vec(1.0), v) == v
 
     def test_enumerates_and_sorts(self):
         got = kron(vec(0.5, 0.25, 0.25, 0.0), vec(0.6, 0.4))
-        assert got.coefficients == pytest.approx((0.3, 0.2, 0.15, 0.15, 0.1, 0.1, 0.0, 0.0),
+        assert got == pytest.approx((0.3, 0.2, 0.15, 0.15, 0.1, 0.1, 0.0, 0.0),
                                                  abs=1e-15)
 
     def test_bell_pair_squared(self):
         got = kron(vec(0.5, 0.5), vec(0.5, 0.5))
-        assert got.coefficients == (0.25, 0.25, 0.25, 0.25)
+        assert got == (0.25, 0.25, 0.25, 0.25)
 
 
 class TestEntropy:
@@ -243,7 +250,7 @@ class TestProperties:
     @given(schmidt_vectors(min_dim=2, max_dim=5))
     @settings(max_examples=60)
     def test_antisymmetric_up_to_sorted_equality(self, v):
-        w = SchmidtVector(tuple(v.coefficients))
+        w = SchmidtVector(tuple(v))
         assert majorizes(v, w) and majorizes(w, v)
         assert all(abs(x - y) <= 1e-12 for x, y in zip(v, w))
 
@@ -273,8 +280,8 @@ class TestProperties:
             x = 0.5 + 0.5 * rng.random()
             c = make_schmidt((x, 1 - x))
             joint = prefix_sums(kron(u, c))
-            for k in range(1, 2 * u.dim + 1):
+            for k in range(1, 2 * len(u) + 1):
                 splits = [split_partial_sum(u, c, m, k - m)
-                          for m in range(max(k - u.dim, (k + 1) // 2), min(k, u.dim) + 1)]
+                          for m in range(max(k - len(u), (k + 1) // 2), min(k, len(u)) + 1)]
                 assert all(s <= joint[k - 1] + 1e-12 for s in splits)
                 assert max(splits) == pytest.approx(joint[k - 1], abs=1e-12)

@@ -11,7 +11,7 @@ import supercat.schmidt
 import supercat.supercatalysis
 from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
                       bound_gmax, check_supercatalytic, entropy, epsilon_family, gain,
-                      gmax_given_c, kron, least_entangled_rank2_catalyst, majorizes,
+                      gmax_given_c, is_catalyst, kron, least_entangled_rank2_catalyst, majorizes,
                       make_schmidt, most_entangled_rank2_catalyst, nielsen_convertible,
                       prefix_sums, rank2_catalyst_interval, rank_reduce_returned,
                       returned_rank_bound, tilde_gmax_sweep, trivial_swap_construction,
@@ -23,7 +23,7 @@ from supercat.examples import example_pair
 from supercat.schmidt import _constants
 from supercat.supercatalysis import _gain_bound, _min_feasible_y
 
-from conftest import random_nontrivial_pair, random_rational_sorted_simplex
+from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
 
 TIGHT_GAIN = 0.07442316637776933  # first bundled pair: (h(0.6)-h(0.625))/(E(a)-E(b))
 
@@ -116,14 +116,14 @@ class TestGmaxGivenC:
         result = gmax_given_c(pair, vec(0.625, 0.375))
         assert result.method == "exact-piecewise-linear"
         assert result.gain == pytest.approx(TIGHT_GAIN, abs=1e-10)
-        assert result.returned_state.coefficients[0] == pytest.approx(0.6, abs=1e-9)
+        assert result.returned_state[0] == pytest.approx(0.6, abs=1e-9)
 
     def test_most_entangled_loan_yields_zero(self, pairs):
         for name in "1234":
             c = most_entangled_rank2_catalyst(pairs[name])
             result = gmax_given_c(pairs[name], c)
             assert result.gain == 0.0, name
-            assert result.returned_state.coefficients == c.coefficients
+            assert result.returned_state == c
 
     def test_least_entangled_loan_fails_on_fourth_pair(self, pairs):
         c = least_entangled_rank2_catalyst(pairs["4"])
@@ -133,7 +133,7 @@ class TestGmaxGivenC:
         pair = exact_pairs["1"]
         c = SchmidtVector((Fraction(5, 8), Fraction(3, 8)))
         result = gmax_given_c(pair, c)
-        assert result.returned_state.coefficients == (Fraction(3, 5), Fraction(2, 5))
+        assert result.returned_state == (Fraction(3, 5), Fraction(2, 5))
         bound = (binary_entropy(Fraction(3, 5)) - entropy(c)) / pair.entropy_drop
         assert result.gain == pytest.approx(bound, abs=1e-15)
 
@@ -152,6 +152,22 @@ class TestGmaxGivenC:
             assert majorizes(kron(pair.b, d), kron(pair.a, c), pair.policy)
             assert nielsen_convertible(d, c, pair.policy)
             assert 0.0 <= result.gain <= 1.0
+
+
+class TestLoanArithmetic:
+    """A vector asked about an exact pair is taken in the pair's arithmetic."""
+
+    def test_float_loan_is_catalyst_of_exact_pair(self, exact_pairs):
+        assert is_catalyst(exact_pairs["1"], vec(0.6, 0.4))
+
+    def test_float_loan_gives_exact_returned_state(self, exact_pairs):
+        result = gmax_given_c(exact_pairs["1"], vec(0.625, 0.375))
+        assert result.returned_state == (Fraction(3, 5), Fraction(2, 5))
+
+    def test_float_quadruple_checked_exactly(self, pairs):
+        a, b = pairs["1"].a, pairs["1"].b
+        verdict = check_supercatalytic(a, b, vec(0.625, 0.375), vec(0.6, 0.4), EXACT_POLICY)
+        assert verdict.ok and not verdict.consistency_error
 
 
 class TestBoundGmax:
@@ -261,7 +277,7 @@ class TestMinFeasibleY:
         clipped = 0
         for _ in range(100):
             pair = random_nontrivial_pair(rng, policy)
-            b = pair.b.coefficients
+            b = pair.b
             interval = rank2_catalyst_interval(pair)
             # both endpoints and 20 interior points, then every breakpoint
             # of b as c1, where the last segment is clipped exactly at a cut
@@ -270,11 +286,26 @@ class TestMinFeasibleY:
                              if bi + bj > 0 and half < bj / (bi + bj) < 1})
             for x in loans:
                 c = probe_two_level(x, policy)
-                targets = prefix_sums(kron(pair.a, c))[:2 * pair.b.dim]
+                targets = prefix_sums(kron(pair.a, c))[:2 * len(pair.b)]
                 want = reference_min_feasible_y(b, targets, half, c[0], policy)
                 assert _min_feasible_y(pair, targets, c[0]) == want, (pair, x)
                 clipped += any(c[0] == hi for _, hi, _ in pair._segments)
         assert clipped > 0
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_cached_slopes_never_negative(self, policy):
+        # random catalysable pairs, then arbitrary b of rank 2 to 6, half of
+        # them with entries on a coarse grid, so ties and zeros occur
+        rng = random.Random(2718)
+        floor = 0 if policy.exact else -policy.tol_eq
+        vectors = [random_nontrivial_pair(rng, policy).b for _ in range(50)]
+        for _ in range(300):
+            raw = random_rational_sorted_simplex(rng, rng.randrange(2, 7), denom=12)
+            vectors.append(make_schmidt(raw if policy.exact else map(float, raw), policy))
+            vectors.append(make_schmidt(random_sorted_simplex(rng, rng.randrange(2, 7)), policy))
+        for b in vectors:
+            for _, _, sums in CatalyticPair(b, b, policy)._segments:
+                assert min(slope for _, _, slope in sums) >= floor, b
 
 
 class TestSweep:
@@ -374,21 +405,21 @@ class TestRankReduceReturned:
     def test_zero_alpha(self):
         d, c = vec(0.4, 0.3, 0.2, 0.1), vec(0.6, 0.4)
         got = rank_reduce_returned(d, c)
-        assert got.coefficients == pytest.approx((0.6, 0.2, 0.2), abs=1e-15)
+        assert got == pytest.approx((0.6, 0.2, 0.2), abs=1e-15)
         assert nielsen_convertible(d, got) and nielsen_convertible(got, c)
 
     def test_positive_alpha(self):
         d = make_schmidt(("0.5", "0.4", "0.05", "0.05"), EXACT_POLICY)
         c = make_schmidt(("0.6", "0.4"), EXACT_POLICY)
         got = rank_reduce_returned(d, c, EXACT_POLICY)
-        assert got.coefficients == (Fraction(3, 5), Fraction(3, 10), Fraction(1, 10))
+        assert got == (Fraction(3, 5), Fraction(3, 10), Fraction(1, 10))
         assert nielsen_convertible(d, got, EXACT_POLICY)
         assert nielsen_convertible(got, c, EXACT_POLICY)
 
     def test_symmetric_tail_when_alpha_clamps(self):
         d, c = vec(0.3, 0.3, 0.2, 0.2), vec(0.7, 0.3)
         got = rank_reduce_returned(d, c)
-        assert got.coefficients[1] == pytest.approx(got.coefficients[2], abs=1e-15)
+        assert got[1] == pytest.approx(got[2], abs=1e-15)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionViolated):
@@ -402,7 +433,7 @@ class TestRankReduceReturned:
         for _ in range(100):
             dim = rng.choice([3, 4, 5])
             d = make_schmidt(random_rational_sorted_simplex(rng, dim), EXACT_POLICY)
-            if d.coefficients[-1] == 0 or d[0] > Fraction(97, 100):
+            if d[-1] == 0 or d[0] > Fraction(97, 100):
                 continue
             c1 = d[0] + (1 - d[0]) * Fraction(rng.randrange(1, 100), 100)
             c = SchmidtVector((c1, 1 - c1))
@@ -418,7 +449,7 @@ class TestTrivialSwap:
         borrowed, returned = trivial_swap_construction(pair, c)
         lhs = kron(pair.a, borrowed)
         rhs = kron(pair.b, returned)
-        assert lhs.coefficients == rhs.coefficients
+        assert lhs == rhs
 
     def test_verdict_and_gain(self, pairs):
         pair = pairs["1"]
@@ -470,7 +501,7 @@ class TestEpsilonFamily:
 
     def test_exact_construction_with_rational_root(self):
         fam = epsilon_family(Fraction(1, 10000), EXACT_POLICY)
-        assert fam.d.coefficients == (Fraction(51, 100), Fraction(49, 100))
+        assert fam.d == (Fraction(51, 100), Fraction(49, 100))
         report = verify_epsilon_family(fam, EXACT_POLICY)
         assert report.ok
         assert fam.c[0] == rank2_catalyst_interval(
@@ -484,7 +515,7 @@ class TestEpsilonFamily:
         fam = epsilon_family(1e-3)
         pair = CatalyticPair(fam.a, fam.b)
         least = least_entangled_rank2_catalyst(pair)
-        assert fam.c.coefficients == pytest.approx(least.coefficients, abs=1e-12)
+        assert fam.c == pytest.approx(least, abs=1e-12)
 
 
 class TestGainRangeProperty:
