@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
-from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _constants,
-                      binary_entropy, entropy, kron, majorizes, make_schmidt,
+from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
+                      _coerce_vector, _constants, binary_entropy, entropy, kron, majorizes,
                       nielsen_convertible, prefix_sums, schmidt_rank)
 
 #: Width below which a bisected verdict boundary counts as located.
@@ -35,8 +35,8 @@ SEARCH_SEED = 0
 class CatalyticPair:
     """An ordered pair of main-system vectors, zero-padded to equal dimension.
 
-    Both vectors are converted into the policy's arithmetic by _convert, and
-    so is every vector a question about the pair is asked of.  The per-pair
+    Both vectors are converted into the policy's arithmetic by _coerce_vector,
+    as is every vector a question about the pair is asked of.  The per-pair
     facts every question about the pair needs are computed once and cached:
     nontrivial records whether the bare transformation a -> b is blocked,
     i.e. whether a catalyst is needed at all, and dim4 whether both Schmidt
@@ -48,14 +48,10 @@ class CatalyticPair:
     policy: ComparisonPolicy = FLOAT_POLICY
 
     def __post_init__(self):
-        a, b = self._convert(self.a), self._convert(self.b)
+        a, b = _coerce_vector(self.a, self.policy), _coerce_vector(self.b, self.policy)
         n = max(len(a), len(b))
         object.__setattr__(self, "a", a.padded(n))
         object.__setattr__(self, "b", b.padded(n))
-
-    def _convert(self, v: SchmidtVector) -> SchmidtVector:
-        """v in the policy's arithmetic; a vector already in it is kept as given."""
-        return v if v.exact == self.policy.exact else make_schmidt(v, self.policy)
 
     @cached_property
     def nontrivial(self) -> bool:
@@ -143,7 +139,7 @@ class CatalystInterval:
 
 def is_catalyst(pair: CatalyticPair, c: SchmidtVector) -> bool:
     """Membership of c, in the pair's arithmetic, in the catalyst set of the pair."""
-    c = pair._convert(c)
+    c = _coerce_vector(c, pair.policy)
     return majorizes(kron(pair.b, c), kron(pair.a, c), pair.policy)
 
 
@@ -153,7 +149,7 @@ def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     Returns c in the pair's arithmetic and the joint target a (x) c of the
     membership test, which every gain computation needs again.
     """
-    c = pair._convert(c)
+    c = _coerce_vector(c, pair.policy)
     target = kron(pair.a, c)
     if not majorizes(kron(pair.b, c), target, pair.policy):
         raise NotACatalyst("the borrowed state is not a catalyst for this pair")
@@ -229,12 +225,8 @@ def _closed_form_interval(pair: CatalyticPair) -> CatalystInterval:
 
     upper = [b1 / (a1 + a2)]
     den = a2 - b2
-    if p.positive(den):
+    if p.positive(den):  # else vacuous: the necessary conditions give a1 <= b1
         upper.append((b1 - a1) / den)
-    elif p.leq(a1, b1):
-        pass
-    else:
-        empty = True
     den = a3 + a4
     if p.positive(den):
         upper.append(1 - b4 / den)
@@ -253,11 +245,11 @@ def _closed_form_interval(pair: CatalyticPair) -> CatalystInterval:
 def probe_two_level(x: Real, policy: ComparisonPolicy) -> SchmidtVector:
     """The two-level vector (x, 1-x) in the policy's arithmetic.
 
-    Exact mode keeps the value of a Fraction and takes the exact binary
-    value of a float, so the vector sums to exactly 1 and membership
-    verdicts carry no rounding noise.
+    x is read by schmidt._coerce, the rule of make_schmidt: in exact mode a
+    float means its shortest decimal, so 0.6 is 3/5.  The vector sums to
+    exactly 1 and membership verdicts carry no rounding noise.
     """
-    x = Fraction(x) if policy.exact else float(x)
+    x = _coerce(x, policy)
     return SchmidtVector((x, 1 - x))
 
 
@@ -288,14 +280,18 @@ def _scan(member, xs):
     return lo, hi
 
 
-def _scan_two_level(pair: CatalyticPair):
-    """_scan over two-level catalysts (x, 1-x), x from 1/2 to 1 in SCAN_RESOLUTION steps."""
+def _scan_two_level(pair: CatalyticPair) -> tuple:
+    """_scan over two-level catalysts (x, 1-x), x from 1/2 to 1 in SCAN_RESOLUTION
+    steps; raises EmptyCatalystSet when no scanned point is a catalyst."""
 
     def member(x: float) -> bool:
         return is_catalyst(pair, probe_two_level(x, pair.policy))
 
     steps = int(round(0.5 / SCAN_RESOLUTION))
-    return _scan(member, [min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(steps + 1)])
+    found = _scan(member, [min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(steps + 1)])
+    if found is None:
+        raise EmptyCatalystSet("no two-level catalyst found at this resolution")
+    return found
 
 
 def _affine_grid(lo: Real, hi: Real, n: int):
@@ -380,10 +376,7 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
         return CatalystEntropySearch(binary_entropy(interval.x_min), cert, True)
 
     if r == 2:
-        found = _scan_two_level(pair)
-        if found is None:
-            raise EmptyCatalystSet("no two-level catalyst found at this resolution")
-        x = found[0]
+        x = _scan_two_level(pair)[0]
         return CatalystEntropySearch(binary_entropy(x), probe_two_level(x, pair.policy), False)
 
     best_val, best_cert = -1.0, None
@@ -400,12 +393,9 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
     for _ in range(RANDOM_SAMPLES):
         raw = sorted((rng.random() for _ in range(r)), reverse=True)
         if pair.policy.exact:
-            exact_raw = [Fraction(x) for x in raw]
-            total = sum(exact_raw)
-            candidates.append(SchmidtVector(x / total for x in exact_raw))
-        else:
-            total = sum(raw)
-            candidates.append(SchmidtVector(x / total for x in raw))
+            raw = [_coerce(x, pair.policy) for x in raw]
+        total = sum(raw)
+        candidates.append(SchmidtVector(x / total for x in raw))
 
     for v in candidates:
         ent = entropy(v)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from .catalysis import (SCAN_RESOLUTION, CatalyticPair, CatalystInterval, _affine_grid,
                         _require_dim4_nontrivial, _require_loan, _scan, _scan_two_level,
                         probe_two_level)
-from .errors import EmptyCatalystSet
 from .schmidt import SchmidtVector, binary_entropy, entropy, kron, majorizes
 from .supercatalysis import GRID_METHOD, GainResult
 
@@ -24,10 +23,7 @@ def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     narrower than the resolution are invisible to this oracle).
     """
     _require_dim4_nontrivial(pair)
-    found = _scan_two_level(pair)
-    if found is None:
-        raise EmptyCatalystSet("no two-level catalyst found at this resolution")
-    return CatalystInterval(*found, True)
+    return CatalystInterval(*_scan_two_level(pair), True)
 
 
 def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
@@ -36,6 +32,9 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     Feasibility need not be monotone in y, so every grid point is inspected;
     the scan keeps the smallest feasible y (the most entangled feasible
     returned state) and bisects the feasibility boundary just below it.
+
+    Only two-level returned states are scanned, so where returned_rank_bound
+    is 3 or more the optimum may have more levels and no oracle applies.
     """
     c, target = _require_loan(pair, c)
     c1 = float(c[0])

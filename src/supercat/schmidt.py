@@ -153,6 +153,11 @@ def make_schmidt(raw: Iterable[Real], policy: ComparisonPolicy = FLOAT_POLICY) -
     return SchmidtVector(entries)
 
 
+def _coerce_vector(v: SchmidtVector, policy: ComparisonPolicy) -> SchmidtVector:
+    """v in the policy's arithmetic; a vector already in it is kept as given."""
+    return v if v.exact == policy.exact else make_schmidt(v, policy)
+
+
 def _total(entries: Sequence[Real]):
     if entries and isinstance(entries[0], Fraction):
         return sum(entries)
@@ -173,10 +178,7 @@ def partial_sum(v: SchmidtVector, k: int) -> Real:
     """Sum of the k largest coefficients, 1 <= k <= dim."""
     if not 1 <= k <= len(v):
         raise IndexOutOfRange(f"k={k} outside [1, {len(v)}]")
-    head = v[:k]
-    if v.exact:
-        return sum(head)
-    return math.fsum(head)
+    return _total(v[:k])
 
 
 def majorizes(b: SchmidtVector, a: SchmidtVector,

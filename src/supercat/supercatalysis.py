@@ -19,7 +19,7 @@ to a simplex grid search and are flagged approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,9 +29,9 @@ from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _affine_gri
                         rank2_catalyst_interval, returned_rank_bound)
 from .errors import (InvalidConfiguration, InvalidEpsilon, NotACatalyst, PreconditionViolated,
                      ZeroDenominator)
-from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _constants,
-                      binary_entropy, entropy, kron, majorizes, make_schmidt,
-                      nielsen_convertible, prefix_sums, schmidt_rank)
+from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
+                      _coerce_vector, _constants, binary_entropy, entropy, kron, majorizes,
+                      make_schmidt, nielsen_convertible, prefix_sums, schmidt_rank)
 
 EXACT_METHOD = "exact-piecewise-linear"
 GRID_METHOD = "grid-approximate"
@@ -48,9 +48,11 @@ class GainResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One borrowed state of a sweep: parameter, entropy, gain and its bound."""
+    """One borrowed state of a sweep: parameter, the loan (x, 1-x) in the
+    pair's arithmetic, its entropy, the gain and its bound."""
 
     x: float
+    c: SchmidtVector
     entropy_c: float
     gmax: float
     bound: float
@@ -121,7 +123,7 @@ def gain(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector, d: SchmidtVector,
     All four vectors are taken in the policy's arithmetic.
     """
     pair = CatalyticPair(a, b, policy)
-    c, d = pair._convert(c), pair._convert(d)
+    c, d = _coerce_vector(c, policy), _coerce_vector(d, policy)
     joint_in, joint_out = kron(pair.a, c), kron(pair.b, d)
     failures = []
     if not pair.nontrivial:
@@ -149,7 +151,7 @@ def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
     """Evaluate each defining condition of supercatalysis separately, with
     all four vectors in the policy's arithmetic."""
     pair = CatalyticPair(a, b, policy)
-    c, d = pair._convert(c), pair._convert(d)
+    c, d = _coerce_vector(c, policy), _coerce_vector(d, policy)
     return SupercatalysisVerdict(
         base_blocked=pair.nontrivial,
         states_differ=not _sorted_equal(c, d, policy),
@@ -211,14 +213,7 @@ def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target: SchmidtVect
     c1 = c[0]
     targets = prefix_sums(target)[:2 * len(pair.b)]
     y = _min_feasible_y(pair, targets, c1)
-
-    no_better = y is None
-    if not no_better:
-        if policy.exact:
-            no_better = y >= c1
-        else:
-            no_better = y >= c1 - policy.tol_strict
-    if no_better:
+    if y is None or not policy.strictly_greater(c1, y):
         return GainResult(0.0, c, EXACT_METHOD)
 
     g = (binary_entropy(y) - entropy(c)) / pair.entropy_drop
@@ -254,9 +249,9 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
             best_ent, best_d = ent, v
 
     # local hill-climb around the best candidate with shrinking moves
-    zero = _constants(policy.exact)[0]
+    zero, _, one = _constants(policy.exact)
     cur = best_d.padded(rank_cap)[:rank_cap]
-    step = Fraction(1, grid_steps) if policy.exact else 1.0 / grid_steps
+    step = one / grid_steps
     while step > 1e-7:
         improved = False
         for i in range(rank_cap):
@@ -350,7 +345,7 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     points = []
     for x in xs:
         c, g = evaluate(x)
-        points.append(SweepPoint(float(x), binary_entropy(x), g, _gain_bound(pair, c)[0]))
+        points.append(SweepPoint(float(x), c, binary_entropy(x), g, _gain_bound(pair, c)[0]))
 
     values = [p.gmax for p in points]
     i_best = max(range(len(values)), key=values.__getitem__)
@@ -380,15 +375,16 @@ def rank_reduce_returned(d: SchmidtVector, c: SchmidtVector,
 
     For a two-level target c the replacement (c1, (1-c1)/2 + alpha,
     (1-c1)/2 - alpha) with alpha = max(0, d1 + d2 - c1/2 - 1/2) satisfies
-    both d -> d' and d' -> c.
+    both d -> d' and d' -> c.  d and c are taken in the policy's arithmetic.
     """
+    d, c = _coerce_vector(d, policy), _coerce_vector(c, policy)
     if schmidt_rank(d, policy) < 3:
         raise PreconditionViolated("returned state must have rank at least 3")
     if schmidt_rank(c, policy) != 2:
         raise PreconditionViolated("target state must have rank exactly 2")
     if not nielsen_convertible(d, c, policy):
         raise PreconditionViolated("returned state does not reach the target")
-    zero, half, one = _constants(d.exact and c.exact)
+    zero, half, one = _constants(policy.exact)
     c1 = c[0]
     alpha = d[0] + d[1] - c1 / 2 - half
     if alpha < zero:
@@ -405,7 +401,7 @@ def trivial_swap_construction(pair: CatalyticPair, c: SchmidtVector):
     returned state reaches the borrowed one precisely because c is a
     catalyst.  c is taken in the pair's arithmetic.
     """
-    c = pair._convert(c)
+    c = _coerce_vector(c, pair.policy)
     if not is_catalyst(pair, c):
         raise NotACatalyst("the auxiliary state is not a catalyst for this pair")
     borrowed = kron(c, pair.b)
@@ -446,12 +442,7 @@ class EpsilonFamilyReport:
                 and self.returned_reaches_borrowed and self.states_differ)
 
     def to_json_value(self) -> dict:
-        out = {k: getattr(self, k) for k in ("eps", "base_blocked", "f2_strictly_greater",
-                                             "joint_feasible", "returned_reaches_borrowed",
-                                             "states_differ", "gain", "x_min", "x_max",
-                                             "predicted_x_min", "predicted_x_max")}
-        out["ok"] = self.ok
-        return out
+        return {**asdict(self), "ok": self.ok}
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:
@@ -470,11 +461,9 @@ def epsilon_family(eps: Real, policy: ComparisonPolicy = FLOAT_POLICY) -> Epsilo
     entangled two-level catalyst and the returned state approaches maximal
     entanglement at rate sqrt(eps).  Validity of all four vectors is checked,
     not assumed: for eps too large some vector leaves the ordered simplex.
+    eps is read by schmidt._coerce, so a non-finite eps raises NotNormalized.
     """
-    if policy.exact:
-        e = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
-    else:
-        e = float(eps)
+    e = _coerce(eps, policy)
     _, half, one = _constants(policy.exact)
     if e <= 0:
         raise InvalidEpsilon("epsilon must be positive")

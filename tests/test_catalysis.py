@@ -45,6 +45,12 @@ class TestIsCatalyst:
         assert is_catalyst(convertible, vec(1.0))
 
 
+class TestProbeTwoLevel:
+    def test_exact_probe_reads_float_as_shortest_decimal(self):
+        assert probe_two_level(0.6, EXACT_POLICY) == make_schmidt((0.6, 0.4), EXACT_POLICY)
+        assert probe_two_level(0.6, EXACT_POLICY) == (Fraction(3, 5), Fraction(2, 5))
+
+
 class TestNecessaryConditions:
     def test_blocked_catalytic_pair(self, pairs):
         assert necessary_conditions_4d(pairs["1"])

@@ -1,10 +1,13 @@
 """Command-line interface: verdicts, files, manifests, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from supercat import EXACT_POLICY, SchmidtVector, kron, majorizes, make_schmidt
 from supercat.cli import main
+from supercat.examples import EXAMPLE_PAIRS
 
 A1 = "0.4,0.4,0.1,0.1"
 B1 = "0.5,0.25,0.25,0"
@@ -131,6 +134,46 @@ class TestGainSweep:
         assert code == 0
         assert json.loads(out)["oracle_mismatches"] == []
 
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_PAIRS))
+    def test_exact_sweep_verify_agrees_with_oracle(self, capsys, tmp_path, name):
+        # the oracle checks each point's exact loan, not one rebuilt from its float x
+        a, b = EXAMPLE_PAIRS[name]
+        code, out, _ = run(capsys, "gain-sweep", "--a", ",".join(a), "--b", ",".join(b),
+                           "--exact", "--verify", "--points", "25",
+                           "--out", str(tmp_path / "v.csv"))
+        assert code == 0
+        assert json.loads(out)["oracle_mismatches"] == []
+
+    @pytest.mark.parametrize("a,b,c", [
+        (A1, B1, "0.5,0.3,0.2"),  # returned-rank cap 4
+        ("0.5,0.35,0.05,0.05,0.05", "0.6,0.2,0.2", "0.646,0.354"),  # cap 3
+    ], ids=["cap4", "cap3"])
+    def test_loan_verify_without_oracle_at_cap_3(self, capsys, a, b, c):
+        code, out, err = run(capsys, "gain-sweep", "--a", a, "--b", b, "--c", c, "--verify")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["oracle_agrees"] is None
+        assert payload["oracle_gain"] is None
+        assert "no oracle applies" in err
+
+    def test_exact_rank3_loan_search(self, capsys):
+        # the exact simplex grid, hill-climb and random samples of the rank >= 3 searches
+        argv = ["gain-sweep", "--a", A1, "--b", B1, "--c", "1/2,3/10,1/5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        float_gain = json.loads(out)["gain"]
+        code, out, _ = run(capsys, *argv, "--exact")
+        assert code == 0
+        payload = json.loads(out)
+        d = [Fraction(x) for x in payload["returned_state"]]
+        assert sum(d) == 1 and d == sorted(d, reverse=True)
+        d = SchmidtVector(d)
+        a, b = make_schmidt(A1.split(","), EXACT_POLICY), make_schmidt(B1.split(","), EXACT_POLICY)
+        c = SchmidtVector((Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
+        assert majorizes(kron(b, d), kron(a, c), EXACT_POLICY)
+        assert majorizes(c, d, EXACT_POLICY)
+        assert payload["gain"] == pytest.approx(float_gain, abs=1e-9)
+
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"
         run(capsys, "gain-sweep", "--a", A1, "--b", B1, "--points", "15",
@@ -167,6 +210,12 @@ class TestEpsilonFamily:
         code, _, err = run(capsys, "epsilon-family", "--eps", "0.3")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_1(self, capsys, eps):
+        code, _, err = run(capsys, "epsilon-family", "--eps", eps)
+        assert code == 1
+        assert "non-finite" in err
 
     def test_malformed_epsilon_exits_1(self, capsys):
         code, _, _ = run(capsys, "epsilon-family", "--eps", "abc")

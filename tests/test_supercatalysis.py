@@ -18,10 +18,10 @@ from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, 
                       verify_epsilon_family)
 from supercat.catalysis import _affine_grid, probe_two_level
 from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon,
-                             NotACatalyst, PreconditionViolated, ZeroDenominator)
+                             NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
 from supercat.examples import example_pair
 from supercat.schmidt import _constants
-from supercat.supercatalysis import _gain_bound, _min_feasible_y
+from supercat.supercatalysis import _exact_rank2_gain, _gain_bound, _min_feasible_y
 
 from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
 
@@ -152,6 +152,15 @@ class TestGmaxGivenC:
             assert majorizes(kron(pair.b, d), kron(pair.a, c), pair.policy)
             assert nielsen_convertible(d, c, pair.policy)
             assert 0.0 <= result.gain <= 1.0
+
+    def test_rank2_seed_lifts_the_cap3_search(self):
+        # the grid and hill-climb alone reach 0.04130127; the exact rank-2
+        # optimum they start from is 0.04130135
+        pair = CatalyticPair(vec(0.5, 0.35, 0.05, 0.05, 0.05), vec(0.6, 0.2, 0.2))
+        c = vec(0.646, 0.354)
+        assert returned_rank_bound(pair, c) == 3
+        seed = _exact_rank2_gain(pair, c, kron(pair.a, c))
+        assert gmax_given_c(pair, c).gain >= seed.gain > 0.0413013
 
 
 class TestLoanArithmetic:
@@ -416,6 +425,15 @@ class TestRankReduceReturned:
         assert nielsen_convertible(d, got, EXACT_POLICY)
         assert nielsen_convertible(got, c, EXACT_POLICY)
 
+    @pytest.mark.parametrize("d,c", [
+        (vec(0.4, 0.3, 0.2, 0.1), make_schmidt(("0.6", "0.4"), EXACT_POLICY)),
+        (make_schmidt(("0.4", "0.3", "0.2", "0.1"), EXACT_POLICY), vec(0.6, 0.4)),
+    ], ids=["float-d", "float-c"])
+    def test_mixed_arithmetic_stays_exact(self, d, c):
+        got = rank_reduce_returned(d, c, EXACT_POLICY)
+        assert all(isinstance(x, Fraction) for x in got)
+        assert got == (Fraction(3, 5), Fraction(1, 5), Fraction(1, 5))
+
     def test_symmetric_tail_when_alpha_clamps(self):
         d, c = vec(0.3, 0.3, 0.2, 0.2), vec(0.7, 0.3)
         got = rank_reduce_returned(d, c)
@@ -498,6 +516,12 @@ class TestEpsilonFamily:
             epsilon_family(-1e-3)
         with pytest.raises(InvalidEpsilon):
             epsilon_family(Fraction(-1, 100), EXACT_POLICY)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_epsilon_not_normalized(self, eps, policy):
+        with pytest.raises(NotNormalized):
+            epsilon_family(eps, policy)
 
     def test_exact_construction_with_rational_root(self):
         fam = epsilon_family(Fraction(1, 10000), EXACT_POLICY)
