@@ -10,10 +10,13 @@ maximal catalyst entropy are available.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, zip_longest
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
@@ -41,6 +44,12 @@ class CatalyticPair:
     nontrivial records whether the bare transformation a -> b is blocked,
     i.e. whether a catalyst is needed at all, and dim4 whether both Schmidt
     ranks are at most 4, the domain of the closed-form two-level interval.
+
+    The pair owns the joint-transfer test a (x) c -> b (x) d that every
+    catalyst and gain question reduces to (joint_target, joint_feasible).
+    In exact mode it decides that test on integers: a and b are cached as
+    A_i = a_i D and B_i = b_i D over the lcm D of their denominators, and a
+    loan or returned state as integers over the lcm of its own denominators.
     """
 
     a: SchmidtVector
@@ -78,8 +87,58 @@ class CatalyticPair:
         return _closed_form_interval(self)
 
     @cached_property
+    def _scaled(self) -> tuple:
+        """Exact mode: (D, A, B), a and b as integers over their common denominator D."""
+        d = math.lcm(*(x.denominator for x in self.a + self.b))
+        return (d, tuple(x.numerator * (d // x.denominator) for x in self.a),
+                tuple(x.numerator * (d // x.denominator) for x in self.b))
+
+    @cached_property
     def _segments(self) -> tuple:
-        return _breakpoint_segments(self.b, self.policy.exact)
+        if self.policy.exact:
+            return _breakpoint_segments(self._scaled[2], True)
+        return _breakpoint_segments(self.b, False)
+
+    def joint_target(self, c: SchmidtVector):
+        """The side a (x) c of the joint test for the loan c, built once per loan.
+
+        Float mode: kron(a, c).  Exact mode: (q, sums), where q is the lcm of
+        c's denominators and sums are the prefix sums of the sorted integer
+        products A_i C_j with C_j = c_j q, all over the denominator D q.
+        """
+        if not self.policy.exact:
+            return kron(self.a, c)
+        q, ints = _scaled_vector(c)
+        A = self._scaled[1]
+        return q, tuple(accumulate(sorted((x * y for x in A for y in ints), reverse=True)))
+
+    def joint_feasible(self, target, d: SchmidtVector) -> bool:
+        """Does b (x) d majorize a (x) c, for target = joint_target(c)?
+
+        d must be in the pair's arithmetic.  In exact mode the prefix sums of
+        the integer products B_i D_j are compared with the target's.  They
+        share its denominator D q when d's denominator is q, as for d = c;
+        otherwise both sides are multiplied once by the other's denominator.
+        """
+        if not self.policy.exact:
+            return majorizes(kron(self.b, d), target, self.policy)
+        q, sums_a = target
+        qd, ints = _scaled_vector(d)
+        B = self._scaled[2]
+        sums_b = accumulate(sorted((x * y for x in B for y in ints), reverse=True))
+        full = self._scaled[0] * q
+        if qd != q:
+            sums_a = (s * qd for s in sums_a)
+            sums_b = (s * q for s in sums_b)
+            full *= qd
+        # past the shorter side its prefix sum stays at the common total
+        return all(sa <= sb for sa, sb in zip_longest(sums_a, sums_b, fillvalue=full))
+
+
+def _scaled_vector(v: SchmidtVector) -> tuple:
+    """(q, integers): an exact vector as integers over the lcm q of its denominators."""
+    q = math.lcm(*(x.denominator for x in v))
+    return q, [x.numerator * (q // x.denominator) for x in v]
 
 
 def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
@@ -92,15 +151,19 @@ def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
     cumulative (y-coefficient, constant, slope) of the k largest products,
     k = 1..2n.  The order is taken at the segment's midpoint, strictly
     between two cuts, so no tie between products of different coefficients
-    can enter it.
+    can enter it.  In exact mode b_coeffs are the integers B_i = b_i D, so the
+    cuts are Fractions and the cumulative coefficients integers over D.
     """
-    zero, half, one = _constants(exact)
+    if exact:
+        zero, half, one, ratio = 0, Fraction(1, 2), 1, Fraction
+    else:
+        zero, half, one, ratio = 0.0, 0.5, 1.0, operator.truediv
     cuts = set()
     for bi in b_coeffs:
         for bj in b_coeffs:
             den = bi + bj
             if den > 0:
-                y = bj / den
+                y = ratio(bj, den)
                 if half < y < one:
                     cuts.add(y)
     cuts = (half, *sorted(cuts), one)
@@ -140,18 +203,18 @@ class CatalystInterval:
 def is_catalyst(pair: CatalyticPair, c: SchmidtVector) -> bool:
     """Membership of c, in the pair's arithmetic, in the catalyst set of the pair."""
     c = _coerce_vector(c, pair.policy)
-    return majorizes(kron(pair.b, c), kron(pair.a, c), pair.policy)
+    return pair.joint_feasible(pair.joint_target(c), c)
 
 
 def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     """Preconditions of every gain computation for the borrowed state c.
 
-    Returns c in the pair's arithmetic and the joint target a (x) c of the
-    membership test, which every gain computation needs again.
+    Returns c in the pair's arithmetic and its joint target
+    (CatalyticPair.joint_target), which every gain computation needs again.
     """
     c = _coerce_vector(c, pair.policy)
-    target = kron(pair.a, c)
-    if not majorizes(kron(pair.b, c), target, pair.policy):
+    target = pair.joint_target(c)
+    if not pair.joint_feasible(target, c):
         raise NotACatalyst("the borrowed state is not a catalyst for this pair")
     if pair.entropy_drop <= pair.policy.tol_strict:
         raise PreconditionViolated("main transformation has no entropy drop")

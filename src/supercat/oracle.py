@@ -12,7 +12,7 @@ from __future__ import annotations
 from .catalysis import (SCAN_RESOLUTION, CatalyticPair, CatalystInterval, _affine_grid,
                         _require_dim4_nontrivial, _require_loan, _scan, _scan_two_level,
                         probe_two_level)
-from .schmidt import SchmidtVector, binary_entropy, entropy, kron, majorizes
+from .schmidt import SchmidtVector, binary_entropy, entropy
 from .supercatalysis import GRID_METHOD, GainResult
 
 
@@ -40,7 +40,7 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     c1 = float(c[0])
 
     def feasible(y: float) -> bool:
-        return majorizes(kron(pair.b, probe_two_level(y, pair.policy)), target, pair.policy)
+        return pair.joint_feasible(target, probe_two_level(y, pair.policy))
 
     steps = max(1, int(round((c1 - 0.5) / SCAN_RESOLUTION)))
     found = _scan(feasible, _affine_grid(0.5, c1, steps + 1))

@@ -115,15 +115,22 @@ def _constants(exact: bool) -> tuple:
     return _EXACT_CONSTANTS if exact else _FLOAT_CONSTANTS
 
 
-def _coerce(x, policy: ComparisonPolicy):
+def _coerce(x, policy: ComparisonPolicy, what: str = "coefficient"):
+    """x in the policy's arithmetic; what names x in the NotNormalized message.
+
+    Anything but a float is read as a Fraction first, so "1/2" and "0.1" mean
+    the same number in both modes (float mode then rounds it correctly).
+    """
     try:
-        if not isinstance(x, float) and policy.exact:
-            return Fraction(x)
+        if not isinstance(x, float):
+            x = Fraction(x)
+            if policy.exact:
+                return x
         x = float(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise NotNormalized(f"coefficient {x!r} is not a finite number") from None
+        raise NotNormalized(f"{what} {x!r} is not a finite number") from None
     if not math.isfinite(x):
-        raise NotNormalized(f"non-finite coefficient {x}")
+        raise NotNormalized(f"non-finite {what} {x}")
     # exact mode reads a float by its shortest decimal repr, so a
     # literal like 0.4 means 2/5 rather than its binary expansion
     return Fraction(str(x)) if policy.exact else x

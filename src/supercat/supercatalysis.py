@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _affine_grid,
                         _ordered_simplex_grid, _probe_simplex, _require_interval, _require_loan,
@@ -124,11 +124,10 @@ def gain(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector, d: SchmidtVector,
     """
     pair = CatalyticPair(a, b, policy)
     c, d = _coerce_vector(c, policy), _coerce_vector(d, policy)
-    joint_in, joint_out = kron(pair.a, c), kron(pair.b, d)
     failures = []
     if not pair.nontrivial:
         failures.append("main transformation needs no catalyst")
-    if not majorizes(joint_out, joint_in, policy):
+    if not pair.joint_feasible(pair.joint_target(c), d):
         failures.append("joint transformation a(x)c -> b(x)d is infeasible")
     if not nielsen_convertible(d, c, policy):
         failures.append("returned state cannot reach borrowed state")
@@ -139,7 +138,7 @@ def gain(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector, d: SchmidtVector,
         raise ZeroDenominator(f"entropy drop {drop} too small")
     if _sorted_equal(c, d, policy):
         return 0.0
-    if _sorted_equal(joint_in, joint_out, policy):
+    if _sorted_equal(kron(pair.a, c), kron(pair.b, d), policy):
         return 1.0
     g = (entropy(d) - entropy(c)) / drop
     return min(max(g, 0.0), 1.0)
@@ -155,16 +154,16 @@ def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
     return SupercatalysisVerdict(
         base_blocked=pair.nontrivial,
         states_differ=not _sorted_equal(c, d, policy),
-        joint_feasible=majorizes(kron(pair.b, d), kron(pair.a, c), policy),
+        joint_feasible=pair.joint_feasible(pair.joint_target(c), d),
         returned_reaches_borrowed=nielsen_convertible(d, c, policy),
         borrowed_is_catalyst=is_catalyst(pair, c),
         returned_is_catalyst=is_catalyst(pair, d),
     )
 
 
-def _min_feasible_y(pair: CatalyticPair, targets: Sequence[Real], hi: Real) -> Optional[Real]:
+def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
     """Smallest y in [1/2, hi] with every prefix sum of b (x) (y, 1-y) at
-    least the corresponding target.
+    least the corresponding one of a (x) c, for target = pair.joint_target(c).
 
     Between consecutive breakpoints (y values where b_i * y == b_j * (1-y))
     the sorted order of the 2n products is constant, so each prefix sum is a
@@ -178,11 +177,13 @@ def _min_feasible_y(pair: CatalyticPair, targets: Sequence[Real], hi: Real) -> O
     In float mode, constraints that are constant in y are compared with
     tol_eq slack so exact ties survive rounding; sloped constraints are
     solved without slack, since slack would shift the optimum and let the
-    reported gain creep past its upper bound.
+    reported gain creep past its upper bound.  Exact mode solves the same
+    constraints on the pair's integers (_min_feasible_y_scaled).
     """
-    policy = pair.policy
-    zero, _, one = _constants(policy.exact)
-    tol = zero if policy.exact else policy.tol_eq
+    if pair.policy.exact:
+        return _min_feasible_y_scaled(pair, target, hi)
+    targets = prefix_sums(target)[:2 * len(pair.b)]
+    tol = pair.policy.tol_eq
 
     for seg_lo, seg_hi, sums in pair._segments:
         if not seg_lo < hi:
@@ -198,7 +199,7 @@ def _min_feasible_y(pair: CatalyticPair, targets: Sequence[Real], hi: Real) -> O
                     y = bound
                     if y > seg_hi:
                         break
-            elif coef_y * mid + coef_const * (one - mid) < targets[k] - tol:
+            elif coef_y * mid + coef_const * (1.0 - mid) < targets[k] - tol:
                 # constraint is (numerically) constant on the segment
                 break
         else:
@@ -206,13 +207,44 @@ def _min_feasible_y(pair: CatalyticPair, targets: Sequence[Real], hi: Real) -> O
     return None
 
 
-def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target: SchmidtVector) -> GainResult:
+def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple, hi: Fraction) -> Optional[Fraction]:
+    """_min_feasible_y in exact mode, on integers.
+
+    target is (q, T) with T_k over D q, and the segment coefficients are
+    integers over D, so constraint k reads (coef_const + slope * y) q >= T_k.
+    A slope is 0 or positive, and with slope 0 the constraint is the constant
+    coef_const q >= T_k.  Every y is kept as a numerator and denominator and
+    compared by cross-multiplying; only y* itself becomes a Fraction.
+    """
+    q, sums_a = target
+    hn, hd = hi.numerator, hi.denominator
+    for seg_lo, seg_hi, sums in pair._segments:
+        yn, yd = seg_lo.numerator, seg_lo.denominator
+        if not yn * hd < hn * yd:
+            break
+        un, ud = seg_hi.numerator, seg_hi.denominator
+        if not un * hd < hn * ud:
+            un, ud = hn, hd
+        for k, (_, coef_const, slope) in enumerate(sums):
+            if slope > 0:
+                bn, bd = sums_a[k] - coef_const * q, slope * q
+                if bn * yd > yn * bd:
+                    yn, yd = bn, bd
+                    if yn * ud > un * yd:
+                        break
+            elif coef_const * q < sums_a[k]:
+                break
+        else:
+            return Fraction(yn, yd)
+    return None
+
+
+def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target) -> GainResult:
     """Exact best gain when the returned state is forced to two levels;
-    target is a (x) c."""
+    target is pair.joint_target(c)."""
     policy = pair.policy
     c1 = c[0]
-    targets = prefix_sums(target)[:2 * len(pair.b)]
-    y = _min_feasible_y(pair, targets, c1)
+    y = _min_feasible_y(pair, target, c1)
     if y is None or not policy.strictly_greater(c1, y):
         return GainResult(0.0, c, EXACT_METHOD)
 
@@ -225,14 +257,14 @@ def _ordered_descending(t) -> bool:
 
 
 def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
-                    target: SchmidtVector) -> GainResult:
+                    target) -> GainResult:
     """Approximate best gain over returned states of rank <= rank_cap;
-    target is a (x) c."""
+    target is pair.joint_target(c)."""
     policy = pair.policy
     ent_c = entropy(c)
 
     def feasible(v: SchmidtVector) -> bool:
-        return majorizes(kron(pair.b, v), target, policy) and majorizes(c, v, policy)
+        return pair.joint_feasible(target, v) and majorizes(c, v, policy)
 
     best_ent, best_d = ent_c, c
     if schmidt_rank(c, policy) <= 2:
@@ -463,7 +495,7 @@ def epsilon_family(eps: Real, policy: ComparisonPolicy = FLOAT_POLICY) -> Epsilo
     not assumed: for eps too large some vector leaves the ordered simplex.
     eps is read by schmidt._coerce, so a non-finite eps raises NotNormalized.
     """
-    e = _coerce(eps, policy)
+    e = _coerce(eps, policy, "epsilon")
     _, half, one = _constants(policy.exact)
     if e <= 0:
         raise InvalidEpsilon("epsilon must be positive")

@@ -1,16 +1,18 @@
 """Catalyst membership, the closed-form interval, extreme catalysts, E_r."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from supercat import (CatalyticPair, EXACT_POLICY, SchmidtVector, binary_entropy, entropy,
-                      is_catalyst, kron, least_entangled_rank2_catalyst, make_schmidt,
+                      is_catalyst, kron, least_entangled_rank2_catalyst, majorizes, make_schmidt,
                       max_catalyst_entropy, most_entangled_rank2_catalyst,
                       necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
                       returned_rank_bound, tilde_gmax_sweep)
-from supercat.catalysis import probe_two_level
+from supercat.catalysis import (REFINE_TOL, SCAN_RESOLUTION, _ordered_simplex_grid,
+                                probe_two_level)
 from supercat.errors import EmptyCatalystSet, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 
@@ -186,6 +188,87 @@ class TestExtremeCatalysts:
             assert e_least - 1e-12 <= e_mid <= e_most + 1e-12
 
 
+def reference_joint(pair, c, d=None):
+    """The joint test in Fraction arithmetic: does b (x) d majorize a (x) c,
+    with d = c for membership?  Reference for the pair's integer test."""
+    return majorizes(kron(pair.b, c if d is None else d), kron(pair.a, c), EXACT_POLICY)
+
+
+def _toward(end: float) -> list:
+    """The float midpoints a bisection visits when it closes in on end from
+    one scan step either side: 17-digit decimals once read exactly."""
+    lo, hi, mids = end - SCAN_RESOLUTION, end + SCAN_RESOLUTION, []
+    while hi - lo > REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if mid < end:
+            lo = mid
+        else:
+            hi = mid
+    return mids
+
+
+class TestScaledMembership:
+    """Exact membership and joint checks run on the pair's integers; every
+    verdict must equal majorization of the Fraction products."""
+
+    def test_membership_matches_fraction_reference(self):
+        rng = random.Random(6011)
+        verdicts = Counter()
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng, EXACT_POLICY)
+            interval = rank2_catalyst_interval(pair)
+            xs = [min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(0, 501, 20)]
+            xs += _toward(float(interval.x_min)) + _toward(float(interval.x_max))
+            loans = [probe_two_level(x, EXACT_POLICY) for x in xs]
+            ends = [probe_two_level(x, EXACT_POLICY) for x in (interval.x_min, interval.x_max)]
+            loans += ends
+            loans += [make_schmidt(random_rational_sorted_simplex(rng, 3), EXACT_POLICY),
+                      make_schmidt(random_sorted_simplex(rng, 3), EXACT_POLICY)]
+            for c in loans:
+                got = is_catalyst(pair, c)
+                assert got == reference_joint(pair, c), (pair, c)
+                verdicts[got] += 1
+            assert all(is_catalyst(pair, c) for c in ends)
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+    def test_joint_check_across_denominators(self):
+        # a returned state d with other denominators than the loan c takes
+        # the cross-multiplied branch of the comparison
+        rng = random.Random(6012)
+        verdicts = Counter()
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng, EXACT_POLICY)
+            interval = rank2_catalyst_interval(pair)
+            c = probe_two_level(interval.x_max, EXACT_POLICY)
+            target = pair.joint_target(c)
+            c1 = float(c[0])
+            returned = [probe_two_level(0.5 + (c1 - 0.5) * rng.random(), EXACT_POLICY)
+                        for _ in range(6)]
+            returned += [make_schmidt(random_sorted_simplex(rng, 3), EXACT_POLICY), c]
+            for d in returned:
+                got = pair.joint_feasible(target, d)
+                assert got == reference_joint(pair, c, d), (pair, c, d)
+                verdicts[got] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_joint_check_with_rank3_loan(self, exact_pairs):
+        # returned states of rank 2 to 4, on simplex grids of several
+        # denominators, against the rank-3 loan of the rank >= 3 searches
+        pair = exact_pairs["1"]
+        c = make_schmidt(("1/2", "3/10", "1/5"), EXACT_POLICY)
+        target = pair.joint_target(c)
+        verdicts = Counter()
+        for r in (2, 3, 4):
+            for steps in (7, 11, 23):
+                for parts in _ordered_simplex_grid(r, steps):
+                    d = SchmidtVector(Fraction(k, steps) for k in parts)
+                    got = pair.joint_feasible(target, d)
+                    assert got == reference_joint(pair, c, d), d
+                    verdicts[got] += 1
+        assert verdicts[True] > 10 and verdicts[False] > 100
+
+
 class TestMaxCatalystEntropy:
     def test_rank2_closed_form(self, pairs):
         for name in ("1", "4"):
@@ -220,6 +303,13 @@ class TestMaxCatalystEntropy:
         assert not search.exact
         assert search.value >= binary_entropy(0.6) - 1e-12
         assert is_catalyst(pairs["1"], search.certificate)
+
+    def test_exact_rank4_search_on_first_pair(self, exact_pairs):
+        search = max_catalyst_entropy(exact_pairs["1"], 4)
+        assert not search.exact
+        assert search.value == 1.9709505944546686
+        assert search.certificate == (Fraction(3, 10), Fraction(3, 10), Fraction(1, 5),
+                                      Fraction(1, 5))
 
     def test_deterministic_given_seed(self, pairs):
         s1 = max_catalyst_entropy(pairs["2"], 3)

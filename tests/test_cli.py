@@ -1,11 +1,13 @@
 """Command-line interface: verdicts, files, manifests, exit codes."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from supercat import EXACT_POLICY, SchmidtVector, kron, majorizes, make_schmidt
+from supercat import (EXACT_POLICY, NotNormalized, SchmidtVector, epsilon_family, kron, majorizes,
+                      make_schmidt)
 from supercat.cli import main
 from supercat.examples import EXAMPLE_PAIRS
 
@@ -216,6 +218,17 @@ class TestEpsilonFamily:
         code, _, err = run(capsys, "epsilon-family", "--eps", eps)
         assert code == 1
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_non_finite_epsilon_message_names_the_epsilon(self, capsys, exact):
+        flags = ["--exact"] if exact else []
+        code, _, err = run(capsys, "epsilon-family", "--eps", "nan", *flags)
+        assert code == 1
+        assert err.strip() == "error: non-finite epsilon nan"
+
+    def test_non_finite_epsilon_raises_not_normalized(self):
+        with pytest.raises(NotNormalized, match="epsilon"):
+            epsilon_family(math.nan)
 
     def test_malformed_epsilon_exits_1(self, capsys):
         code, _, _ = run(capsys, "epsilon-family", "--eps", "abc")

@@ -82,12 +82,29 @@ class TestMakeSchmidt:
         lambda: make_schmidt(["inf", "0"], EXACT_POLICY),
         lambda: make_schmidt(["abc", "1"]),
         lambda: make_schmidt(["abc", "1"], EXACT_POLICY),
+        lambda: make_schmidt(["nan", "1"]),
+        lambda: make_schmidt(["1", "-inf"]),
+        lambda: make_schmidt(["1e400", "0"]),
     ], ids=["float-nan", "float-minus-inf", "exact-nan", "exact-inf", "pair-coercion",
             "exact-nan-string", "exact-inf-string", "float-garbage-string",
-            "exact-garbage-string"])
+            "exact-garbage-string", "float-nan-string", "float-inf-string",
+            "float-overflow-string"])
     def test_non_finite_rejected(self, build):
         with pytest.raises(NotNormalized):
             build()
+
+    def test_float_mode_reads_rational_strings(self):
+        # float mode read strings with float(), so "1/2" was rejected while
+        # exact mode accepted it
+        assert make_schmidt(("1/2", "1/2")) == (0.5, 0.5)
+        assert make_schmidt(("1/3", "2/3")) == (2 / 3, 1 / 3)
+        exact = make_schmidt(("3/10", "7/10"), EXACT_POLICY)
+        assert make_schmidt(("3/10", "7/10")) == tuple(float(x) for x in exact)
+
+    @pytest.mark.parametrize("text", ["0.1", "0.3", "0.7", "1e-3", "0.123456789012345678"])
+    def test_float_mode_decimal_strings_round_as_float(self, text):
+        rest = 1 - float(text)
+        assert make_schmidt((text, repr(rest))) == make_schmidt((float(text), rest))
 
     def test_renormalizes_within_tolerance(self):
         v = make_schmidt((0.5 + 4e-10, 0.5 + 4e-10))

@@ -159,7 +159,7 @@ class TestGmaxGivenC:
         pair = CatalyticPair(vec(0.5, 0.35, 0.05, 0.05, 0.05), vec(0.6, 0.2, 0.2))
         c = vec(0.646, 0.354)
         assert returned_rank_bound(pair, c) == 3
-        seed = _exact_rank2_gain(pair, c, kron(pair.a, c))
+        seed = _exact_rank2_gain(pair, c, pair.joint_target(c))
         assert gmax_given_c(pair, c).gain >= seed.gain > 0.0413013
 
 
@@ -297,7 +297,7 @@ class TestMinFeasibleY:
                 c = probe_two_level(x, policy)
                 targets = prefix_sums(kron(pair.a, c))[:2 * len(pair.b)]
                 want = reference_min_feasible_y(b, targets, half, c[0], policy)
-                assert _min_feasible_y(pair, targets, c[0]) == want, (pair, x)
+                assert _min_feasible_y(pair, pair.joint_target(c), c[0]) == want, (pair, x)
                 clipped += any(c[0] == hi for _, hi, _ in pair._segments)
         assert clipped > 0
 
