@@ -20,8 +20,8 @@ from itertools import accumulate, zip_longest
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
-                      _coerce_vector, _constants, binary_entropy, entropy, kron, majorizes,
-                      nielsen_convertible, prefix_sums, schmidt_rank)
+                      _coerce_vector, _constants, binary_entropy, entropy, nielsen_convertible,
+                      prefix_sums, schmidt_rank)
 
 #: Width below which a bisected verdict boundary counts as located.
 REFINE_TOL = 1e-9
@@ -47,7 +47,10 @@ class CatalyticPair:
 
     The pair owns the joint-transfer test a (x) c -> b (x) d that every
     catalyst and gain question reduces to (joint_target, joint_feasible).
-    In exact mode it decides that test on integers: a and b are cached as
+    Both arithmetics decide it on prefix sums of the sorted products, those
+    of a (x) c built once per loan.  Float mode multiplies the coefficients
+    themselves, and each verdict equals majorizes(kron(b, d), kron(a, c))
+    bit for bit.  Exact mode works on integers: a and b are cached as
     A_i = a_i D and B_i = b_i D over the lcm D of their denominators, and a
     loan or returned state as integers over the lcm of its own denominators.
     """
@@ -102,26 +105,36 @@ class CatalyticPair:
     def joint_target(self, c: SchmidtVector):
         """The side a (x) c of the joint test for the loan c, built once per loan.
 
-        Float mode: kron(a, c).  Exact mode: (q, sums), where q is the lcm of
+        Float mode: the prefix sums of the sorted products a_i c_j, which are
+        prefix_sums(kron(a, c)).  Exact mode: (q, sums), where q is the lcm of
         c's denominators and sums are the prefix sums of the sorted integer
         products A_i C_j with C_j = c_j q, all over the denominator D q.
         """
         if not self.policy.exact:
-            return kron(self.a, c)
+            return _product_prefix_sums(self.a, c)
         q, ints = _scaled_vector(c)
-        A = self._scaled[1]
-        return q, tuple(accumulate(sorted((x * y for x in A for y in ints), reverse=True)))
+        return q, _product_prefix_sums(self._scaled[1], ints)
 
     def joint_feasible(self, target, d: SchmidtVector) -> bool:
         """Does b (x) d majorize a (x) c, for target = joint_target(c)?
 
-        d must be in the pair's arithmetic.  In exact mode the prefix sums of
-        the integer products B_i D_j are compared with the target's.  They
-        share its denominator D q when d's denominator is q, as for d = c;
-        otherwise both sides are multiplied once by the other's denominator.
+        d must be in the pair's arithmetic.  In float mode the prefix sums of
+        the products b_i d_j are compared with the target's with tol_eq
+        slack; past the shorter side its last prefix sum repeats, which is
+        what zero padding gives inside majorizes.  In exact mode the prefix
+        sums of the integer products B_i D_j are compared with the target's.
+        They share its denominator D q when d's denominator is q, as for
+        d = c; otherwise both sides are multiplied once by the other's
+        denominator.
         """
         if not self.policy.exact:
-            return majorizes(kron(self.b, d), target, self.policy)
+            sums_b, tol = _product_prefix_sums(self.b, d), self.policy.tol_eq
+            extra = len(target) - len(sums_b)
+            if extra > 0:
+                sums_b += sums_b[-1:] * extra
+            elif extra < 0:
+                target += target[-1:] * -extra
+            return all(sa <= sb + tol for sa, sb in zip(target, sums_b))
         q, sums_a = target
         qd, ints = _scaled_vector(d)
         B = self._scaled[2]
@@ -133,6 +146,11 @@ class CatalyticPair:
             full *= qd
         # past the shorter side its prefix sum stays at the common total
         return all(sa <= sb for sa, sb in zip_longest(sums_a, sums_b, fillvalue=full))
+
+
+def _product_prefix_sums(u, v) -> tuple:
+    """Prefix sums of all products u_i v_j, sorted in decreasing order."""
+    return tuple(accumulate(sorted((x * y for x in u for y in v), reverse=True)))
 
 
 def _scaled_vector(v: SchmidtVector) -> tuple:
@@ -212,6 +230,7 @@ def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     Returns c in the pair's arithmetic and its joint target
     (CatalyticPair.joint_target), which every gain computation needs again.
     """
+    _require_blocked(pair)  # a separable loan catalyzes only a pair that needs none
     c = _coerce_vector(c, pair.policy)
     target = pair.joint_target(c)
     if not pair.joint_feasible(target, c):

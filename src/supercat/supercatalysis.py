@@ -182,7 +182,6 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
     """
     if pair.policy.exact:
         return _min_feasible_y_scaled(pair, target, hi)
-    targets = prefix_sums(target)[:2 * len(pair.b)]
     tol = pair.policy.tol_eq
 
     for seg_lo, seg_hi, sums in pair._segments:
@@ -194,12 +193,12 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
         y = seg_lo
         for k, (coef_y, coef_const, slope) in enumerate(sums):
             if slope > tol:
-                bound = (targets[k] - coef_const) / slope
+                bound = (target[k] - coef_const) / slope
                 if bound > y:
                     y = bound
                     if y > seg_hi:
                         break
-            elif coef_y * mid + coef_const * (1.0 - mid) < targets[k] - tol:
+            elif coef_y * mid + coef_const * (1.0 - mid) < target[k] - tol:
                 # constraint is (numerically) constant on the segment
                 break
         else:

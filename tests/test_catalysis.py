@@ -189,9 +189,10 @@ class TestExtremeCatalysts:
 
 
 def reference_joint(pair, c, d=None):
-    """The joint test in Fraction arithmetic: does b (x) d majorize a (x) c,
-    with d = c for membership?  Reference for the pair's integer test."""
-    return majorizes(kron(pair.b, c if d is None else d), kron(pair.a, c), EXACT_POLICY)
+    """The joint test as kron and majorizes in the pair's arithmetic: does
+    b (x) d majorize a (x) c, with d = c for membership?  Reference for the
+    pair's prefix-sum test, on integers in exact mode and floats otherwise."""
+    return majorizes(kron(pair.b, c if d is None else d), kron(pair.a, c), pair.policy)
 
 
 def _toward(end: float) -> list:
@@ -267,6 +268,54 @@ class TestScaledMembership:
                     assert got == reference_joint(pair, c, d), d
                     verdicts[got] += 1
         assert verdicts[True] > 10 and verdicts[False] > 100
+
+
+class TestFloatMembership:
+    """Float membership and joint checks run on the pair's cached prefix sums;
+    every verdict must equal majorization of the float products bit for bit."""
+
+    def test_membership_matches_kron_reference(self):
+        rng = random.Random(6021)
+        verdicts = Counter()
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng)
+            interval = rank2_catalyst_interval(pair)
+            xs = [min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(0, 501, 20)]
+            xs += _toward(interval.x_min) + _toward(interval.x_max)
+            xs += [interval.x_min, interval.x_max]
+            loans = [probe_two_level(x, pair.policy) for x in xs]
+            loans += [make_schmidt(random_sorted_simplex(rng, 3)) for _ in range(2)]
+            for c in loans:
+                got = is_catalyst(pair, c)
+                assert got == reference_joint(pair, c), (pair, c)
+                verdicts[got] += 1
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+    def test_joint_check_pads_either_side(self):
+        # a rank-3 loan against returned states of rank 2 to 4, so the
+        # b (x) d side is shorter than, as long as, or longer than the
+        # target; each vector also appears scaled just off the simplex, where
+        # repeating the shorter side's last prefix sum differs from padding
+        # it with 0 or 1
+        rng = random.Random(6022)
+        verdicts = Counter()
+
+        def off_simplex(v):
+            return SchmidtVector(x * (1 - 1e-9) for x in v)
+
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng)
+            c = make_schmidt(random_sorted_simplex(rng, 3))
+            for loan in (c, off_simplex(c)):
+                target = pair.joint_target(loan)
+                for r in (2, 3, 4):
+                    for parts in _ordered_simplex_grid(r, 7):
+                        d = SchmidtVector(k / 7 for k in parts)
+                        for v in (d, off_simplex(d)):
+                            got = pair.joint_feasible(target, v)
+                            assert got == reference_joint(pair, loan, v), (pair, loan, v)
+                            verdicts[len(v), got] += 1
+        assert all(verdicts[r, True] > 10 and verdicts[r, False] > 10 for r in (2, 3, 4))
 
 
 class TestMaxCatalystEntropy:

@@ -158,6 +158,15 @@ class TestGainSweep:
         assert payload["oracle_gain"] is None
         assert "no oracle applies" in err
 
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+    @pytest.mark.parametrize("c", ["1", "0.6,0.4"], ids=["separable", "two-level"])
+    def test_loan_on_pair_needing_no_catalyst_exits_2(self, capsys, mode, c):
+        # a reaches b unaided; the exact separable loan died with an IndexError
+        code, out, err = run(capsys, "gain-sweep", *mode, "--a", "0.5,0.3,0.2",
+                             "--b", "0.6,0.3,0.1", "--c", c)
+        assert (code, out) == (2, "")
+        assert err == "error: the transformation already succeeds without a catalyst\n"
+
     def test_exact_rank3_loan_search(self, capsys):
         # the exact simplex grid, hill-climb and random samples of the rank >= 3 searches
         argv = ["gain-sweep", "--a", A1, "--b", B1, "--c", "1/2,3/10,1/5"]

@@ -1,13 +1,11 @@
 """Gain computation, exact optimization, bounds, sweeps, constructions."""
 
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-import supercat.schmidt
 import supercat.supercatalysis
 from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
                       bound_gmax, check_supercatalytic, entropy, epsilon_family, gain,
@@ -152,6 +150,18 @@ class TestGmaxGivenC:
             assert majorizes(kron(pair.b, d), kron(pair.a, c), pair.policy)
             assert nielsen_convertible(d, c, pair.policy)
             assert 0.0 <= result.gain <= 1.0
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_loan_on_pair_needing_no_catalyst_rejected(self, policy):
+        # a separable loan is a catalyst only of a pair that needs none; the
+        # exact solve then indexed past the n joint prefix sums of a (x) c
+        pair = CatalyticPair(make_schmidt((0.5, 0.3, 0.2), policy),
+                             make_schmidt((0.6, 0.3, 0.1), policy), policy)
+        loan = make_schmidt((1,), policy)
+        assert not pair.nontrivial and is_catalyst(pair, loan)
+        for fn in (gmax_given_c, bound_gmax):
+            with pytest.raises(PreconditionViolated, match="already succeeds without a catalyst"):
+                fn(pair, loan)
 
     def test_rank2_seed_lifts_the_cap3_search(self):
         # the grid and hill-climb alone reach 0.04130127; the exact rank-2
@@ -375,21 +385,16 @@ class TestSweep:
             tilde_gmax_sweep(pair, n_points=11)
 
     def test_each_x_evaluated_once_with_one_loan_check(self, monkeypatch):
-        # count calls in every supercat module that binds the function, since
-        # the package imports names with "from .schmidt import kron"
+        # every joint check, float or exact, goes through the pair's two methods
         counts = Counter()
-        modules = [m for name, m in sys.modules.items()
-                   if name == "supercat" or name.startswith("supercat.")]
-        for name in ("kron", "majorizes"):
-            original = getattr(supercat.schmidt, name)
+        for name in ("joint_target", "joint_feasible"):
+            original = getattr(CatalyticPair, name)
 
-            def counted(*args, _name=name, _fn=original):
+            def counted(self, *args, _name=name, _fn=original):
                 counts[_name] += 1
-                return _fn(*args)
+                return _fn(self, *args)
 
-            for mod in modules:
-                if getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, counted)
+            monkeypatch.setattr(CatalyticPair, name, counted)
         evaluated = []
         original_gmax = supercat.supercatalysis.gmax_given_c
 
@@ -406,8 +411,8 @@ class TestSweep:
         distinct = len(set(evaluated))
         assert len(evaluated) == distinct
         assert distinct <= 290
-        assert counts["majorizes"] == distinct
-        assert counts["kron"] == 2 * distinct
+        assert counts["joint_target"] == distinct
+        assert counts["joint_feasible"] == distinct
 
 
 class TestRankReduceReturned:
