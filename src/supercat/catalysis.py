@@ -6,6 +6,13 @@ set of two-level catalysts (x, 1-x) is a closed interval in x, computed here
 in closed form; its endpoints are the least and most entangled two-level
 catalysts.  For higher catalyst ranks only search-based lower bounds on the
 maximal catalyst entropy are available.
+
+The candidates of the rank >= 3 searches (E_r here, the returned-state grid
+in supercatalysis) do not depend on the pair.  Each search builds its table
+once per process per (rank, grid steps, arithmetic), on first use, sorted by
+decreasing entropy, and stops at its first member.  The result is that of
+the full scan: the highest-entropy member, ties going to the candidate
+listed first.
 """
 
 from __future__ import annotations
@@ -13,15 +20,16 @@ from __future__ import annotations
 import math
 import operator
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, zip_longest
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
-from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
-                      _coerce_vector, _constants, binary_entropy, entropy, nielsen_convertible,
-                      prefix_sums, schmidt_rank)
+from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector,
+                      _coerce, _coerce_vector, _constants, binary_entropy, entropy,
+                      nielsen_convertible, prefix_sums, schmidt_rank)
 
 #: Width below which a bisected verdict boundary counts as located.
 REFINE_TOL = 1e-9
@@ -329,9 +337,12 @@ def probe_two_level(x: Real, policy: ComparisonPolicy) -> SchmidtVector:
 
     x is read by schmidt._coerce, the rule of make_schmidt: in exact mode a
     float means its shortest decimal, so 0.6 is 3/5.  The vector sums to
-    exactly 1 and membership verdicts carry no rounding noise.
+    exactly 1 and membership verdicts carry no rounding noise.  A finite
+    float in float mode, such as every scan point and bisection midpoint,
+    is already what _coerce would return and is used as it is.
     """
-    x = _coerce(x, policy)
+    if type(x) is not float or policy.exact or not math.isfinite(x):
+        x = _coerce(x, policy)
     return SchmidtVector((x, 1 - x))
 
 
@@ -380,12 +391,6 @@ def _affine_grid(lo: Real, hi: Real, n: int):
     """n evenly spaced points from lo to hi, both included."""
     span = hi - lo
     return [lo + span * i / (n - 1) for i in range(n)]
-
-
-def _probe_simplex(parts, steps: int, policy: ComparisonPolicy) -> SchmidtVector:
-    if policy.exact:
-        return SchmidtVector(Fraction(k, steps) for k in parts)
-    return SchmidtVector(k / steps for k in parts)
 
 
 def least_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
@@ -442,7 +447,9 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
     For r = 2 with main dimension at most 4 the answer is the binary entropy
     of the closed-form x_min, and is exact.  For larger ranks the catalyst
     set has no known characterization, so the value is a deterministic
-    grid-plus-random lower bound, flagged approximate.
+    grid-plus-random lower bound, flagged approximate: the most entropic
+    catalyst among the rank-2 one at x_min, the ordered simplex grid and
+    RANDOM_SAMPLES seeded points, found by _best_candidate.
     """
     if r < 1:
         raise PreconditionViolated("catalyst rank bound must be at least 1")
@@ -469,21 +476,62 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
             cert = probe_two_level(interval.x_min, pair.policy)
             best_val, best_cert = binary_entropy(interval.x_min), cert
 
-    candidates = [_probe_simplex(parts, SIMPLEX_STEPS, pair.policy)
-                  for parts in _ordered_simplex_grid(r, SIMPLEX_STEPS)]
-    rng = random.Random(SEARCH_SEED)
-    for _ in range(RANDOM_SAMPLES):
-        raw = sorted((rng.random() for _ in range(r)), reverse=True)
-        if pair.policy.exact:
-            raw = [_coerce(x, pair.policy) for x in raw]
-        total = sum(raw)
-        candidates.append(SchmidtVector(x / total for x in raw))
-
-    for v in candidates:
-        ent = entropy(v)
-        if ent > best_val and is_catalyst(pair, v):
-            best_val, best_cert = ent, v
-
+    found = _best_candidate(r, SIMPLEX_STEPS, RANDOM_SAMPLES, pair.policy, best_val,
+                            lambda v: is_catalyst(pair, v))
+    if found is not None:
+        best_val, best_cert = found
     if best_cert is None:
         raise EmptyCatalystSet(f"no catalyst of rank <= {r} found within the search budget")
     return CatalystEntropySearch(best_val, best_cert, False)
+
+
+@cache
+def _candidate_table(r: int, steps: int, samples: int, exact: bool) -> tuple:
+    """The pair-independent candidates of a rank-r search, by decreasing entropy.
+
+    The candidates are the ordered simplex grid of the given steps, then
+    samples seeded random points (RANDOM_SAMPLES for E_r, none for the
+    returned-state grid).  Returns (entropies, coefficients): the entropies
+    in an array('d'), sorted stably so that equal entropies keep the list
+    order, and each candidate's r coefficients flat in the same order, in an
+    array('d') in float mode and a tuple of Fractions in exact mode.  Built
+    on first use and shared for the life of the process, so callers only
+    read it.  Packed, the four float tables of ranks 3 and 4 take about
+    0.4 MB; held as SchmidtVectors they would take about 2.2 MB more.
+    """
+    if exact:
+        rows = [tuple(Fraction(k, steps) for k in parts)
+                for parts in _ordered_simplex_grid(r, steps)]
+    else:
+        rows = [tuple(k / steps for k in parts) for parts in _ordered_simplex_grid(r, steps)]
+    rng = random.Random(SEARCH_SEED)
+    for _ in range(samples):
+        raw = sorted((rng.random() for _ in range(r)), reverse=True)
+        if exact:
+            raw = [_coerce(x, EXACT_POLICY) for x in raw]
+        total = sum(raw)
+        rows.append(tuple(x / total for x in raw))
+    ents = [entropy(v) for v in rows]
+    order = sorted(range(len(rows)), key=ents.__getitem__, reverse=True)
+    coefs = [x for i in order for x in rows[i]]
+    return array("d", [ents[i] for i in order]), (tuple(coefs) if exact else array("d", coefs))
+
+
+def _best_candidate(r: int, steps: int, samples: int, policy: ComparisonPolicy, floor: float,
+                    member):
+    """(entropy, vector) of the first candidate of _candidate_table(r, steps,
+    samples) above floor that passes member, or None.
+
+    The table is sorted by decreasing entropy, so this is the highest-entropy
+    member above floor, ties going to the candidate listed first: exactly
+    what a full scan in list order keeping only strict improvements returns.
+    Each vector is built only when it is tested.
+    """
+    ents, coefs = _candidate_table(r, steps, samples, policy.exact)
+    for i, ent in enumerate(ents):
+        if ent <= floor:
+            break
+        v = SchmidtVector(coefs[i * r:i * r + r])
+        if member(v):
+            return ent, v
+    return None

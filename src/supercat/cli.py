@@ -45,6 +45,19 @@ def parse_vector(text: str, policy: ComparisonPolicy) -> SchmidtVector:
     return make_schmidt(parts, policy)
 
 
+def _read_number(tok: str):
+    """A token as parse_vector reads it, a rational, so that "1/100" and "0.01"
+    mean the same number.  Other tokens are left to float(): NaN, the
+    infinities and values beyond the float range become non-finite floats,
+    which schmidt._coerce rejects by name, and for malformed text float()
+    raises ValueError."""
+    try:
+        value = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        return float(tok)
+    return value if abs(value) <= sys.float_info.max else float(tok)
+
+
 def _policy_json(policy: ComparisonPolicy) -> dict:
     return {"mode": policy.mode, "tol_eq": policy.tol_eq, "tol_strict": policy.tol_strict}
 
@@ -211,7 +224,7 @@ def cmd_gain_sweep(args) -> int:
 def cmd_epsilon_family(args) -> int:
     policy = _policy_of(args)
     try:
-        eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
+        eps_values = [_read_number(tok.strip()) for tok in args.eps.split(",") if tok.strip()]
     except ValueError as exc:
         raise MalformedInput(f"cannot parse epsilon list {args.eps!r}: {exc}") from None
     if not eps_values:

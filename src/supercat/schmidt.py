@@ -210,8 +210,12 @@ def kron(u: SchmidtVector, v: SchmidtVector) -> SchmidtVector:
 
 
 def entropy(v: SchmidtVector) -> float:
-    """Entanglement entropy in bits, with 0*log(0) taken as 0."""
-    return -math.fsum(float(p) * math.log2(float(p)) for p in v if p > 0)
+    """Entanglement entropy in bits, with 0*log(0) taken as 0.
+
+    Each coefficient is taken as a float first, so an exact coefficient below
+    the float range counts as 0, as its term p*log(p) does in the limit.
+    """
+    return -math.fsum(p * math.log2(p) for p in map(float, v) if p > 0.0)
 
 
 def binary_entropy(x: Real) -> float:

@@ -13,7 +13,11 @@ found exactly: the prefix sums of b (x) (y, 1-y) are piecewise linear and
 nondecreasing in y with breakpoints where two product coefficients tie, so
 the feasible y form a single interval [y*, c1] and the optimum is its left
 end y*, the feasible point closest to 1/2.  Higher returned ranks fall back
-to a simplex grid search and are flagged approximate.
+to a simplex grid search and are flagged approximate.  The grid does not
+depend on the pair: it is built once per process per (rank, steps,
+arithmetic) and scanned in decreasing entropy, stopping at the first
+feasible state, which is the state the full scan picks.  A hill-climb then
+starts from it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _affine_grid,
-                        _ordered_simplex_grid, _probe_simplex, _require_interval, _require_loan,
-                        is_catalyst, max_catalyst_entropy, probe_two_level,
-                        rank2_catalyst_interval, returned_rank_bound)
+                        _best_candidate, _require_interval, _require_loan, is_catalyst,
+                        max_catalyst_entropy, probe_two_level, rank2_catalyst_interval,
+                        returned_rank_bound)
 from .errors import (InvalidConfiguration, InvalidEpsilon, NotACatalyst, PreconditionViolated,
                      ZeroDenominator)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
@@ -258,7 +262,12 @@ def _ordered_descending(t) -> bool:
 def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
                     target) -> GainResult:
     """Approximate best gain over returned states of rank <= rank_cap;
-    target is pair.joint_target(c)."""
+    target is pair.joint_target(c).
+
+    The most entropic of c, the exact rank-2 optimum for a two-level c, and
+    the feasible states of the simplex grid (catalysis._best_candidate)
+    seeds a hill-climb.
+    """
     policy = pair.policy
     ent_c = entropy(c)
 
@@ -273,11 +282,9 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
             best_ent, best_d = ent, seed.returned_state
 
     grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
-    for parts in _ordered_simplex_grid(rank_cap, grid_steps):
-        v = _probe_simplex(parts, grid_steps, policy)
-        ent = entropy(v)
-        if ent > best_ent and feasible(v):
-            best_ent, best_d = ent, v
+    found = _best_candidate(rank_cap, grid_steps, 0, policy, best_ent, feasible)
+    if found is not None:
+        best_ent, best_d = found
 
     # local hill-climb around the best candidate with shrinking moves
     zero, _, one = _constants(policy.exact)

@@ -1,19 +1,26 @@
 """Catalyst membership, the closed-form interval, extreme catalysts, E_r."""
 
+import math
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from supercat import (CatalyticPair, EXACT_POLICY, SchmidtVector, binary_entropy, entropy,
-                      is_catalyst, kron, least_entangled_rank2_catalyst, majorizes, make_schmidt,
+import supercat
+from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
+                      bound_gmax, entropy, gmax_given_c, is_catalyst, kron,
+                      least_entangled_rank2_catalyst, majorizes, make_schmidt,
                       max_catalyst_entropy, most_entangled_rank2_catalyst,
                       necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
                       returned_rank_bound, tilde_gmax_sweep)
-from supercat.catalysis import (REFINE_TOL, SCAN_RESOLUTION, _ordered_simplex_grid,
+from supercat.catalysis import (RANDOM_SAMPLES, REFINE_TOL, SCAN_RESOLUTION, SEARCH_SEED,
+                                SIMPLEX_STEPS, _candidate_table, _ordered_simplex_grid,
                                 probe_two_level)
-from supercat.errors import EmptyCatalystSet, PreconditionViolated
+from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 
 from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
@@ -51,6 +58,18 @@ class TestProbeTwoLevel:
     def test_exact_probe_reads_float_as_shortest_decimal(self):
         assert probe_two_level(0.6, EXACT_POLICY) == make_schmidt((0.6, 0.4), EXACT_POLICY)
         assert probe_two_level(0.6, EXACT_POLICY) == (Fraction(3, 5), Fraction(2, 5))
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_not_normalized(self, x, policy):
+        # a finite float skips the reader in float mode; these must not
+        with pytest.raises(NotNormalized, match="non-finite"):
+            probe_two_level(x, policy)
+
+    def test_float_probe_keeps_the_float(self):
+        x = 0.6180339887498949
+        assert probe_two_level(x, FLOAT_POLICY) == (x, 1 - x)
+        assert probe_two_level("1/2", FLOAT_POLICY) == (0.5, 0.5)
 
 
 class TestNecessaryConditions:
@@ -365,6 +384,122 @@ class TestMaxCatalystEntropy:
         s2 = max_catalyst_entropy(pairs["2"], 3)
         assert s1.value == s2.value
         assert s1.certificate == s2.certificate
+
+
+def reference_search_candidates(r: int, exact: bool) -> list:
+    """(entropy, vector) of each candidate of the rank-r E_r search, in the
+    list order the full scan visits: the ordered simplex grid, then the
+    seeded random samples read by the exact-mode rule."""
+    steps = SIMPLEX_STEPS
+    if exact:
+        vectors = [SchmidtVector(Fraction(k, steps) for k in parts)
+                   for parts in _ordered_simplex_grid(r, steps)]
+    else:
+        vectors = [SchmidtVector(k / steps for k in parts)
+                   for parts in _ordered_simplex_grid(r, steps)]
+    rng = random.Random(SEARCH_SEED)
+    for _ in range(RANDOM_SAMPLES):
+        raw = sorted((rng.random() for _ in range(r)), reverse=True)
+        if exact:
+            raw = [Fraction(str(x)) for x in raw]
+        total = sum(raw)
+        vectors.append(SchmidtVector(x / total for x in raw))
+    return [(entropy(v), v) for v in vectors]
+
+
+def reference_max_catalyst_entropy(pair, candidates) -> tuple:
+    """(value, certificate) of the rank >= 3 search as a full linear scan:
+    the rank-2 catalyst at x_min seeds it, and a candidate replaces the best
+    when it is strictly more entropic and a catalyst.  None for no catalyst."""
+    best_val, best_cert = -1.0, None
+    if pair.dim4:
+        interval = rank2_catalyst_interval(pair)
+        if interval.nonempty:
+            best_val = binary_entropy(interval.x_min)
+            best_cert = probe_two_level(interval.x_min, pair.policy)
+    for ent, v in candidates:
+        if ent > best_val and is_catalyst(pair, v):
+            best_val, best_cert = ent, v
+    return None if best_cert is None else (best_val, best_cert)
+
+
+def random_blocked_rank5_pair(rng):
+    """A blocked pair of ranks 5 and 4, where no rank-2 seed applies."""
+    while True:
+        pair = CatalyticPair(make_schmidt(random_sorted_simplex(rng, 5)),
+                             make_schmidt(random_sorted_simplex(rng, 4)))
+        if pair.nontrivial:
+            return pair
+
+
+#: a float pair with a narrow two-level interval (width 2.6e-3), where the
+#: rank-2 catalyst at x_min beats every candidate of the rank-3 table, though
+#: some of them are catalysts too
+SEED_WINS_AT_RANK_3 = CatalyticPair(
+    SchmidtVector((0.4845759237219045, 0.4006514095594077, 0.07002214467475609,
+                   0.044750522043931706)),
+    SchmidtVector((0.6500268205660034, 0.1937579033957474, 0.12768976782103214,
+                   0.02852550821721711)))
+
+
+class TestCandidateTables:
+    """max_catalyst_entropy scans a pair-independent candidate table in
+    decreasing entropy and stops at the first catalyst; each result must
+    equal the full linear scan's exactly."""
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_search_matches_linear_scan(self, r, exact_pairs):
+        rng = random.Random(6030 + r)
+        cases = [random_nontrivial_pair(rng) for _ in range(100)]
+        cases += [random_blocked_rank5_pair(rng) for _ in range(10)]
+        cases += [*exact_pairs.values(), SEED_WINS_AT_RANK_3]
+        candidates = {exact: reference_search_candidates(r, exact) for exact in (False, True)}
+        outcomes = Counter()
+        for pair in cases:
+            want = reference_max_catalyst_entropy(pair, candidates[pair.policy.exact])
+            if want is None:
+                with pytest.raises(EmptyCatalystSet):
+                    max_catalyst_entropy(pair, r)
+                outcomes["empty"] += 1
+                continue
+            search = max_catalyst_entropy(pair, r)
+            assert (search.value, search.certificate) == want, pair
+            assert search.certificate.exact == pair.policy.exact
+            outcomes[len(search.certificate)] += 1
+        # most results come from the table; most rank-5 pairs have no catalyst
+        # of rank r, so their scans run to the end of the table
+        assert outcomes[r] > 50 and outcomes["empty"] > 0
+        assert outcomes[2] == (r == 3)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_table_sorted_by_entropy_in_list_order(self, r, exact):
+        # at rank 4 a few distinct candidates share an entropy, so the
+        # order of ties is checked too
+        ents, coefs = _candidate_table(r, SIMPLEX_STEPS, RANDOM_SAMPLES, exact)
+        want = sorted(reference_search_candidates(r, exact), key=lambda t: t[0], reverse=True)
+        assert list(ents) == [ent for ent, _ in want]
+        assert list(coefs) == [x for _, v in want for x in v]
+
+    def test_second_pair_builds_no_table(self, pairs):
+        # a rank-3 loan of a bundled pair has returned-rank cap 4, so the gain
+        # scans the cap-4 grid and its bound the rank-4 E_r table
+        c = vec(0.5, 0.3, 0.2)
+        for search in (lambda pair: max_catalyst_entropy(pair, 3),
+                       lambda pair: (gmax_given_c(pair, c), bound_gmax(pair, c))):
+            search(pairs["1"])
+            misses = _candidate_table.cache_info().misses
+            search(pairs["2"])
+            assert _candidate_table.cache_info().misses == misses
+
+    def test_import_builds_no_table(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import supercat, supercat.cli; "
+                "from supercat.catalysis import _candidate_table; "
+                "print(_candidate_table.cache_info().currsize)")
+        src = Path(supercat.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.split() == ["0"]
 
 
 class TestReturnedRankBound:

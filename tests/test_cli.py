@@ -243,6 +243,32 @@ class TestEpsilonFamily:
         code, _, _ = run(capsys, "epsilon-family", "--eps", "abc")
         assert code == 1
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_rational_epsilon_reads_as_its_decimal(self, capsys, exact):
+        # "1/100" is read like a vector entry, as the number 0.01 is
+        flags = ["--exact"] if exact else []
+        code, out, err = run(capsys, "epsilon-family", "--eps", "1/100,1/10000", *flags)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, "epsilon-family", "--eps", "0.01,0.0001", *flags)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_epsilon_beyond_float_range_is_non_finite(self, capsys, exact):
+        flags = ["--exact"] if exact else []
+        code, _, err = run(capsys, "epsilon-family", "--eps", "1e500", *flags)
+        assert (code, err) == (1, "error: non-finite epsilon inf\n")
+
+    def test_exact_epsilon_with_levels_below_float_range(self, capsys):
+        # eps**2 = 1e-400 is a level of b; its entropy term raised a bare
+        # ValueError where its float underflowed to 0
+        code, out, _ = run(capsys, "epsilon-family", "--exact", "--eps", "1e-200")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["ok"] is True
+
+    def test_zero_denominator_epsilon_exits_1(self, capsys):
+        code, _, err = run(capsys, "epsilon-family", "--eps", "1/0")
+        assert code == 1
+        assert "cannot parse epsilon list" in err
+
 
 class TestExamples:
     def test_end_to_end(self, capsys, tmp_path):

@@ -192,6 +192,12 @@ class TestEntropy:
         assert entropy(vec(0.4, 0.4, 0.1, 0.1)) == pytest.approx(1.7219280948873623,
                                                                  abs=1e-12)
 
+    def test_exact_coefficient_below_float_range(self):
+        # the coefficient is positive but its float is 0, where log2 raised
+        v = make_schmidt(("1/2", "1/2", "1e-400"), EXACT_POLICY)
+        assert v[2] > 0 and float(v[2]) == 0.0
+        assert entropy(v) == 1.0
+
 
 class TestBinaryEntropy:
     def test_half(self):

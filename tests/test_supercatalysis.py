@@ -12,14 +12,15 @@ from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, 
                       gmax_given_c, is_catalyst, kron, least_entangled_rank2_catalyst, majorizes,
                       make_schmidt, most_entangled_rank2_catalyst, nielsen_convertible,
                       prefix_sums, rank2_catalyst_interval, rank_reduce_returned,
-                      returned_rank_bound, tilde_gmax_sweep, trivial_swap_construction,
-                      verify_epsilon_family)
-from supercat.catalysis import _affine_grid, probe_two_level
+                      returned_rank_bound, schmidt_rank, tilde_gmax_sweep,
+                      trivial_swap_construction, verify_epsilon_family)
+from supercat.catalysis import _affine_grid, _ordered_simplex_grid, probe_two_level
 from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon,
                              NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
 from supercat.examples import example_pair
 from supercat.schmidt import _constants
-from supercat.supercatalysis import _exact_rank2_gain, _gain_bound, _min_feasible_y
+from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _gain_bound,
+                                     _min_feasible_y)
 
 from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
 
@@ -171,6 +172,111 @@ class TestGmaxGivenC:
         assert returned_rank_bound(pair, c) == 3
         seed = _exact_rank2_gain(pair, c, pair.joint_target(c))
         assert gmax_given_c(pair, c).gain >= seed.gain > 0.0413013
+
+
+def reference_grid_rank_gain(pair, c, rank_cap, target):
+    """The returned-state search at rank cap >= 3 with the full linear grid
+    scan: c, then the exact rank-2 optimum for a two-level c, then every grid
+    state in list order, each kept when strictly more entropic and feasible;
+    then the hill-climb from the best.  Reference for the search that scans
+    the grid in decreasing entropy and stops at the first feasible state."""
+    policy = pair.policy
+    ent_c = entropy(c)
+
+    def feasible(v):
+        return pair.joint_feasible(target, v) and majorizes(c, v, policy)
+
+    best_ent, best_d = ent_c, c
+    if schmidt_rank(c, policy) <= 2:
+        seed = _exact_rank2_gain(pair, c, target)
+        ent = entropy(seed.returned_state)
+        if ent > best_ent:
+            best_ent, best_d = ent, seed.returned_state
+
+    grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
+    for parts in _ordered_simplex_grid(rank_cap, grid_steps):
+        if policy.exact:
+            v = SchmidtVector(Fraction(k, grid_steps) for k in parts)
+        else:
+            v = SchmidtVector(k / grid_steps for k in parts)
+        ent = entropy(v)
+        if ent > best_ent and feasible(v):
+            best_ent, best_d = ent, v
+
+    zero, _, one = _constants(policy.exact)
+    cur = best_d.padded(rank_cap)[:rank_cap]
+    step = one / grid_steps
+    while step > 1e-7:
+        improved = False
+        for i in range(rank_cap):
+            for j in range(rank_cap):
+                if i == j:
+                    continue
+                cand = list(cur)
+                cand[i] += step
+                cand[j] -= step
+                cand.sort(reverse=True)
+                if cand[-1] < zero:
+                    continue
+                v = SchmidtVector(cand)
+                ent = entropy(v)
+                if ent > best_ent and feasible(v):
+                    best_ent, best_d, cur = ent, v, tuple(cand)
+                    improved = True
+        if not improved:
+            step /= 2
+    if best_ent <= ent_c + 1e-12:
+        return GainResult(0.0, c, GRID_METHOD)
+    g = (best_ent - ent_c) / pair.entropy_drop
+    return GainResult(min(max(g, 0.0), 1.0), best_d, GRID_METHOD)
+
+
+def random_rank3_loan(rng, pair):
+    """A random rank-3 catalyst of the pair, its last level at least 1e-3."""
+    while True:
+        c = make_schmidt(random_sorted_simplex(rng, 3), pair.policy)
+        if c[2] >= 1e-3 and is_catalyst(pair, c):
+            return c
+
+
+class TestGridRankGain:
+    """At returned-rank cap >= 3 the grid is scanned in decreasing entropy up
+    to its first feasible state; every result must equal the full scan's."""
+
+    def test_matches_linear_scan(self, pairs):
+        # the bundled outputs have rank 3, so a rank-3 loan has cap 4 there;
+        # the random pairs have ranks 4 and 4, so cap 3
+        rng = random.Random(6051)
+        cases = [pairs[name] for name in "1234" for _ in range(15)]
+        cases += [random_nontrivial_pair(rng, min_width=0.02) for _ in range(60)]
+        caps = Counter()
+        for pair in cases:
+            c = random_rank3_loan(rng, pair)
+            cap = returned_rank_bound(pair, c)
+            want = reference_grid_rank_gain(pair, c, cap, pair.joint_target(c))
+            assert gmax_given_c(pair, c) == want, (pair, c)
+            caps[cap, want.gain > 0] += 1
+        assert all(caps[cap, True] >= 20 for cap in (3, 4))
+
+    def test_two_level_loans_match_linear_scan(self):
+        # ranks 5 and 3: a two-level loan has cap 3, and the exact rank-2
+        # optimum is the floor of the grid scan
+        pair = CatalyticPair(vec(0.5, 0.35, 0.05, 0.05, 0.05), vec(0.6, 0.2, 0.2))
+        for x in (0.63, 0.64, 0.646, 0.65, 0.66):
+            c = probe_two_level(x, pair.policy)
+            assert is_catalyst(pair, c) and returned_rank_bound(pair, c) == 3
+            want = reference_grid_rank_gain(pair, c, 3, pair.joint_target(c))
+            assert gmax_given_c(pair, c) == want, c
+
+    def test_exact_loans_match_linear_scan(self, exact_pairs):
+        c = make_schmidt(("1/2", "3/10", "1/5"), EXACT_POLICY)
+        for name in "14":
+            pair = exact_pairs[name]
+            assert is_catalyst(pair, c)
+            want = reference_grid_rank_gain(pair, c, returned_rank_bound(pair, c),
+                                            pair.joint_target(c))
+            got = gmax_given_c(pair, c)
+            assert got == want and got.returned_state.exact
 
 
 class TestLoanArithmetic:
