@@ -23,7 +23,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, zip_longest
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
@@ -337,12 +337,9 @@ def probe_two_level(x: Real, policy: ComparisonPolicy) -> SchmidtVector:
 
     x is read by schmidt._coerce, the rule of make_schmidt: in exact mode a
     float means its shortest decimal, so 0.6 is 3/5.  The vector sums to
-    exactly 1 and membership verdicts carry no rounding noise.  A finite
-    float in float mode, such as every scan point and bisection midpoint,
-    is already what _coerce would return and is used as it is.
+    exactly 1 and membership verdicts carry no rounding noise.
     """
-    if type(x) is not float or policy.exact or not math.isfinite(x):
-        x = _coerce(x, policy)
+    x = _coerce(x, policy)
     return SchmidtVector((x, 1 - x))
 
 
@@ -485,7 +482,7 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
     return CatalystEntropySearch(best_val, best_cert, False)
 
 
-@cache
+@lru_cache(maxsize=8)
 def _candidate_table(r: int, steps: int, samples: int, exact: bool) -> tuple:
     """The pair-independent candidates of a rank-r search, by decreasing entropy.
 
@@ -495,9 +492,11 @@ def _candidate_table(r: int, steps: int, samples: int, exact: bool) -> tuple:
     in an array('d'), sorted stably so that equal entropies keep the list
     order, and each candidate's r coefficients flat in the same order, in an
     array('d') in float mode and a tuple of Fractions in exact mode.  Built
-    on first use and shared for the life of the process, so callers only
-    read it.  Packed, the four float tables of ranks 3 and 4 take about
-    0.4 MB; held as SchmidtVectors they would take about 2.2 MB more.
+    on first use and shared, so callers only read it; the process keeps the
+    eight tables used last (the four of caps 3 and 4 in each arithmetic),
+    so a large-rank search does not pin its table for the process's life.
+    Packed, the four float tables of ranks 3 and 4 take about 0.4 MB; held
+    as SchmidtVectors they would take about 2.2 MB more.
     """
     if exact:
         rows = [tuple(Fraction(k, steps) for k in parts)
@@ -513,7 +512,7 @@ def _candidate_table(r: int, steps: int, samples: int, exact: bool) -> tuple:
         rows.append(tuple(x / total for x in raw))
     ents = [entropy(v) for v in rows]
     order = sorted(range(len(rows)), key=ents.__getitem__, reverse=True)
-    coefs = [x for i in order for x in rows[i]]
+    coefs = (x for i in order for x in rows[i])
     return array("d", [ents[i] for i in order]), (tuple(coefs) if exact else array("d", coefs))
 
 

@@ -62,7 +62,6 @@ class TestProbeTwoLevel:
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_not_normalized(self, x, policy):
-        # a finite float skips the reader in float mode; these must not
         with pytest.raises(NotNormalized, match="non-finite"):
             probe_two_level(x, policy)
 
