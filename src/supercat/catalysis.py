@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector,
@@ -98,67 +98,72 @@ class CatalyticPair:
         return _closed_form_interval(self)
 
     @cached_property
+    def _b_top(self) -> Real:
+        return max(self.b)
+
+    @cached_property
     def _scaled(self) -> tuple:
-        """Exact mode: (D, A, B), a and b as integers over their common denominator D."""
+        """Exact mode: (A, B), a and b as integers over their common denominator D."""
         d = math.lcm(*(x.denominator for x in self.a + self.b))
-        return (d, tuple(x.numerator * (d // x.denominator) for x in self.a),
+        return (tuple(x.numerator * (d // x.denominator) for x in self.a),
                 tuple(x.numerator * (d // x.denominator) for x in self.b))
 
     @cached_property
     def _segments(self) -> tuple:
         if self.policy.exact:
-            return _breakpoint_segments(self._scaled[2], True)
+            return _breakpoint_segments(self._scaled[1], True)
         return _breakpoint_segments(self.b, False)
 
     def joint_target(self, c: SchmidtVector):
         """The side a (x) c of the joint test for the loan c, built once per loan.
 
         Float mode: the prefix sums of the sorted products a_i c_j, which are
-        prefix_sums(kron(a, c)).  Exact mode: (q, sums), where q is the lcm of
-        c's denominators and sums are the prefix sums of the sorted integer
-        products A_i C_j with C_j = c_j q, all over the denominator D q.
+        prefix_sums(kron(a, c)).  Exact mode: (q, sums, c, C), where q is the
+        lcm of c's denominators, C_j = c_j q, and sums are the prefix sums of
+        the sorted integer products A_i C_j, all over the denominator D q.
         """
         if not self.policy.exact:
             return _product_prefix_sums(self.a, c)
         q, ints = _scaled_vector(c)
-        return q, _product_prefix_sums(self._scaled[1], ints)
+        return q, _product_prefix_sums(self._scaled[0], ints), c, ints
 
     def joint_feasible(self, target, d: SchmidtVector) -> bool:
         """Does b (x) d majorize a (x) c, for target = joint_target(c)?
 
-        d must be in the pair's arithmetic.  In float mode the prefix sums of
-        the products b_i d_j are compared with the target's with tol_eq
-        slack; past the shorter side its last prefix sum repeats, which is
-        what zero padding gives inside majorizes.  In exact mode the prefix
-        sums of the integer products B_i D_j are compared with the target's.
-        They share its denominator D q when d's denominator is q, as for
-        d = c; otherwise both sides are multiplied once by the other's
-        denominator.
+        d must be in the pair's arithmetic, in any order, with no negative
+        entry.  The target's prefix sums are compared with those of the
+        sorted products b_i d_j; past a shorter b (x) d its last prefix sum
+        repeats, as zero padding gives inside majorizes, and a shorter target
+        needs none, as the sums of b (x) d only grow.  Float mode allows
+        tol_eq slack and tests k = 1 first, on the largest product
+        max(b) max(d), so a probe failing there is rejected before anything
+        is sorted.  Exact mode compares integers B_i D_j, reusing the loan's
+        own when d is the loan.  Both sides share the denominator D q when
+        d's is q; otherwise each is multiplied by the other's.
         """
         if not self.policy.exact:
-            sums_b, tol = _product_prefix_sums(self.b, d), self.policy.tol_eq
-            extra = len(target) - len(sums_b)
-            if extra > 0:
-                sums_b += sums_b[-1:] * extra
-            elif extra < 0:
-                target += target[-1:] * -extra
-            return all(sa <= sb + tol for sa, sb in zip(target, sums_b))
-        q, sums_a = target
-        qd, ints = _scaled_vector(d)
-        B = self._scaled[2]
-        sums_b = accumulate(sorted((x * y for x in B for y in ints), reverse=True))
-        full = self._scaled[0] * q
-        if qd != q:
-            sums_a = (s * qd for s in sums_a)
-            sums_b = (s * q for s in sums_b)
-            full *= qd
-        # past the shorter side its prefix sum stays at the common total
-        return all(sa <= sb for sa, sb in zip_longest(sums_a, sums_b, fillvalue=full))
+            tol = self.policy.tol_eq
+            if target[0] > self._b_top * max(d) + tol:
+                return False
+            sums_a, sums_b = target, _product_prefix_sums(self.b, d)
+        else:
+            q, sums_a, c, ints = target
+            qd, ints = (q, ints) if d is c else _scaled_vector(d)
+            sums_b = _product_prefix_sums(self._scaled[1], ints)
+            if qd != q:
+                sums_a = [s * qd for s in sums_a]
+                sums_b = [s * q for s in sums_b]
+        sums_b += sums_b[-1:] * (len(sums_a) - len(sums_b))  # no-op when not shorter
+        if self.policy.exact:
+            return all(map(operator.le, sums_a, sums_b))
+        return all(map(operator.le, sums_a, map(operator.add, sums_b, repeat(tol))))
 
 
 def _product_prefix_sums(u, v) -> tuple:
     """Prefix sums of all products u_i v_j, sorted in decreasing order."""
-    return tuple(accumulate(sorted((x * y for x in u for y in v), reverse=True)))
+    products = [x * y for x in u for y in v]
+    products.sort(reverse=True)
+    return tuple(accumulate(products))
 
 
 def _scaled_vector(v: SchmidtVector) -> tuple:

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .catalysis import REFINE_TOL, CatalyticPair, rank2_catalyst_interval, returned_rank_bound
@@ -258,7 +259,9 @@ def cmd_examples(args) -> int:
     return status
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="supercat",
                                      description="supercatalytic entanglement gain toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

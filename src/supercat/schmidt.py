@@ -15,7 +15,8 @@ without ambiguity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from itertools import accumulate
 from typing import ClassVar, Iterable, Sequence, Union
@@ -34,21 +35,21 @@ class ComparisonPolicy:
 
     mode:        "float" compares with the fixed absolute tolerances below,
                  "exact" compares rationals exactly (both are ignored).
+    exact:       mode == "exact", set once on construction; it is read on
+                 every probe, and takes no part in equality, hash or repr.
     tol_eq:      slack allowed when testing non-strict inequalities/equality.
     tol_strict:  margin required before an inequality counts as strict.
     """
 
     mode: str = "float"
+    exact: bool = field(init=False, compare=False, repr=False)
     tol_eq: ClassVar[float] = 1e-12
     tol_strict: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         if self.mode not in ("float", "exact"):
             raise ValueError(f"unknown comparison mode {self.mode!r}")
-
-    @property
-    def exact(self) -> bool:
-        return self.mode == "exact"
+        object.__setattr__(self, "exact", self.mode == "exact")
 
     def leq(self, x: Real, y: Real) -> bool:
         """x <= y, up to tol_eq slack in float mode."""
@@ -119,16 +120,21 @@ def _coerce(x, policy: ComparisonPolicy, what: str = "coefficient"):
     """x in the policy's arithmetic; what names x in the NotNormalized message.
 
     Anything but a float is read as a Fraction first, so "1/2" and "0.1" mean
-    the same number in both modes (float mode then rounds it correctly).
+    the same number in both modes (float mode then rounds it correctly).  In
+    float mode a finite float, such as every float probe, is returned at once.
     """
+    if type(x) is float and not policy.exact and math.isfinite(x):
+        return x
     try:
         if not isinstance(x, float):
             x = Fraction(x)
             if policy.exact:
                 return x
         x = float(x)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise NotNormalized(f"{what} {x!r} is not a finite number") from None
+    except OverflowError:
+        raise NotNormalized(f"{what} {_brief(x)} is beyond the float range") from None
     if not math.isfinite(x):
         raise NotNormalized(f"non-finite {what} {x}")
     # exact mode reads a float by its shortest decimal repr, so a
@@ -148,10 +154,10 @@ def make_schmidt(raw: Iterable[Real], policy: ComparisonPolicy = FLOAT_POLICY) -
         raise NotNormalized("empty coefficient list")
     low = min(entries)
     if low < -NORM_TOL:
-        raise NegativeEntry(f"coefficient {low} below -{NORM_TOL}")
+        raise NegativeEntry(f"coefficient {_brief(low)} below -{NORM_TOL}")
     total = _total(entries)
     if abs(total - 1) > NORM_TOL:
-        raise NotNormalized(f"coefficients sum to {total}, not 1")
+        raise NotNormalized(f"coefficients sum to {_brief(total)}, not 1")
     zero = _constants(policy.exact)[0]
     entries = [max(x, zero) for x in entries]
     total = _total(entries)
@@ -160,9 +166,18 @@ def make_schmidt(raw: Iterable[Real], policy: ComparisonPolicy = FLOAT_POLICY) -
     return SchmidtVector(entries)
 
 
+def _brief(x) -> str:
+    """x for an error message: str(x), or 12 significant digits for a rational of
+    more than about 30, such as 1e500 (str of an int past 4300 digits raises)."""
+    if isinstance(x, (int, Fraction)) and (x.numerator * x.denominator).bit_length() > 99:
+        ctx = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        return format(ctx.normalize(ctx.divide(x.numerator, x.denominator)), "g")
+    return str(x)
+
+
 def _coerce_vector(v: SchmidtVector, policy: ComparisonPolicy) -> SchmidtVector:
-    """v in the policy's arithmetic; a vector already in it is kept as given."""
-    return v if v.exact == policy.exact else make_schmidt(v, policy)
+    """v in the policy's arithmetic; a nonempty vector already in it is kept as given."""
+    return v if v and v.exact == policy.exact else make_schmidt(v, policy)
 
 
 def _total(entries: Sequence[Real]):

@@ -213,13 +213,13 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
 def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple, hi: Fraction) -> Optional[Fraction]:
     """_min_feasible_y in exact mode, on integers.
 
-    target is (q, T) with T_k over D q, and the segment coefficients are
+    target is (q, T, c, C) with T_k over D q, and the segment coefficients are
     integers over D, so constraint k reads (coef_const + slope * y) q >= T_k.
     A slope is 0 or positive, and with slope 0 the constraint is the constant
     coef_const q >= T_k.  Every y is kept as a numerator and denominator and
     compared by cross-multiplying; only y* itself becomes a Fraction.
     """
-    q, sums_a = target
+    q, sums_a = target[:2]
     hn, hd = hi.numerator, hi.denominator
     for seg_lo, seg_hi, sums in pair._segments:
         yn, yd = seg_lo.numerator, seg_lo.denominator

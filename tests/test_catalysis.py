@@ -53,6 +53,15 @@ class TestIsCatalyst:
         convertible = CatalyticPair(vec(0.25, 0.25, 0.25, 0.25), vec(0.5, 0.25, 0.25, 0))
         assert is_catalyst(convertible, vec(1.0))
 
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_empty_vector_not_normalized(self, policy):
+        # a float pair kept an empty vector as given: is_catalyst called it a
+        # catalyst and gmax_given_c raised IndexError
+        pair = example_pair("1", policy)
+        for question in (is_catalyst, gmax_given_c):
+            with pytest.raises(NotNormalized, match="empty"):
+                question(pair, SchmidtVector(()))
+
 
 class TestProbeTwoLevel:
     def test_exact_probe_reads_float_as_shortest_decimal(self):
@@ -334,6 +343,81 @@ class TestFloatMembership:
                             assert got == reference_joint(pair, loan, v), (pair, loan, v)
                             verdicts[len(v), got] += 1
         assert all(verdicts[r, True] > 10 and verdicts[r, False] > 10 for r in (2, 3, 4))
+
+
+class TestJointKernelProperties:
+    """CatalyticPair.joint_target/joint_feasible and is_catalyst against kron
+    and majorizes in both arithmetics: loans of rank 2 and 3 against
+    returned states of rank 1 to 4, so the two sides differ in length,
+    returned states and pair vectors hand-built unsorted, so the float k = 1
+    test cannot rely on their order, and float returned states whose largest
+    product sits within an ulp of that test's threshold."""
+
+    @staticmethod
+    def _simplex(rng, r, policy):
+        if r == 1:
+            return make_schmidt((1,), policy)
+        if policy.exact:
+            denom = rng.choice((7, 60, 1000))
+            return make_schmidt(random_rational_sorted_simplex(rng, r, denom), policy)
+        return make_schmidt(random_sorted_simplex(rng, r), policy)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_kernel_matches_kron_reference(self, policy):
+        rng = random.Random(6031)
+        verdicts = Counter()
+        for _ in range(200):
+            pair = random_nontrivial_pair(rng, policy)
+            twin = CatalyticPair(SchmidtVector(reversed(pair.a)),
+                                 SchmidtVector(reversed(pair.b)), policy)
+            interval = rank2_catalyst_interval(pair)
+            inside = interval.x_min + (interval.x_max - interval.x_min) * Fraction(
+                rng.randrange(11), 10)
+            loans = [probe_two_level(inside, policy),
+                     probe_two_level(0.5 + rng.random() / 2, policy),
+                     self._simplex(rng, 3, policy)]
+            for c in loans:
+                assert is_catalyst(pair, c) == reference_joint(pair, c), (pair, c)
+                assert is_catalyst(twin, c) == is_catalyst(pair, c), (pair, c)
+                target, twin_target = pair.joint_target(c), twin.joint_target(c)
+                returned = [c, probe_two_level(0.5 + (float(c[0]) - 0.5) * rng.random(), policy)]
+                returned += [self._simplex(rng, r, policy) for r in (1, 2, 3, 4)]
+                returned += [SchmidtVector(reversed(d)) for d in returned[1:]]
+                for d in returned:
+                    got = pair.joint_feasible(target, d)
+                    assert got == reference_joint(pair, c, d), (pair, c, d)
+                    assert twin.joint_feasible(twin_target, d) == got, (pair, c, d)
+                    first = policy.leq(kron(pair.a, c)[0], kron(pair.b, d)[0])
+                    verdicts[len(c), got, first] += 1
+        for r in (2, 3):
+            assert verdicts[r, True, True] > 50, verdicts
+            assert verdicts[r, False, False] > 50, verdicts
+            assert verdicts[r, False, True] > 50, verdicts
+
+    def test_largest_product_within_an_ulp_of_the_threshold(self):
+        # d is one smaller entry, then len(a) len(c) copies of d1, so max(d)
+        # is not d[0] and every later prefix sum has room: the k = 1 test,
+        # a1 c1 <= b1 d1 + tol_eq, decides alone as b1 d1 is stepped across
+        # a1 c1 - tol_eq one ulp at a time
+        rng = random.Random(6032)
+        tol = FLOAT_POLICY.tol_eq
+        verdicts = Counter()
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng)
+            c = probe_two_level(0.5 + rng.random() / 2, FLOAT_POLICY)
+            target = pair.joint_target(c)
+            t1, b1 = pair.a[0] * c[0], pair.b[0]
+            d1 = (t1 - tol) / b1
+            for _ in range(4):
+                d1 = math.nextafter(d1, 0.0)
+            for _ in range(9):
+                d1 = math.nextafter(d1, 1.0)
+                d = SchmidtVector((d1 / 2,) + (d1,) * len(target))
+                got = pair.joint_feasible(target, d)
+                assert got == reference_joint(pair, c, d), (pair, c, d)
+                verdicts[got, b1 * d1 + tol == t1] += 1
+        assert verdicts[True, False] > 100 and verdicts[False, False] > 100, verdicts
+        assert verdicts[True, True] > 10, verdicts
 
 
 class TestMaxCatalystEntropy:

@@ -2,13 +2,16 @@
 
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from supercat import (EXACT_POLICY, NotNormalized, SchmidtVector, epsilon_family, kron, majorizes,
                       make_schmidt)
-from supercat.cli import main
+from supercat.cli import build_parser, main
 from supercat.examples import EXAMPLE_PAIRS
 
 A1 = "0.4,0.4,0.1,0.1"
@@ -48,6 +51,24 @@ class TestConvertCheck:
     def test_not_normalized(self, capsys):
         code, _, _ = run(capsys, "convert-check", "--a", "0.4,0.4", "--b", B1)
         assert code == 1
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("a", ["1e500,1", "-1e500,1", "1e5000,1"])
+    def test_coefficient_beyond_float_range_gives_short_message(self, capsys, exact, a):
+        # the message printed the coefficient's 500 digits, and past 4300
+        # digits the program crashed with a ValueError
+        flags = ["--exact"] if exact else []
+        code, out, err = run(capsys, "convert-check", f"--a={a}", "--b", "0.5,0.5", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err) < 120, err
+
+    @pytest.mark.parametrize("exact, want", [
+        (False, "error: coefficient 1e+500 is beyond the float range\n"),
+        (True, "error: coefficients sum to 1e+500, not 1\n")], ids=["float", "exact"])
+    def test_coefficient_beyond_float_range_message(self, capsys, exact, want):
+        flags = ["--exact"] if exact else []
+        assert run(capsys, "convert-check", "--a", "1e500,1", "--b", "0.5,0.5",
+                   *flags) == (1, "", want)
 
 
 class TestCatalystRange:
@@ -240,8 +261,9 @@ class TestEpsilonFamily:
             epsilon_family(math.nan)
 
     def test_malformed_epsilon_exits_1(self, capsys):
-        code, _, _ = run(capsys, "epsilon-family", "--eps", "abc")
-        assert code == 1
+        code, _, err = run(capsys, "epsilon-family", "--eps", "abc")
+        assert (code, err) == (1, "error: cannot parse epsilon list 'abc': could not convert "
+                                  "string to float: 'abc'\n")
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     def test_rational_epsilon_reads_as_its_decimal(self, capsys, exact):
@@ -285,3 +307,45 @@ class TestExamples:
         for name in "1234":
             assert combined[name]["bound_violations"] == 0
         assert "example 3" in err
+
+
+class TestParserBuiltOnce:
+    """main() shares one parser per process; a failed parse, then calls of
+    two subcommands, in one process, each give the bytes of the same call
+    made alone in a fresh interpreter."""
+
+    CALLS = [["gain-sweep", "--a", A1],
+             ["convert-check", "--a", A1, "--b", B1, "--out", "check.json"],
+             ["gain-sweep", "--a", A1, "--b", B1, "--c", "0.6,0.4", "--out", "loan.json"]]
+
+    @staticmethod
+    def _files(path: Path) -> dict:
+        return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_calls_alone(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code_alone = ("import sys; sys.path.insert(0, sys.argv[1]); from supercat.cli import main; "
+                      "sys.exit(main(sys.argv[2:]))")
+        codes = []
+        for i, argv in enumerate(self.CALLS):
+            together, alone = tmp_path / f"together{i}", tmp_path / f"alone{i}"
+            together.mkdir()
+            alone.mkdir()
+            monkeypatch.chdir(together)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-I", "-c", code_alone, src, *argv],
+                                  cwd=alone, capture_output=True, text=True, timeout=120)
+            assert (code, out.out, out.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+            assert self._files(together) == self._files(alone), argv
+            codes.append(code)
+        assert codes == [2, 0, 0]
+        assert (tmp_path / "together1/check.json").exists()
+        assert (tmp_path / "together2/loan.json").exists()

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercat import (EXACT_POLICY, CatalyticPair, SchmidtVector, binary_entropy, entropy, kron,
-                      majorizes, make_schmidt, nielsen_convertible, partial_sum, prefix_sums,
-                      schmidt_rank, split_partial_sum)
+from supercat import (EXACT_POLICY, FLOAT_POLICY, CatalyticPair, ComparisonPolicy, SchmidtVector,
+                      binary_entropy, entropy, kron, majorizes, make_schmidt, nielsen_convertible,
+                      partial_sum, prefix_sums, schmidt_rank, split_partial_sum)
+from supercat.cli import _policy_json
 from supercat.errors import (DomainError, IndexOutOfRange, NegativeEntry, NotNormalized,
                              PreconditionViolated)
 
@@ -119,6 +120,41 @@ class TestMakeSchmidt:
     def test_exact_mode_json_roundtrip(self):
         v = make_schmidt(("1/3", "1/3", "1/3"), EXACT_POLICY)
         assert v.to_json_value() == ["1/3", "1/3", "1/3"]
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    @pytest.mark.parametrize("raw", [("1e500", "1"), ("-1e500", "1"), ("1e5000", "1"),
+                                     ("1/3", "1/" + "7" * 60)])
+    def test_long_rational_message_is_short(self, policy, raw):
+        # a rational past the float range, or with a long denominator, was
+        # printed with all its digits (and past 4300 digits str() raised)
+        with pytest.raises((NotNormalized, NegativeEntry)) as info:
+            make_schmidt([Fraction(x) for x in raw], policy)
+        assert len(str(info.value)) < 80, str(info.value)
+
+
+class TestComparisonPolicy:
+    def test_exact_is_set_on_construction(self):
+        assert (FLOAT_POLICY.exact, EXACT_POLICY.exact) == (False, True)
+        assert ComparisonPolicy("exact").exact is True
+        with pytest.raises(TypeError):
+            ComparisonPolicy("float", exact=True)
+        with pytest.raises(AttributeError):
+            FLOAT_POLICY.exact = True
+
+    def test_equality_hash_repr_and_json_unchanged(self):
+        # exact is derived from mode and takes no part in any of these
+        assert ComparisonPolicy() == FLOAT_POLICY and ComparisonPolicy("exact") == EXACT_POLICY
+        assert FLOAT_POLICY != EXACT_POLICY
+        assert hash(EXACT_POLICY) == hash(("exact",)) and hash(FLOAT_POLICY) == hash(("float",))
+        assert repr(EXACT_POLICY) == "ComparisonPolicy(mode='exact')"
+        assert _policy_json(EXACT_POLICY) == {"mode": "exact", "tol_eq": 1e-12,
+                                              "tol_strict": 1e-9}
+        assert _policy_json(FLOAT_POLICY) == {"mode": "float", "tol_eq": 1e-12,
+                                              "tol_strict": 1e-9}
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            ComparisonPolicy("fuzzy")
 
 
 class TestPartialSum:
