@@ -1,11 +1,12 @@
-"""Catalyst membership and the closed-form rank-2 catalyst interval.
+"""Catalyst membership, the two-level catalyst set and the rank-2 interval.
 
 A catalyst for an LOCC-blocked transformation a -> b is an auxiliary vector c
-with b (x) c majorizing a (x) c.  For main systems of dimension at most 4 the
-set of two-level catalysts (x, 1-x) is a closed interval in x, computed here
-in closed form; its endpoints are the least and most entangled two-level
-catalysts.  For higher catalyst ranks only search-based lower bounds on the
-maximal catalyst entropy are available.
+with b (x) c majorizing a (x) c.  The two-level catalysts (x, 1-x) of any
+pair are a union of closed pieces in x, solved exactly here; at main
+dimension at most 4 they are one interval with the paper's closed form, its
+endpoints the least and most entangled two-level catalysts.  For higher
+catalyst ranks only search-based lower bounds on the maximal catalyst
+entropy are available.  Grid scans of two-level vectors live in oracle.
 
 The candidates of the rank >= 3 searches (E_r here, the returned-state grid
 in supercatalysis) do not depend on the pair.  Each search builds its table
@@ -31,10 +32,8 @@ from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, Schmid
                       _coerce, _coerce_vector, _constants, binary_entropy, entropy,
                       nielsen_convertible, prefix_sums, schmidt_rank)
 
-#: Width below which a bisected verdict boundary counts as located.
+#: Width below which a bisected or refined boundary counts as located.
 REFINE_TOL = 1e-9
-#: Grid step of every scan over two-level vectors (x, 1-x).
-SCAN_RESOLUTION = 1e-3
 #: Effort of the rank >= 3 catalyst-entropy search: steps of the ordered
 #: simplex grid, then seeded random samples.
 SIMPLEX_STEPS = 60
@@ -50,8 +49,8 @@ class CatalyticPair:
     as is every vector a question about the pair is asked of.  The per-pair
     facts every question about the pair needs are computed once and cached:
     nontrivial records whether the bare transformation a -> b is blocked,
-    i.e. whether a catalyst is needed at all, and dim4 whether both Schmidt
-    ranks are at most 4, the domain of the closed-form two-level interval.
+    dim4 whether both Schmidt ranks are at most 4 (the closed form's domain),
+    and _two_level the exact set of two-level catalysts at any rank.
 
     The pair owns the joint-transfer test a (x) c -> b (x) d that every
     catalyst and gain question reduces to (joint_target, joint_feasible).
@@ -96,6 +95,19 @@ class CatalyticPair:
     @cached_property
     def _interval(self) -> CatalystInterval:
         return _closed_form_interval(self)
+
+    @cached_property
+    def _two_level(self) -> tuple:
+        return _two_level_pieces(self)
+
+    @cached_property
+    def _lowest_two_level(self):
+        """(entropy, vector) of the lowest two-level catalyst or None; closed form at rank <= 4."""
+        if self.dim4:
+            x = self._interval.x_min if self._interval.nonempty else None
+        else:
+            x = self._two_level[0][0] if self._two_level else None
+        return None if x is None else (binary_entropy(x), probe_two_level(x, self.policy))
 
     @cached_property
     def _b_top(self) -> Real:
@@ -212,6 +224,38 @@ def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
             sums.append((coef_y, coef_const, coef_y - coef_const))
         segments.append((lo, hi, tuple(sums)))
     return tuple(segments)
+
+
+def _two_level_pieces(pair: CatalyticPair) -> tuple:
+    """The closed pieces (lo, hi) of the x where (x, 1-x) is a catalyst, lowest first.
+
+    Between the merged cuts of a and b (_breakpoint_segments), prefix k of
+    b (x) c minus that of a (x) c is const + slope x: each piece solves these
+    constraints, exactly on the pair's integers in exact mode, and in float
+    mode as _min_feasible_y does; pieces at most tol_eq apart are merged.
+    """
+    exact = pair.policy.exact
+    tol, ratio = (0, Fraction) if exact else (pair.policy.tol_eq, operator.truediv)
+    segs_a = _breakpoint_segments(pair._scaled[0] if exact else pair.a, exact)
+    segs_b, pieces, i, j = pair._segments, [], 0, 0
+    while i < len(segs_a) and j < len(segs_b):
+        (lo_a, hi_a, sums_a), (lo_b, hi_b, sums_b) = segs_a[i], segs_b[j]
+        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+        i, j = i + (hi_a == hi), j + (hi_b == hi)
+        for (_, const_a, slope_a), (_, const_b, slope_b) in zip(sums_a, sums_b):
+            const, slope = const_b - const_a, slope_b - slope_a
+            if slope > tol:
+                lo = max(lo, ratio(-const, slope))
+            elif slope < -tol:
+                hi = min(hi, ratio(-const, slope))
+            elif const + slope * (lo + hi) / 2 < -tol:
+                break
+        else:
+            if lo <= hi + tol:
+                if pieces and lo - pieces[-1][1] <= tol:  # touches the last piece
+                    lo = pieces.pop()[0]
+                pieces.append((lo, max(lo, hi)))
+    return tuple(pieces)
 
 
 @dataclass(frozen=True)
@@ -348,47 +392,6 @@ def probe_two_level(x: Real, policy: ComparisonPolicy) -> SchmidtVector:
     return SchmidtVector((x, 1 - x))
 
 
-def _bisect(predicate, x_false: float, x_true: float) -> float:
-    """Boundary of a verdict change, located to REFINE_TOL, on the True side."""
-    while abs(x_true - x_false) > REFINE_TOL:
-        mid = 0.5 * (x_false + x_true)
-        if predicate(mid):
-            x_true = mid
-        else:
-            x_false = mid
-    return x_true
-
-
-def _scan(member, xs):
-    """(first, last) passing points of the grid xs, or None if none passes.
-
-    Each is bisected against its failing grid neighbour and returned on the
-    passing side; a passing end of the grid is returned as it is.
-    """
-    verdicts = [member(x) for x in xs]
-    if True not in verdicts:
-        return None
-    first = verdicts.index(True)
-    last = len(xs) - 1 - verdicts[::-1].index(True)
-    lo = xs[first] if first == 0 else _bisect(member, xs[first - 1], xs[first])
-    hi = xs[last] if last == len(xs) - 1 else _bisect(member, xs[last + 1], xs[last])
-    return lo, hi
-
-
-def _scan_two_level(pair: CatalyticPair) -> tuple:
-    """_scan over two-level catalysts (x, 1-x), x from 1/2 to 1 in SCAN_RESOLUTION
-    steps; raises EmptyCatalystSet when no scanned point is a catalyst."""
-
-    def member(x: float) -> bool:
-        return is_catalyst(pair, probe_two_level(x, pair.policy))
-
-    steps = int(round(0.5 / SCAN_RESOLUTION))
-    found = _scan(member, [min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(steps + 1)])
-    if found is None:
-        raise EmptyCatalystSet("no two-level catalyst found at this resolution")
-    return found
-
-
 def _affine_grid(lo: Real, hi: Real, n: int):
     """n evenly spaced points from lo to hi, both included."""
     span = hi - lo
@@ -418,9 +421,9 @@ def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
 class CatalystEntropySearch:
     """Maximal catalyst entropy of bounded rank, with its certificate.
 
-    exact is True only when the value comes from the closed-form interval
-    (rank 2, main dimension <= 4); otherwise the value is a search-based
-    lower bound on the true maximum.
+    exact is True for rank 2, where the value is the binary entropy of the
+    lowest two-level catalyst at every main dimension; for rank >= 3 the
+    value is a search-based lower bound on the true maximum.
     """
 
     value: float
@@ -446,12 +449,13 @@ def _ordered_simplex_grid(r: int, steps: int):
 def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
     """Largest entanglement entropy over catalysts of Schmidt rank <= r.
 
-    For r = 2 with main dimension at most 4 the answer is the binary entropy
-    of the closed-form x_min, and is exact.  For larger ranks the catalyst
-    set has no known characterization, so the value is a deterministic
-    grid-plus-random lower bound, flagged approximate: the most entropic
-    catalyst among the rank-2 one at x_min, the ordered simplex grid and
-    RANDOM_SAMPLES seeded points, found by _best_candidate.
+    For r = 2 the answer is exact for pairs of every rank: the binary entropy
+    of the lowest two-level catalyst x_min, cached on the pair
+    (_lowest_two_level).  For larger
+    ranks the catalyst set has no known characterization, so the value is a
+    deterministic grid-plus-random lower bound, flagged approximate: the most
+    entropic catalyst among the two-level one at x_min, the ordered simplex
+    grid and RANDOM_SAMPLES seeded points, found by _best_candidate.
     """
     if r < 1:
         raise PreconditionViolated("catalyst rank bound must be at least 1")
@@ -461,22 +465,11 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
         # nontrivial pair
         raise EmptyCatalystSet("separable states never catalyze a blocked transformation")
 
-    if r == 2 and pair.dim4:
-        interval = _require_interval(pair)
-        cert = probe_two_level(interval.x_min, pair.policy)
-        return CatalystEntropySearch(binary_entropy(interval.x_min), cert, True)
-
+    best_val, best_cert = pair._lowest_two_level or (-1.0, None)  # a member at every r >= 2
     if r == 2:
-        x = _scan_two_level(pair)[0]
-        return CatalystEntropySearch(binary_entropy(x), probe_two_level(x, pair.policy), False)
-
-    best_val, best_cert = -1.0, None
-    if pair.dim4:
-        # rank-2 catalysts are members of every larger-rank catalyst set
-        interval = rank2_catalyst_interval(pair)
-        if interval.nonempty:
-            cert = probe_two_level(interval.x_min, pair.policy)
-            best_val, best_cert = binary_entropy(interval.x_min), cert
+        if best_cert is None:
+            raise EmptyCatalystSet("no two-level catalyst exists for this pair")
+        return CatalystEntropySearch(best_val, best_cert, True)
 
     found = _best_candidate(r, SIMPLEX_STEPS, RANDOM_SAMPLES, pair.policy, best_val,
                             lambda v: is_catalyst(pair, v))

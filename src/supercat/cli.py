@@ -191,7 +191,7 @@ def cmd_gain_sweep(args) -> int:
     if args.c:
         c = parse_vector(args.c, policy)
         result = gmax_given_c(pair, c)
-        bound, certified = _gain_bound(pair, c)
+        bound, certified = _gain_bound(pair, c, result.gain)
         payload = {
             "c": c.to_json_value(),
             "gain": result.gain,

@@ -84,7 +84,7 @@ class SchmidtVector(tuple):
 
     A tuple of coefficients, all floats or all Fractions.  Instances are
     built by make_schmidt (which validates, sorts, clamps and renormalizes)
-    or arise from kron; SchmidtVector(iterable) wraps entries as given.
+    or kron; SchmidtVector(iterable) keeps any order, which readers re-sort.
     """
 
     __slots__ = ()
@@ -176,8 +176,10 @@ def _brief(x) -> str:
 
 
 def _coerce_vector(v: SchmidtVector, policy: ComparisonPolicy) -> SchmidtVector:
-    """v in the policy's arithmetic; a nonempty vector already in it is kept as given."""
-    return v if v and v.exact == policy.exact else make_schmidt(v, policy)
+    """v in the policy's arithmetic and order, kept as given if already so (an O(n) check)."""
+    if v and v.exact == policy.exact and v[-1] >= 0 and list(v) == sorted(v, reverse=True):
+        return v
+    return make_schmidt(v, policy)
 
 
 def _total(entries: Sequence[Real]):
@@ -192,15 +194,15 @@ def _pad_to_match(u: SchmidtVector, v: SchmidtVector):
 
 
 def prefix_sums(v: SchmidtVector) -> tuple:
-    """All partial sums f_1..f_dim of the (already sorted) coefficients."""
-    return tuple(accumulate(v))
+    """All partial sums f_1..f_dim of the coefficients, largest first."""
+    return tuple(accumulate(sorted(v, reverse=True)))
 
 
 def partial_sum(v: SchmidtVector, k: int) -> Real:
     """Sum of the k largest coefficients, 1 <= k <= dim."""
     if not 1 <= k <= len(v):
         raise IndexOutOfRange(f"k={k} outside [1, {len(v)}]")
-    return _total(v[:k])
+    return _total(sorted(v, reverse=True)[:k])
 
 
 def majorizes(b: SchmidtVector, a: SchmidtVector,
@@ -266,4 +268,4 @@ def split_partial_sum(u: SchmidtVector, c: SchmidtVector, k1: int, k2: int) -> R
     zero = _constants(u.exact)[0]
     s1 = partial_sum(u, k1) if k1 else zero
     s2 = partial_sum(u, k2) if k2 else zero
-    return c[0] * s1 + c[1] * s2
+    return max(c) * s1 + min(c) * s2

@@ -31,8 +31,8 @@ from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _affine_gri
                         _best_candidate, _require_interval, _require_loan, is_catalyst,
                         max_catalyst_entropy, probe_two_level, rank2_catalyst_interval,
                         returned_rank_bound)
-from .errors import (InvalidConfiguration, InvalidEpsilon, NotACatalyst, PreconditionViolated,
-                     ZeroDenominator)
+from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
+                     PreconditionViolated, ZeroDenominator)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
                       _coerce_vector, _constants, binary_entropy, entropy, kron, majorizes,
                       make_schmidt, nielsen_convertible, prefix_sums, schmidt_rank)
@@ -337,23 +337,27 @@ def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
 
     The returned state is confined to catalysts of rank at most the
     multiplicativity bound, so its entropy cannot exceed the maximal catalyst
-    entropy of that rank.  The bound is certified whenever that maximum has a
-    closed form (rank cap 2 with main dimension at most 4).  For larger caps
-    the maximum is a search lower bound, so the value is not certified and is
-    clamped to the trivial bound 1.
+    entropy E_r of that rank, nor fall below that of gmax_given_c's returned
+    state d, a catalyst too: a (x) d -> a (x) c -> b (x) d.  The bound is
+    certified at rank cap 2, where E_2 is exact for pairs of every rank; for
+    larger caps E_r is a search lower bound, so the value is clamped to 1.
     """
     c, _ = _require_loan(pair, c)
-    return _gain_bound(pair, c)[0]
+    return _gain_bound(pair, c, gmax_given_c(pair, c).gain)[0]
 
 
-def _gain_bound(pair: CatalyticPair, c: SchmidtVector) -> tuple:
-    """(bound_gmax value, certified) for a loan that passed _require_loan."""
-    rank_cap = returned_rank_bound(pair, c)
-    search = max_catalyst_entropy(pair, rank_cap)
+def _gain_bound(pair: CatalyticPair, c: SchmidtVector, gain: float = 0.0) -> tuple:
+    """(bound_gmax value, certified) for a loan that passed _require_loan, never below
+    the given gain, which stands uncertified when the search finds no member.
+    Sweeps give none, so their bound_violations count checks the raw bound."""
+    try:
+        search = max_catalyst_entropy(pair, returned_rank_bound(pair, c))
+    except EmptyCatalystSet:
+        return gain, False
     ent_c = entropy(c)
     top = max(search.value, ent_c)  # c itself is a catalyst of admissible rank
     bound = (top - ent_c) / pair.entropy_drop
-    return (bound if search.exact else min(bound, 1.0)), search.exact
+    return max(bound if search.exact else min(bound, 1.0), gain), search.exact
 
 
 def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:

@@ -17,13 +17,14 @@ from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, 
                       max_catalyst_entropy, most_entangled_rank2_catalyst,
                       necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
                       returned_rank_bound, tilde_gmax_sweep)
-from supercat.catalysis import (RANDOM_SAMPLES, REFINE_TOL, SCAN_RESOLUTION, SEARCH_SEED,
-                                SIMPLEX_STEPS, _candidate_table, _ordered_simplex_grid,
-                                probe_two_level)
+from supercat.catalysis import (RANDOM_SAMPLES, REFINE_TOL, SEARCH_SEED, SIMPLEX_STEPS,
+                                _candidate_table, _ordered_simplex_grid, probe_two_level)
 from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
+from supercat.oracle import SCAN_RESOLUTION
 
-from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
+from conftest import (random_blocked_pair_with_empty_interval, random_nontrivial_pair,
+                      random_rational_sorted_simplex, random_sorted_simplex)
 
 
 def vec(*xs):
@@ -433,7 +434,7 @@ class TestMaxCatalystEntropy:
         # closed form applies and the two-level range is scanned
         pair = CatalyticPair(vec(0.4, 0.4, 0.1, 0.05, 0.05), vec(0.5, 0.25, 0.25, 0, 0))
         search = max_catalyst_entropy(pair, 2)
-        assert not search.exact
+        assert search.exact
         x = search.certificate[0]
         assert x == pytest.approx(0.6, abs=1e-9)
         assert is_catalyst(pair, search.certificate)
@@ -648,3 +649,229 @@ def test_exact_pair_prefilter_keeps_the_same_pairs(min_width):
         got = random_nontrivial_pair(rng, EXACT_POLICY, min_width)
         want = reference_random_nontrivial_pair(ref_rng, EXACT_POLICY, min_width)
         assert (got.a, got.b) == (want.a, want.b)
+
+
+#: pairs of rank 5 whose two-level sets the grid scan got wrong: a single
+#: point between grid steps, and two pieces whose gap the scan bridged
+SINGLE_POINT = ("107/200,9/50,13/100,21/200,1/20", "111/200,29/200,27/200,27/200,3/100")
+TWO_PIECES = ("43/100,27/100,37/200,7/100,9/200", "51/100,43/200,29/200,23/200,3/200")
+#: a rank-6 pair whose two pieces [36/61, 3/5] and [38/63, 19/28] are 1/315 apart
+NARROW_GAP = ("33/100,6/25,39/200,23/200,3/50,3/50", "19/50,41/200,17/100,27/200,3/40,7/200")
+
+
+def text_pair(texts, policy):
+    a, b = (make_schmidt(t.split(","), policy) for t in texts)
+    return CatalyticPair(a, b, policy)
+
+
+def random_high_rank_pair(rng, policy):
+    """A blocked pair of dimension 5 to 8 with a nonempty two-level set.
+
+    The candidates pass a1 <= b1 and a_n >= b_n, without which no catalyst
+    exists, and are screened by the float set before the exact one is built.
+    """
+    n = rng.randrange(5, 9)
+    while True:
+        a, b = (random_rational_sorted_simplex(rng, n, 200) for _ in "ab")
+        if a[0] > b[0] or a[-1] < b[-1]:
+            continue
+        screen = CatalyticPair(make_schmidt(a), make_schmidt(b))
+        if screen.nontrivial and screen._two_level:
+            pair = CatalyticPair(make_schmidt(a, policy), make_schmidt(b, policy), policy)
+            if pair._two_level:
+                return pair
+
+
+def assert_pieces_and_gaps(pair):
+    """Ends and midpoint of every piece are catalysts; the midpoint of every
+    gap, including those next to 1/2 and 1, is not."""
+    pieces, policy = pair._two_level, pair.policy
+    half, one = (Fraction(1, 2), 1) if policy.exact else (0.5, 1.0)
+    for lo, hi in pieces:
+        assert lo <= hi
+        for x in (lo, (lo + hi) / 2, hi):
+            assert is_catalyst(pair, probe_two_level(x, policy)), (pair, x)
+    ends = [half, *(x for piece in pieces for x in piece), one]
+    for gap_lo, gap_hi in zip(ends[::2], ends[1::2]):
+        if gap_lo < gap_hi:
+            assert not is_catalyst(pair, probe_two_level((gap_lo + gap_hi) / 2, policy))
+
+
+class TestTwoLevelSet:
+    """The pair's exact set of two-level catalysts, at every rank."""
+
+    def test_equals_closed_form_at_rank4_exact(self):
+        rng = random.Random(6101)
+        cases = [random_nontrivial_pair(rng, EXACT_POLICY) for _ in range(60)]
+        cases += [random_blocked_pair_with_empty_interval(rng, EXACT_POLICY) for _ in range(40)]
+        while len(cases) < 120:  # blocked pairs failing a necessary condition
+            a, b = (make_schmidt(random_rational_sorted_simplex(rng, 4), EXACT_POLICY)
+                    for _ in "ab")
+            pair = CatalyticPair(a, b, EXACT_POLICY)
+            if pair.nontrivial and not necessary_conditions_4d(pair):
+                cases.append(pair)
+        for pair in cases:
+            interval = rank2_catalyst_interval(pair)
+            want = ((interval.x_min, interval.x_max),) if interval.nonempty else ()
+            assert pair._two_level == want, pair
+
+    def test_one_piece_near_closed_form_at_rank4_float(self):
+        rng = random.Random(6102)
+        cases = [random_nontrivial_pair(rng) for _ in range(100)]
+        cases += [random_nontrivial_pair(rng, min_width=0.02) for _ in range(20)]
+        for pair in cases:
+            interval = rank2_catalyst_interval(pair)
+            (lo, hi), = pair._two_level
+            assert abs(lo - interval.x_min) <= 1e-9 and abs(hi - interval.x_max) <= 1e-9
+            for x in (lo, (lo + hi) / 2, hi):
+                assert is_catalyst(pair, probe_two_level(x, pair.policy)), (pair, x)
+
+    def test_empty_where_closed_form_is_empty_float(self):
+        rng = random.Random(6103)
+        for _ in range(30):
+            assert random_blocked_pair_with_empty_interval(rng)._two_level == ()
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_pieces_and_gaps_at_ranks_5_to_8(self, policy):
+        rng = random.Random(6104)
+        ranks = Counter()
+        for _ in range(100):
+            pair = random_high_rank_pair(rng, policy)
+            assert_pieces_and_gaps(pair)
+            ranks[pair.rank_a] += 1
+        assert set(ranks) == {5, 6, 7, 8}
+
+    def test_exact_membership_is_piece_containment(self):
+        # every rational x, not only ends and midpoints, is a catalyst
+        # exactly when some piece holds it
+        rng = random.Random(6105)
+        verdicts = Counter()
+        for _ in range(30):
+            pair = random_high_rank_pair(rng, EXACT_POLICY)
+            xs = [Fraction(rng.randrange(500, 1001), 1000) for _ in range(40)]
+            xs += [x + d for piece in pair._two_level for x in piece
+                   for d in (Fraction(-1, 10**9), 0, Fraction(1, 10**9))]
+            for x in xs:
+                got = is_catalyst(pair, probe_two_level(x, EXACT_POLICY))
+                assert got == any(lo <= x <= hi for lo, hi in pair._two_level), (pair, x)
+                verdicts[got] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_defect_pairs_exact(self):
+        single = text_pair(SINGLE_POINT, EXACT_POLICY)
+        assert single._two_level == ((Fraction(4, 7), Fraction(4, 7)),)
+        two = text_pair(TWO_PIECES, EXACT_POLICY)
+        assert two._two_level == ((Fraction(8, 13), Fraction(5, 8)),
+                                  (Fraction(19, 29), Fraction(51, 67)))
+        assert not is_catalyst(two, probe_two_level(Fraction(16, 25), EXACT_POLICY))
+        narrow = text_pair(NARROW_GAP, EXACT_POLICY)
+        assert narrow._two_level == ((Fraction(36, 61), Fraction(3, 5)),
+                                     (Fraction(38, 63), Fraction(19, 28)))
+        for pair in (single, two, narrow):
+            assert_pieces_and_gaps(pair)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_defect_pairs_rank2_entropy_exact(self, policy):
+        for texts, x_min in ((SINGLE_POINT, Fraction(4, 7)), (TWO_PIECES, Fraction(8, 13))):
+            search = max_catalyst_entropy(text_pair(texts, policy), 2)
+            assert search.exact
+            assert search.certificate[0] == pytest.approx(x_min, abs=1e-15)
+            assert search.value == pytest.approx(binary_entropy(x_min), abs=1e-12)
+
+    def test_float_sets_near_exact(self):
+        for texts in (SINGLE_POINT, TWO_PIECES, NARROW_GAP):
+            got = text_pair(texts, FLOAT_POLICY)._two_level
+            want = text_pair(texts, EXACT_POLICY)._two_level
+            assert len(got) == len(want)
+            for (lo, hi), (w_lo, w_hi) in zip(got, want):
+                assert (lo, hi) == (pytest.approx(w_lo, abs=1e-12), pytest.approx(w_hi, abs=1e-12))
+
+    def test_catalysis_owns_no_grid_scan(self):
+        import supercat.catalysis as catalysis
+        for name in ("_scan", "_bisect", "_scan_two_level", "SCAN_RESOLUTION"):
+            assert not hasattr(catalysis, name), name
+
+
+def permuted(v):
+    """v with its entries rotated by one: the same coefficients out of order."""
+    return SchmidtVector(v[1:] + v[:1])
+
+
+@pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+class TestOrderGuarantee:
+    """Every vector is read as sorted, whatever order SchmidtVector(...) was given."""
+
+    def test_unsorted_output_vector_interval(self, policy):
+        # the closed form read b = (0.25, 0.5, 0.25, 0) as sorted and found
+        # the interval empty
+        a = make_schmidt(["0.4", "0.4", "0.1", "0.1"], policy)
+        b = make_schmidt(["0.5", "0.25", "0.25", "0"], policy)
+        b = SchmidtVector((b[1], b[0], b[2], b[3]))  # (0.25, 0.5, 0.25, 0)
+        interval = rank2_catalyst_interval(CatalyticPair(a, b, policy))
+        assert interval.nonempty
+        assert (interval.x_min, interval.x_max) == (pytest.approx(0.6, abs=1e-15),
+                                                    pytest.approx(0.625, abs=1e-15))
+        if policy.exact:
+            assert (interval.x_min, interval.x_max) == (Fraction(3, 5), Fraction(5, 8))
+
+    def test_unsorted_loan_gain(self, policy):
+        # the rank-2 solve read the loan's first entry as its largest and
+        # reported no gain
+        loan = SchmidtVector(probe_two_level("0.62", policy)[::-1])
+        assert loan[0] < loan[1]
+        result = gmax_given_c(example_pair("1", policy), loan)
+        assert result.gain == pytest.approx(0.05816556139465218, abs=1e-15)
+        if not policy.exact:
+            assert result.gain == 0.05816556139465218
+
+    def test_public_functions_ignore_order(self, policy):
+        pair = example_pair("1", policy)
+        a, b = pair.a, pair.b
+        c2, d2 = (probe_two_level(x, policy) for x in ("0.625", "0.6"))
+        c3 = make_schmidt(["0.5", "0.3", "0.2"], policy)
+        for v in (a, b, c2, d2, c3):
+            assert make_schmidt(v, policy) == v  # the sorted vectors are fixed points
+        calls = {
+            "make_schmidt": lambda a, b, c, d, e: make_schmidt(a, policy),
+            "prefix_sums": lambda a, b, c, d, e: supercat.prefix_sums(a),
+            "partial_sum": lambda a, b, c, d, e: [supercat.partial_sum(a, k) for k in (1, 2, 3)],
+            "split_partial_sum": lambda a, b, c, d, e: supercat.split_partial_sum(a, c, 3, 1),
+            "majorizes": lambda a, b, c, d, e: (majorizes(b, a, policy), majorizes(a, b, policy)),
+            "nielsen_convertible": lambda a, b, c, d, e: nielsen_convertible(a, b, policy),
+            "kron": lambda a, b, c, d, e: kron(a, c),
+            "entropy": lambda a, b, c, d, e: entropy(a),
+            "schmidt_rank": lambda a, b, c, d, e: supercat.schmidt_rank(b, policy),
+            "CatalyticPair": lambda a, b, c, d, e: CatalyticPair(a, b, policy),
+            "is_catalyst": lambda a, b, c, d, e: [is_catalyst(pair, v) for v in (c, d, e)],
+            "necessary_conditions_4d": lambda a, b, c, d, e:
+                necessary_conditions_4d(CatalyticPair(a, b, policy)),
+            "rank2_catalyst_interval": lambda a, b, c, d, e:
+                rank2_catalyst_interval(CatalyticPair(a, b, policy)),
+            "extreme catalysts": lambda a, b, c, d, e:
+                (least_entangled_rank2_catalyst(CatalyticPair(a, b, policy)),
+                 most_entangled_rank2_catalyst(CatalyticPair(a, b, policy))),
+            "max_catalyst_entropy": lambda a, b, c, d, e:
+                [max_catalyst_entropy(CatalyticPair(a, b, policy), r) for r in (2, 3)],
+            "returned_rank_bound": lambda a, b, c, d, e: returned_rank_bound(pair, e),
+            "gain": lambda a, b, c, d, e: supercat.gain(a, b, c, d, policy),
+            "check_supercatalytic": lambda a, b, c, d, e:
+                supercat.check_supercatalytic(a, b, c, d, policy),
+            "gmax_given_c": lambda a, b, c, d, e: (gmax_given_c(pair, c), gmax_given_c(pair, e)),
+            "bound_gmax": lambda a, b, c, d, e: (bound_gmax(pair, c), bound_gmax(pair, e)),
+            "tilde_gmax_sweep": lambda a, b, c, d, e:
+                tilde_gmax_sweep(CatalyticPair(a, b, policy), n_points=3),
+            "rank_reduce_returned": lambda a, b, c, d, e:
+                supercat.rank_reduce_returned(e, d, policy),
+            "trivial_swap_construction": lambda a, b, c, d, e:
+                supercat.trivial_swap_construction(pair, c),
+            "grid_catalyst_interval": lambda a, b, c, d, e:
+                supercat.grid_catalyst_interval(CatalyticPair(a, b, policy)),
+        }
+        if not policy.exact:
+            calls["grid_gmax_rank2"] = lambda a, b, c, d, e: supercat.grid_gmax_rank2(pair, c)
+        args = (a, b, c2, d2, c3)
+        for name, call in calls.items():
+            want = call(*args)
+            for i in range(len(args)):
+                shuffled = args[:i] + (permuted(args[i]),) + args[i + 1:]
+                assert call(*shuffled) == want, (name, i)

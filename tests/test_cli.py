@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from supercat import (EXACT_POLICY, NotNormalized, SchmidtVector, epsilon_family, kron, majorizes,
-                      make_schmidt)
+from supercat import (EXACT_POLICY, NotNormalized, SchmidtVector, binary_entropy, entropy,
+                      epsilon_family, kron, majorizes, make_schmidt)
 from supercat.cli import build_parser, main
 from supercat.examples import EXAMPLE_PAIRS
 
@@ -126,6 +126,57 @@ class TestGainSweep:
         payload = json.loads(out)
         assert payload["bound_certified"] is True
         assert payload["bound"] == pytest.approx(2.547363408710921, abs=1e-9)
+
+    def test_loan_without_search_member_exits_0(self, capsys):
+        # no candidate of the rank-3 search is a catalyst: this exited 2 with
+        # "no catalyst of rank <= 3 found within the search budget"
+        code, out, _ = run(capsys, "gain-sweep",
+                           "--a", "0.519773417811575,0.39161841841918565,0.07540497933614343,"
+                           "0.013203184433095871",
+                           "--b", "0.6018524912999029,0.30884880361589706,0.08577879216933693,"
+                           "0.003519912914863088",
+                           "--c", "0.5591722900586402,0.289844528287162,0.15098318165419777")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound_certified"] is False
+        assert payload["bound"] == payload["gain"] == pytest.approx(0.0416, abs=1e-4)
+
+    def test_uncertified_bound_not_below_gain(self, capsys):
+        # the rank-3 search's E_3 sat below the returned state's entropy: the
+        # bound printed was 0.3024240418117655
+        code, out, _ = run(capsys, "gain-sweep",
+                           "--a", "0.4669699987776219,0.3343634347666882,0.10693694042086266,"
+                           "0.09172962603482726",
+                           "--b", "0.537913083080334,0.25597932853074523,0.16474492266772145,"
+                           "0.04136266572119929",
+                           "--c", "0.4704873520451981,0.30423159273343714,0.22528105522136477")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gain"] == 0.3124271268520502
+        assert payload["bound"] == payload["gain"] and payload["bound_certified"] is False
+
+    def test_single_point_set_above_rank4_certified(self, capsys):
+        # the only two-level catalyst is (4/7, 3/7), between the steps of the
+        # grid scan that used to stand in for the set above rank 4
+        code, out, _ = run(capsys, "gain-sweep", "--exact",
+                           "--a", "107/200,9/50,13/100,21/200,1/20",
+                           "--b", "111/200,29/200,27/200,27/200,3/100", "--c", "4/7,3/7")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound_certified"] is True
+        assert payload["gain"] == payload["bound"] == 0.0
+
+    def test_two_piece_set_bound_from_exact_x_min(self, capsys):
+        # the set is [8/13, 5/8] and [19/29, 51/67]; the grid scan gave
+        # x_min = 0.6153846158981323, uncertified
+        a, b, c = ("0.43,0.27,0.185,0.07,0.045", "0.51,0.215,0.145,0.115,0.015", "0.625,0.375")
+        code, out, _ = run(capsys, "gain-sweep", "--a", a, "--b", b, "--c", c)
+        assert code == 0
+        payload = json.loads(out)
+        drop = entropy(make_schmidt(a.split(","))) - entropy(make_schmidt(b.split(",")))
+        want = (binary_entropy(8 / 13) - binary_entropy(0.625)) / drop
+        assert payload["bound_certified"] is True
+        assert payload["bound"] == pytest.approx(want, abs=1e-14)
 
     def test_sweep_files(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"

@@ -10,9 +10,9 @@ import supercat.supercatalysis
 from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
                       bound_gmax, check_supercatalytic, entropy, epsilon_family, gain,
                       gmax_given_c, is_catalyst, kron, least_entangled_rank2_catalyst, majorizes,
-                      make_schmidt, most_entangled_rank2_catalyst, nielsen_convertible,
-                      prefix_sums, rank2_catalyst_interval, rank_reduce_returned,
-                      returned_rank_bound, schmidt_rank, tilde_gmax_sweep,
+                      make_schmidt, max_catalyst_entropy, most_entangled_rank2_catalyst,
+                      nielsen_convertible, prefix_sums, rank2_catalyst_interval,
+                      rank_reduce_returned, returned_rank_bound, schmidt_rank, tilde_gmax_sweep,
                       trivial_swap_construction, verify_epsilon_family)
 from supercat.catalysis import _affine_grid, _ordered_simplex_grid, probe_two_level
 from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon,
@@ -325,6 +325,35 @@ class TestBoundGmax:
         assert certified is False
         assert gmax_given_c(pair, c).gain <= bound <= 1.0
         assert bound_gmax(pair, c) == bound
+
+    def test_bound_never_below_gain_at_caps_3_and_4(self, pairs):
+        # the loan c and the returned state d are catalysts of rank <= cap,
+        # but E_r came from the search alone and sat below E(d) on some loans
+        rng = random.Random(6061)
+        cases = [pairs[name] for name in "1234" for _ in range(15)]
+        cases += [random_nontrivial_pair(rng, min_width=0.02) for _ in range(60)]
+        caps = Counter()
+        for pair in cases:
+            c = random_rank3_loan(rng, pair)
+            gain = gmax_given_c(pair, c).gain
+            assert bound_gmax(pair, c) >= gain, (pair, c)
+            caps[returned_rank_bound(pair, c)] += 1
+        assert caps[3] >= 50 and caps[4] >= 50
+
+    def test_loan_without_search_member_keeps_its_gain(self):
+        # no candidate of the rank-3 search is a catalyst, though the loan is
+        pair = CatalyticPair(vec(0.519773417811575, 0.39161841841918565, 0.07540497933614343,
+                                 0.013203184433095871),
+                             vec(0.6018524912999029, 0.30884880361589706, 0.08577879216933693,
+                                 0.003519912914863088))
+        c = vec(0.5591722900586402, 0.289844528287162, 0.15098318165419777)
+        assert returned_rank_bound(pair, c) == 3
+        with pytest.raises(EmptyCatalystSet):
+            max_catalyst_entropy(pair, 3)
+        gain = gmax_given_c(pair, c).gain
+        assert gain == pytest.approx(0.0416, abs=1e-4)
+        assert _gain_bound(pair, c, gain) == (gain, False)
+        assert bound_gmax(pair, c) == gain
 
     def test_certified_rank2_bound_not_clamped(self):
         # small entropy drop: the certified rank-2 bound is loose and above 1
