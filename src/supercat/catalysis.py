@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector,
@@ -147,28 +147,30 @@ class CatalyticPair:
         sorted products b_i d_j; past a shorter b (x) d its last prefix sum
         repeats, as zero padding gives inside majorizes, and a shorter target
         needs none, as the sums of b (x) d only grow.  Float mode allows
-        tol_eq slack and tests k = 1 first, on the largest product
-        max(b) max(d), so a probe failing there is rejected before anything
-        is sorted.  Exact mode compares integers B_i D_j, reusing the loan's
-        own when d is the loan.  Both sides share the denominator D q when
-        d's is q; otherwise each is multiplied by the other's.
+        tol_eq slack, tests k = 1 on max(b) max(d) before sorting anything,
+        then compares each prefix sum as accumulate yields it and stops at the
+        first that fails.  Exact mode compares integers B_i D_j, reusing the
+        loan's own when d is the loan.  Both sides share the denominator D q
+        when d's is q; otherwise each is multiplied by the other's.
         """
         if not self.policy.exact:
             tol = self.policy.tol_eq
             if target[0] > self._b_top * max(d) + tol:
                 return False
-            sums_a, sums_b = target, _product_prefix_sums(self.b, d)
-        else:
-            q, sums_a, c, ints = target
-            qd, ints = (q, ints) if d is c else _scaled_vector(d)
-            sums_b = _product_prefix_sums(self._scaled[1], ints)
-            if qd != q:
-                sums_a = [s * qd for s in sums_a]
-                sums_b = [s * q for s in sums_b]
+            products = [x * y for x in self.b for y in d]
+            products.sort(reverse=True)
+            for t, s in zip(target, accumulate(products)):
+                if t > s + tol:
+                    return False
+            return all(t <= s + tol for t in target[len(products):])
+        q, sums_a, c, ints = target
+        qd, ints = (q, ints) if d is c else _scaled_vector(d)
+        sums_b = _product_prefix_sums(self._scaled[1], ints)
+        if qd != q:
+            sums_a = [s * qd for s in sums_a]
+            sums_b = [s * q for s in sums_b]
         sums_b += sums_b[-1:] * (len(sums_a) - len(sums_b))  # no-op when not shorter
-        if self.policy.exact:
-            return all(map(operator.le, sums_a, sums_b))
-        return all(map(operator.le, sums_a, map(operator.add, sums_b, repeat(tol))))
+        return all(map(operator.le, sums_a, sums_b))
 
 
 def _product_prefix_sums(u, v) -> tuple:

@@ -20,7 +20,7 @@ from functools import cache
 from pathlib import Path
 
 from .catalysis import REFINE_TOL, CatalyticPair, rank2_catalyst_interval, returned_rank_bound
-from .errors import CatalysisError, IndexOutOfRange, NegativeEntry, NotNormalized
+from .errors import CatalysisError, EmptyCatalystSet, IndexOutOfRange, NegativeEntry, NotNormalized
 from .examples import EXAMPLE_PAIRS, example_pair
 from .oracle import grid_catalyst_interval, grid_gmax_rank2
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, SchmidtVector, entropy,
@@ -112,11 +112,15 @@ def cmd_catalyst_range(args) -> int:
     payload = interval.to_json_value()
     agree = True
     if args.verify:
-        grid = grid_catalyst_interval(pair)
-        agree = (abs(float(interval.x_min) - float(grid.x_min)) <= ORACLE_INTERVAL_TOL
-                 and abs(float(interval.x_max) - float(grid.x_max)) <= ORACLE_INTERVAL_TOL)
-        payload["oracle"] = grid.to_json_value()
-        payload["oracle_agrees"] = agree
+        try:
+            grid = grid_catalyst_interval(pair).to_json_value()
+        except EmptyCatalystSet:
+            if interval.nonempty:  # a set the grid cannot see, such as a single point
+                raise
+            grid = None  # both sides find the set empty
+        agree = grid is None or (grid["nonempty"] == interval.nonempty and all(
+            abs(payload[k] - grid[k]) <= ORACLE_INTERVAL_TOL for k in ("x_min", "x_max")))
+        payload["oracle"], payload["oracle_agrees"] = grid, agree
     _emit(args, payload)
     if not agree:
         print("closed-form interval disagrees with grid oracle", file=sys.stderr)

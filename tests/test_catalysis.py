@@ -22,6 +22,7 @@ from supercat.catalysis import (RANDOM_SAMPLES, REFINE_TOL, SEARCH_SEED, SIMPLEX
 from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 from supercat.oracle import SCAN_RESOLUTION
+from supercat.schmidt import _coerce
 
 from conftest import (random_blocked_pair_with_empty_interval, random_nontrivial_pair,
                       random_rational_sorted_simplex, random_sorted_simplex)
@@ -420,6 +421,29 @@ class TestJointKernelProperties:
         assert verdicts[True, False] > 100 and verdicts[False, False] > 100, verdicts
         assert verdicts[True, True] > 10, verdicts
 
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_longer_target_tail_decides(self, policy):
+        # a rank-3 loan against a returned state of rank 1 or 2 scaled to a
+        # total s < 1: the target is longer than b (x) d, its first
+        # len(b (x) d) prefix sums may all hold, and its tail, which climbs
+        # to 1, must still be compared with the last prefix sum, s
+        rng = random.Random(6033)
+        verdicts = Counter()
+        for _ in range(150):
+            pair = random_nontrivial_pair(rng, policy)
+            c = self._simplex(rng, 3, policy)
+            target = pair.joint_target(c)
+            for r in (1, 2):
+                s = _coerce(rng.choice((0.9, 0.97, 0.99)), policy)
+                d = SchmidtVector(x * s for x in self._simplex(rng, r, policy))
+                got = pair.joint_feasible(target, d)
+                assert got == reference_joint(pair, c, d), (pair, c, d)
+                head = majorizes(kron(pair.b, d), SchmidtVector(kron(pair.a, c)[:len(pair.b) * r]),
+                                 policy)
+                verdicts[got, head] += 1
+        assert verdicts[False, True] > 20, verdicts  # decided by the tail alone
+        assert verdicts[False, False] > 20, verdicts
+
 
 class TestMaxCatalystEntropy:
     def test_rank2_closed_form(self, pairs):
@@ -493,14 +517,13 @@ def reference_search_candidates(r: int, exact: bool) -> list:
 
 def reference_max_catalyst_entropy(pair, candidates) -> tuple:
     """(value, certificate) of the rank >= 3 search as a full linear scan:
-    the rank-2 catalyst at x_min seeds it, and a candidate replaces the best
-    when it is strictly more entropic and a catalyst.  None for no catalyst."""
+    the lowest two-level catalyst, the low end of the pair's exact two-level
+    set, seeds it at every rank, and a candidate replaces the best when it
+    is strictly more entropic and a catalyst.  None for no catalyst."""
     best_val, best_cert = -1.0, None
-    if pair.dim4:
-        interval = rank2_catalyst_interval(pair)
-        if interval.nonempty:
-            best_val = binary_entropy(interval.x_min)
-            best_cert = probe_two_level(interval.x_min, pair.policy)
+    if pair._two_level:
+        x_min = pair._two_level[0][0]
+        best_val, best_cert = binary_entropy(x_min), probe_two_level(x_min, pair.policy)
     for ent, v in candidates:
         if ent > best_val and is_catalyst(pair, v):
             best_val, best_cert = ent, v
@@ -526,6 +549,11 @@ SEED_WINS_AT_RANK_3 = CatalyticPair(
                    0.02852550821721711)))
 
 
+#: a rank-5 pair whose two-level set is [53/93, 4/7]: at rank 3 the seed
+#: x_min = 53/93 is the answer, and no candidate of the table is a catalyst
+SEED_WINS_ABOVE_RANK_4 = ("33/100,59/200,7/40,7/40,1/40", "9/25,49/200,11/50,3/20,1/40")
+
+
 class TestCandidateTables:
     """max_catalyst_entropy scans a pair-independent candidate table in
     decreasing entropy and stops at the first catalyst; each result must
@@ -537,6 +565,9 @@ class TestCandidateTables:
         cases = [random_nontrivial_pair(rng) for _ in range(100)]
         cases += [random_blocked_rank5_pair(rng) for _ in range(10)]
         cases += [*exact_pairs.values(), SEED_WINS_AT_RANK_3]
+        cases += [text_pair(texts, EXACT_POLICY) for texts in (SINGLE_POINT, TWO_PIECES)]
+        cases += [text_pair(SEED_WINS_ABOVE_RANK_4, policy) for policy in (FLOAT_POLICY,
+                                                                           EXACT_POLICY)]
         candidates = {exact: reference_search_candidates(r, exact) for exact in (False, True)}
         outcomes = Counter()
         for pair in cases:
@@ -553,7 +584,7 @@ class TestCandidateTables:
         # most results come from the table; most rank-5 pairs have no catalyst
         # of rank r, so their scans run to the end of the table
         assert outcomes[r] > 50 and outcomes["empty"] > 0
-        assert outcomes[2] == (r == 3)
+        assert outcomes[2] == 3 * (r == 3)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("r", [3, 4])

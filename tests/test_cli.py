@@ -88,6 +88,39 @@ class TestCatalystRange:
         assert payload["oracle_agrees"] is True
         assert payload["x_max"] == pytest.approx(2 / 3, abs=1e-9)
 
+    @pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["float", "exact"])
+    def test_verify_agrees_on_an_empty_set(self, capsys, flags):
+        # both sides find no two-level catalyst, which is agreement: this
+        # exited 2 with "no two-level catalyst found at this resolution"
+        code, out, err = run(capsys, "catalyst-range", "--a", "0.6,0.4,0,0",
+                             "--b", "0.7,0.25,0.05,0", "--verify", *flags)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["nonempty"] is False
+        assert payload["oracle"] is None and payload["oracle_agrees"] is True
+
+    @pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["float", "exact"])
+    def test_verify_exits_2_on_a_set_the_grid_cannot_see(self, capsys, flags):
+        # the closed form gives [57/101, 74/131], which holds no grid point
+        # k/1000, so the grid finds no member of a nonempty set
+        argv = ["catalyst-range", "--a", "0.345,0.31,0.2,0.145",
+                "--b", "0.37,0.27,0.235,0.125", *flags]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["nonempty"] is True
+        assert run(capsys, *argv, "--verify") == (
+            2, "", "error: no two-level catalyst found at this resolution\n")
+
+    def test_verify_exits_2_on_a_single_point_set(self, capsys):
+        # exactly, the set is the single point {2/3}, between two grid points
+        argv = ["catalyst-range", "--exact", "--a", "1/2,19/50,3/50,3/50",
+                "--b", "18/25,3/25,3/25,1/25"]
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["nonempty"] is True
+        assert payload["x_min"] == payload["x_max"] == 2 / 3
+        assert run(capsys, *argv, "--verify") == (
+            2, "", "error: no two-level catalyst found at this resolution\n")
+
     def test_rational_input(self, capsys):
         code, out, _ = run(capsys, "catalyst-range", "--a", "2/5,2/5,1/10,1/10",
                            "--b", "1/2,1/4,1/4,0", "--exact")
