@@ -32,8 +32,6 @@ from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, Schmid
                       _coerce, _coerce_vector, _constants, binary_entropy, entropy,
                       nielsen_convertible, prefix_sums, schmidt_rank)
 
-#: Width below which a bisected or refined boundary counts as located.
-REFINE_TOL = 1e-9
 #: Effort of the rank >= 3 catalyst-entropy search: steps of the ordered
 #: simplex grid, then seeded random samples.
 SIMPLEX_STEPS = 60
@@ -122,9 +120,17 @@ class CatalyticPair:
 
     @cached_property
     def _segments(self) -> tuple:
+        """_breakpoint_segments of b, in y: the joint test's side b (x) (y, 1-y)."""
         if self.policy.exact:
             return _breakpoint_segments(self._scaled[1], True)
         return _breakpoint_segments(self.b, False)
+
+    @cached_property
+    def _segments_a(self) -> tuple:
+        """_breakpoint_segments of a, in x: the targets a (x) (x, 1-x) of the two-level loans."""
+        if self.policy.exact:
+            return _breakpoint_segments(self._scaled[0], True)
+        return _breakpoint_segments(self.a, False)
 
     def joint_target(self, c: SchmidtVector):
         """The side a (x) c of the joint test for the loan c, built once per loan.
@@ -215,8 +221,10 @@ def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
     segments = []
     for lo, hi in zip(cuts, cuts[1:]):
         mid = (lo + hi) / 2
-        terms = [(bi * mid, bi, zero) for bi in b_coeffs]
-        terms += [(bi * (one - mid), zero, bi) for bi in b_coeffs]
+        # exact mode ranks the products b_i y and b_i (1-y) scaled by y's denominator
+        w_y, w_1 = (mid.numerator, mid.denominator - mid.numerator) if exact else (mid, one - mid)
+        terms = [(bi * w_y, bi, zero) for bi in b_coeffs]
+        terms += [(bi * w_1, zero, bi) for bi in b_coeffs]
         terms.sort(key=lambda t: t[0], reverse=True)
         coef_y = coef_const = zero
         sums = []
@@ -231,15 +239,15 @@ def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
 def _two_level_pieces(pair: CatalyticPair) -> tuple:
     """The closed pieces (lo, hi) of the x where (x, 1-x) is a catalyst, lowest first.
 
-    Between the merged cuts of a and b (_breakpoint_segments), prefix k of
-    b (x) c minus that of a (x) c is const + slope x: each piece solves these
-    constraints, exactly on the pair's integers in exact mode, and in float
-    mode as _min_feasible_y does; pieces at most tol_eq apart are merged.
+    Between the merged cuts of a and b (the pair's _segments_a and _segments),
+    prefix k of b (x) c minus that of a (x) c is const + slope x: each piece
+    solves these constraints, exactly on the pair's integers in exact mode,
+    and in float mode as _min_feasible_y does; pieces at most tol_eq apart
+    are merged.
     """
     exact = pair.policy.exact
     tol, ratio = (0, Fraction) if exact else (pair.policy.tol_eq, operator.truediv)
-    segs_a = _breakpoint_segments(pair._scaled[0] if exact else pair.a, exact)
-    segs_b, pieces, i, j = pair._segments, [], 0, 0
+    segs_a, segs_b, pieces, i, j = pair._segments_a, pair._segments, [], 0, 0
     while i < len(segs_a) and j < len(segs_b):
         (lo_a, hi_a, sums_a), (lo_b, hi_b, sums_b) = segs_a[i], segs_b[j]
         lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)

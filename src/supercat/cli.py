@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .catalysis import REFINE_TOL, CatalyticPair, rank2_catalyst_interval, returned_rank_bound
+from .catalysis import CatalyticPair, rank2_catalyst_interval, returned_rank_bound
 from .errors import CatalysisError, EmptyCatalystSet, IndexOutOfRange, NegativeEntry, NotNormalized
 from .examples import EXAMPLE_PAIRS, example_pair
 from .oracle import grid_catalyst_interval, grid_gmax_rank2
@@ -135,6 +135,7 @@ def _sweep_summary(pair: CatalyticPair, sweep, points: int) -> dict:
         "n_points": points,
         "tilde_gmax": sweep.tilde_gmax,
         "argmax_x": sweep.argmax_x,
+        "argmax_kind": sweep.argmax_kind,
         "envelope_bound": sweep.envelope_bound,
         "gmax_at_x_min": sweep.gmax_at_x_min,
         "gmax_at_x_max": sweep.gmax_at_x_max,
@@ -177,7 +178,7 @@ def _run_sweep_files(pair: CatalyticPair, points: int, out_csv: Path, command: s
             status = 2
     stem = out_csv.with_suffix("")
     manifest = {"command": command, "inputs": inputs, "policy": _policy_json(pair.policy),
-                "sweep": {"n_points": points, "refinement_tol": REFINE_TOL},
+                "sweep": {"n_points": points},
                 "outputs": [str(out_csv), str(stem) + ".summary.json"]}
     text = _dump_json(summary)
     _write(out_csv, _sweep_csv(sweep))
@@ -256,7 +257,7 @@ def cmd_examples(args) -> int:
         summaries[name] = summary
         status = max(status, st)
         print(f"example {name}: tilde_gmax={summary['tilde_gmax']:.6f} "
-              f"argmax_x={summary['argmax_x']:.6f} "
+              f"argmax_x={summary['argmax_x']:.6f} argmax_kind={summary['argmax_kind']} "
               f"interior_optimum={summary['interior_optimum']}", file=sys.stderr)
     _write(out_dir / "examples.summary.json", _dump_json(summaries))
     sys.stdout.write(_dump_json({"out_dir": str(out_dir), "examples": sorted(summaries)}))

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from functools import cache
 
-from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _affine_grid,
-                        _require_dim4_nontrivial, _require_loan, is_catalyst, probe_two_level)
+from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _require_dim4_nontrivial,
+                        _require_loan, is_catalyst, probe_two_level)
 from .errors import EmptyCatalystSet
 from .schmidt import EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy, entropy
 from .supercatalysis import GRID_METHOD, GainResult
 
 #: Grid step of every scan over two-level vectors (x, 1-x).
 SCAN_RESOLUTION = 1e-3
+#: Width below which a bisected boundary counts as located.
+REFINE_TOL = 1e-9
 
 
 def _bisect(predicate, x_false: float, x_true: float) -> float:

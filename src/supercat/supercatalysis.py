@@ -18,19 +18,26 @@ depend on the pair: it is built once per process per (rank, steps,
 arithmetic) and scanned in decreasing entropy, stopping at the first
 feasible state, which is the state the full scan picks.  A hill-climb then
 starts from it.
+
+Over the loans (x, 1-x) of a sweep, that optimum y*(x) is itself piecewise
+linear and nondecreasing in x, on the cells of a's breakpoint segments in x
+and b's in y.  The sweep maximum is found exactly by walking those pieces:
+on each, the gain peaks at a piece end or at a stationary point, and each
+candidate that could beat the sampled maximum is certified by gmax_given_c
+(about one per sweep).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .catalysis import (REFINE_TOL, CatalyticPair, CatalystInterval, _affine_grid,
-                        _best_candidate, _require_interval, _require_loan, is_catalyst,
-                        max_catalyst_entropy, probe_two_level, rank2_catalyst_interval,
-                        returned_rank_bound)
+from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
+                        _require_interval, _require_loan, is_catalyst, max_catalyst_entropy,
+                        probe_two_level, rank2_catalyst_interval, returned_rank_bound)
 from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
                      PreconditionViolated, ZeroDenominator)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
@@ -64,11 +71,18 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A full sweep over the two-level catalyst range."""
+    """A full sweep over the two-level catalyst range.
+
+    argmax_c is the loan (argmax_x, 1 - argmax_x) in the pair's arithmetic,
+    and argmax_kind says why the maximum is there: "endpoint", "kink" (a
+    piece end of y*(x) inside the range) or "stationary".
+    """
 
     points: tuple
     tilde_gmax: float
     argmax_x: float
+    argmax_c: SchmidtVector
+    argmax_kind: str
     interval: CatalystInterval
     envelope_bound: float
 
@@ -360,15 +374,148 @@ def _gain_bound(pair: CatalyticPair, c: SchmidtVector, gain: float = 0.0) -> tup
     return max(bound if search.exact else min(bound, 1.0), gain), search.exact
 
 
+def _y_star_pieces(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> list:
+    """The linear pieces (x0, x1, alpha, beta) of y*(x) = alpha x + beta on [x_lo, x_hi].
+
+    y*(x) is _min_feasible_y's answer for the loan (x, 1-x): the smallest y
+    with every prefix sum of b (x) (y, 1-y) at least that of a (x) (x, 1-x).
+    Within one x-segment of the pair's _segments_a (the targets are linear
+    in x) and one y-segment of its _segments (the sums are linear in y), the
+    constraint on y is either sloped, y >= (T_k(x) - const_k) / slope_k, or
+    constant in y, const_k >= T_k(x), which bounds x from above.  So in such
+    a cell y* is the upper envelope of at most 2n + 1 lines, the segment's
+    lower end included, and it holds while the constant constraints do and
+    y* stays below the segment's upper end.  The targets grow with x as the
+    sums grow with y, so y* never decreases: the walk visits the y-segments
+    in order and never goes back.  Exact mode computes every piece end as a
+    Fraction.  Float mode follows _min_feasible_y: a constraint is sloped
+    only when its slope exceeds tol_eq, constant ones get tol_eq slack, and
+    the envelope's active line is the steepest of those within tol_eq of
+    the top.
+    """
+    exact = pair.policy.exact
+    tol, ratio = (0, Fraction) if exact else (pair.policy.tol_eq, operator.truediv)
+    segs_b, j, pieces = pair._segments, 0, []
+    for lo_a, hi_a, sums_a in pair._segments_a:
+        if hi_a < x_lo:
+            continue
+        if lo_a > x_hi:
+            break
+        x0, x1 = max(lo_a, x_lo), min(hi_a, x_hi)
+        while j < len(segs_b):
+            x0, leaves = _cell_pieces(pieces, x0, x1, sums_a, segs_b[j], tol, ratio)
+            if not leaves:
+                break
+            j += 1
+    return pieces
+
+
+def _cell_pieces(pieces: list, x0: Real, x1: Real, sums_a: tuple, seg_b: tuple, tol,
+                 ratio) -> tuple:
+    """Append the pieces of y* in one cell, from x0 toward x1, to pieces.
+
+    Returns (x, leaves): the x where the walk stopped, and whether y* leaves
+    the cell's y-segment there (at once if it does not hold at x0) rather
+    than reaching x1 inside it.
+    """
+    lo_b, hi_b, sums_b = seg_b
+    lines, x_end = [(0, lo_b)], x1
+    for (_, const_a, slope_a), (_, const_b, slope_b) in zip(sums_a, sums_b):
+        if slope_b > tol:
+            lines.append((ratio(slope_a, slope_b), ratio(const_a - const_b, slope_b)))
+        elif const_a + slope_a * x0 > const_b + tol:
+            return x0, True
+        elif slope_a > 0:
+            x_end = min(x_end, ratio(const_b + tol - const_a, slope_a))
+    while True:
+        values = [al * x0 + be for al, be in lines]
+        top = max(values)
+        if top > hi_b:
+            return x0, True
+        al, be, y0 = max((al, be, v) for (al, be), v in zip(lines, values) if v >= top - tol)
+        x_next, overtaken = max(x_end, x0), False
+        if al > 0:
+            x_next = min(x_next, x0 + (hi_b - y0) / al)
+        for (am, _), vm in zip(lines, values):
+            if am > al:
+                x = x0 + (y0 - vm) / (am - al)  # where line m overtakes the active one
+                if x0 < x < x_next:
+                    x_next, overtaken = x, True
+        if pieces and pieces[-1][1] == x0 and pieces[-1][2:] == (al, be):
+            x0 = pieces.pop()[0]  # the same line across a cell boundary: no kink
+        pieces.append((x0, x_next, al, be))
+        if x_next == x1:
+            return x1, False
+        if not overtaken:  # a constant constraint or the segment's upper end stops the cell
+            return x_next, True
+        x0 = x_next
+
+
+def _stationary_points(x0: float, x1: float, al: float, be: float):
+    """The local maxima strictly inside (x0, x1) of h(al x + be) - h(x), h the
+    binary entropy, each located by float bisection on the derivative
+    al h'(y) - h'(x), with h'(t) = log2((1 - t) / t).
+
+    The second derivative has the sign of y (1 - y) - al^2 x (1 - x), which is
+    linear in x, so the derivative is monotone on each side of that zero and
+    changes sign from + to - at most once there.
+    """
+    def slope(x):
+        y = min(al * x + be, x)  # y* <= x on catalysts; the min keeps rounding off y = 1
+        return al * math.log2((1 - y) / y) - math.log2((1 - x) / x)
+
+    cuts = [x0, x1]
+    k = al * (1 - 2 * be - al)
+    if k and x0 < -be * (1 - be) / k < x1:
+        cuts.insert(1, -be * (1 - be) / k)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if slope(lo) > 0 > slope(hi):
+            mid = (lo + hi) / 2
+            while lo < mid < hi:
+                lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+                mid = (lo + hi) / 2
+            yield lo
+
+
+def _sweep_candidates(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> dict:
+    """x -> (closed-form gain, kind) of the loans where the gain can peak on [x_lo, x_hi].
+
+    On each piece y* = alpha x + beta of _y_star_pieces the gain is
+    (h(y*) - h(x)) / drop, smooth in x, so its maximum over the piece is at a
+    piece end ("endpoint" at x_lo or x_hi, "kink" elsewhere) or at a
+    stationary point inside ("stationary", a float).  The gain is 0 where y*
+    does not lie strictly below x.
+    """
+    policy, drop = pair.policy, pair.entropy_drop
+    cands = {}
+    for x0, x1, al, be in _y_star_pieces(pair, x_lo, x_hi):
+        found = [(x, al * x + be, "endpoint" if x in (x_lo, x_hi) else "kink") for x in (x0, x1)]
+        fal, fbe = float(al), float(be)
+        found += [(x, fal * x + fbe, "stationary")
+                  for x in _stationary_points(float(x0), float(x1), fal, fbe)]
+        for x, y, kind in found:
+            g = 0.0
+            if policy.strictly_greater(x, y):
+                g = (binary_entropy(y) - binary_entropy(x)) / drop
+            if x not in cands or g > cands[x][0]:
+                cands[x] = g, kind
+    return cands
+
+
 def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     """Sweep the whole two-level catalyst range and maximize the gain.
 
     Samples n_points values of x uniformly over [x_min, x_max] (endpoints
-    included), computes the exact best gain and its upper bound at each, then
-    refines locally around the best sample.  The reported maximum is a
-    certified lower bound on the minimal-scenario optimum; the envelope value
-    (bound at the least entangled catalyst) is the matching upper bound when
-    it is attained.
+    included) and computes the exact best gain and its upper bound at each.
+    The maximum over the whole range comes from the linear pieces of y*(x)
+    (_sweep_candidates): the candidates are ranked by their closed-form gain
+    and each one that could beat the best value so far is certified by
+    gmax_given_c.  So tilde_gmax is the best certified or sampled gain; in
+    exact mode its argmax is a rational kink or endpoint, or a float
+    stationary point that one exact solve re-checks.  argmax_kind says
+    which; "sample" would mean a sampled point beat every candidate, which
+    only rounding can cause.  The envelope value (bound at the least
+    entangled catalyst) is the matching upper bound when it is attained.
     """
     if n_points < 2:
         raise PreconditionViolated("a sweep needs at least two points")
@@ -393,21 +540,18 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     i_best = max(range(len(values)), key=values.__getitem__)
     best_x, best_v = xs[i_best], values[i_best]
 
-    lo = xs[i_best - 1] if i_best > 0 else xs[0]
-    hi = xs[i_best + 1] if i_best < len(xs) - 1 else xs[-1]
-    for _ in range(40):
-        if float(hi - lo) <= REFINE_TOL:
+    cands = _sweep_candidates(pair, xs[0], xs[-1])
+    for x, (predicted, _) in sorted(cands.items(), key=lambda kv: kv[1][0], reverse=True):
+        if predicted <= best_v:
             break
-        grid = _affine_grid(lo, hi, 9)
-        vals = [evaluate(x)[1] for x in grid]
-        j = max(range(9), key=vals.__getitem__)
-        if vals[j] > best_v:
-            best_v, best_x = vals[j], grid[j]
-        lo = grid[max(0, j - 1)]
-        hi = grid[min(8, j + 1)]
+        g = evaluate(x)[1]
+        if g > best_v:
+            best_v, best_x = g, x
 
     envelope = (binary_entropy(interval.x_min) - binary_entropy(interval.x_max)) / pair.entropy_drop
     return SweepResult(points=tuple(points), tilde_gmax=best_v, argmax_x=float(best_x),
+                       argmax_c=evaluate(best_x)[0],
+                       argmax_kind=cands[best_x][1] if best_x in cands else "sample",
                        interval=interval, envelope_bound=envelope)
 
 

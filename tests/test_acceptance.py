@@ -87,6 +87,7 @@ def test_criterion_03_second_example_miserly_optimal(sweeps):
     assert 0.0 < sweep.tilde_gmax < 0.25
     assert sweep.tilde_gmax == sweep.gmax_at_x_max
     assert abs(sweep.argmax_x - float(sweep.interval.x_max)) <= 1e-9
+    assert sweep.argmax_kind == "endpoint"
     ok(f"3 (second example: tilde_gmax {sweep.tilde_gmax:.6f} in (0, 0.25) at x_max)")
 
 
@@ -97,6 +98,7 @@ def test_criterion_04_third_example_interior_beats_miserly(sweeps):
     assert max(p.gmax for p in interior) > sweep.gmax_at_x_max + 1e-9
     assert sweep.tilde_gmax > sweep.gmax_at_x_max + 1e-9
     assert abs(sweep.tilde_gmax - 0.1) <= 0.05
+    assert sweep.argmax_kind == "kink"  # the least entangled loan is not always optimal
     ok(f"4 (third example: interior {sweep.tilde_gmax:.6f} beats miserly "
        f"{sweep.gmax_at_x_max:.6f})")
 

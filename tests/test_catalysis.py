@@ -17,11 +17,11 @@ from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, 
                       max_catalyst_entropy, most_entangled_rank2_catalyst,
                       necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
                       returned_rank_bound, tilde_gmax_sweep)
-from supercat.catalysis import (RANDOM_SAMPLES, REFINE_TOL, SEARCH_SEED, SIMPLEX_STEPS,
-                                _candidate_table, _ordered_simplex_grid, probe_two_level)
+from supercat.catalysis import (RANDOM_SAMPLES, SEARCH_SEED, SIMPLEX_STEPS, _candidate_table,
+                                _ordered_simplex_grid, probe_two_level)
 from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
-from supercat.oracle import SCAN_RESOLUTION
+from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION
 from supercat.schmidt import _coerce
 
 from conftest import (random_blocked_pair_with_empty_interval, random_nontrivial_pair,

@@ -20,7 +20,7 @@ from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsi
 from supercat.examples import example_pair
 from supercat.schmidt import _constants
 from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _gain_bound,
-                                     _min_feasible_y)
+                                     _min_feasible_y, _y_star_pieces)
 
 from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
 
@@ -545,9 +545,98 @@ class TestSweep:
         tilde_gmax_sweep(pair, n_points=200)
         distinct = len(set(evaluated))
         assert len(evaluated) == distinct
-        assert distinct <= 290
+        assert distinct <= 201  # the samples and one certified kink, 47/76
         assert counts["joint_target"] == distinct
         assert counts["joint_feasible"] == distinct
+
+
+def zoom_sweep_maximum(pair, n_points):
+    """The sweep maximum as the 40-round zoom around the best sample found
+    it, before the walk over the pieces of y*(x) replaced it."""
+    interval = rank2_catalyst_interval(pair)
+    memo = {}
+
+    def value(x):
+        if x not in memo:
+            memo[x] = gmax_given_c(pair, probe_two_level(x, pair.policy)).gain
+        return memo[x]
+
+    xs = _affine_grid(interval.x_min, interval.x_max, n_points)
+    i = max(range(n_points), key=lambda k: value(xs[k]))
+    best = value(xs[i])
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, n_points - 1)]
+    for _ in range(40):
+        if float(hi - lo) <= 1e-9:
+            break
+        grid = _affine_grid(lo, hi, 9)
+        j = max(range(9), key=lambda k: value(grid[k]))
+        best = max(best, value(grid[j]))
+        lo, hi = grid[max(0, j - 1)], grid[min(8, j + 1)]
+    return best
+
+
+class TestSweepMaximum:
+    """The sweep maximum comes from the linear pieces of y*(x), not from samples."""
+
+    @pytest.mark.parametrize("name,argmax,kind", [
+        ("1", Fraction(5, 8), "endpoint"), ("2", Fraction(25, 38), "endpoint"),
+        ("3", Fraction(47, 76), "kink"), ("4", Fraction(9, 14), "kink")])
+    def test_bundled_argmax_exact(self, exact_pairs, pairs, name, argmax, kind):
+        sweep = tilde_gmax_sweep(exact_pairs[name], n_points=50)
+        assert sweep.argmax_c == SchmidtVector((argmax, 1 - argmax))
+        assert sweep.argmax_kind == kind
+        assert sweep.tilde_gmax == gmax_given_c(exact_pairs[name], sweep.argmax_c).gain
+        float_sweep = tilde_gmax_sweep(pairs[name], n_points=200)
+        assert float_sweep.argmax_kind == kind
+        assert float_sweep.argmax_x == pytest.approx(float(argmax), abs=1e-14)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_never_below_zoom_nor_samples(self, policy):
+        rng = random.Random(13)
+        kinds = Counter()
+        for _ in range(110):
+            pair = random_nontrivial_pair(rng, policy, min_width=1e-4)
+            sweep = tilde_gmax_sweep(pair, n_points=25)
+            kinds[sweep.argmax_kind] += 1
+            # at a flat stationary peak the best of the zoom's many nearby
+            # evaluations can beat one evaluation by rounding, a few ulps
+            # of the entropies over the entropy drop
+            assert sweep.tilde_gmax >= zoom_sweep_maximum(pair, 25) - 1e-12
+            assert sweep.tilde_gmax >= max(p.gmax for p in sweep.points)
+            assert sweep.tilde_gmax <= sweep.envelope_bound + 1e-9
+            assert sweep.tilde_gmax == gmax_given_c(pair, sweep.argmax_c).gain
+            assert sweep.argmax_c[0] == pytest.approx(sweep.argmax_x, abs=1e-15)
+        assert set(kinds) == {"endpoint", "kink", "stationary"}, kinds
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_pieces_match_min_feasible_y(self, policy):
+        rng = random.Random(14)
+        for _ in range(40):
+            pair = random_nontrivial_pair(rng, policy, min_width=1e-4)
+            interval = rank2_catalyst_interval(pair)
+            pieces = _y_star_pieces(pair, interval.x_min, interval.x_max)
+            assert pieces[0][0] == interval.x_min and pieces[-1][1] == interval.x_max
+            for (_, end, _, _), (start, _, _, _) in zip(pieces, pieces[1:]):
+                assert end == start
+            for x0, x1, al, be in pieces:
+                for x in (x0, (x0 + x1) / 2, x1):
+                    c = probe_two_level(x, policy)
+                    y = _min_feasible_y(pair, pair.joint_target(c), c[0])
+                    if policy.exact:
+                        assert al * x + be == y
+                    else:  # None: rounding put y* just above x, a zero-gain point
+                        assert al * x + be == pytest.approx(c[0] if y is None else y, abs=1e-9)
+
+    def test_most_entangled_loan_gains_nothing_on_random_pairs(self):
+        # criterion 6 beyond the bundled pairs: y*(x_min) = x_min exactly, so
+        # these pairs have a catalyst with zero gain (not fully supercatalyzable)
+        rng = random.Random(15)
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng, EXACT_POLICY)
+            x_min = rank2_catalyst_interval(pair).x_min
+            x0, _, al, be = _y_star_pieces(pair, x_min, x_min)[0]
+            assert x0 == x_min and al * x_min + be == x_min
+            assert gmax_given_c(pair, most_entangled_rank2_catalyst(pair)).gain == 0.0
 
 
 class TestRankReduceReturned:
