@@ -1,12 +1,17 @@
-"""Catalyst membership, the two-level catalyst set and the rank-2 interval.
+"""Catalyst membership, the two-level algebra and the rank-2 interval.
 
 A catalyst for an LOCC-blocked transformation a -> b is an auxiliary vector c
 with b (x) c majorizing a (x) c.  The two-level catalysts (x, 1-x) of any
 pair are a union of closed pieces in x, solved exactly here; at main
 dimension at most 4 they are one interval with the paper's closed form, its
-endpoints the least and most entangled two-level catalysts.  For higher
-catalyst ranks only search-based lower bounds on the maximal catalyst
-entropy are available.  Grid scans of two-level vectors live in oracle.
+endpoints the least and most entangled two-level catalysts.  The pair's
+breakpoint tables are read only here: by the two-level set, by the best
+two-level returned state y* of a two-level loan (_min_feasible_y) and by the
+linear pieces of y*(x) (_y_star_pieces), from which supercatalysis computes
+gains.  In float mode all three count a constraint as sloped only when its
+slope exceeds tol_eq, and give a constant one tol_eq slack.  For higher
+catalyst ranks only search-based lower bounds on the maximal catalyst entropy
+are available.  Grid scans of two-level vectors live in oracle.
 
 The candidates of the rank >= 3 searches (E_r here, the returned-state grid
 in supercatalysis) do not depend on the pair.  Each search builds its table
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import Optional
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector,
@@ -268,6 +274,158 @@ def _two_level_pieces(pair: CatalyticPair) -> tuple:
     return tuple(pieces)
 
 
+def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
+    """Smallest y in [1/2, hi] with every prefix sum of b (x) (y, 1-y) at
+    least the corresponding one of a (x) c, for target = pair.joint_target(c).
+
+    Between consecutive breakpoints (y values where b_i * y == b_j * (1-y))
+    the sorted order of the 2n products is constant, so each prefix sum is a
+    linear function of y.  Its slope is never negative: for y >= 1/2 every
+    b_i (1-y) among the k largest products has its partner b_i y there too.
+    So every constraint only bounds y from below, and the feasible y form
+    the single interval [y*, hi].  The pair caches the breakpoints and each
+    segment's prefix sums; segments are visited left to right, the last one
+    clipped at hi, and the first segment with a feasible point yields y*.
+
+    In float mode, constraints that are constant in y are compared with
+    tol_eq slack so exact ties survive rounding; sloped constraints are
+    solved without slack, since slack would shift the optimum and let the
+    reported gain creep past its upper bound.  Exact mode solves the same
+    constraints on the pair's integers (_min_feasible_y_scaled).
+    """
+    if pair.policy.exact:
+        return _min_feasible_y_scaled(pair, target, hi)
+    tol = pair.policy.tol_eq
+
+    for seg_lo, seg_hi, sums in pair._segments:
+        if not seg_lo < hi:
+            break
+        if not seg_hi < hi:
+            seg_hi = hi
+        mid = (seg_lo + seg_hi) / 2
+        y = seg_lo
+        for k, (coef_y, coef_const, slope) in enumerate(sums):
+            if slope > tol:
+                bound = (target[k] - coef_const) / slope
+                if bound > y:
+                    y = bound
+                    if y > seg_hi:
+                        break
+            elif coef_y * mid + coef_const * (1.0 - mid) < target[k] - tol:
+                # constraint is (numerically) constant on the segment
+                break
+        else:
+            return y
+    return None
+
+
+def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple, hi: Fraction) -> Optional[Fraction]:
+    """_min_feasible_y in exact mode, on integers.
+
+    target is (q, T, c, C) with T_k over D q, and the segment coefficients are
+    integers over D, so constraint k reads (coef_const + slope * y) q >= T_k.
+    A slope is 0 or positive, and with slope 0 the constraint is the constant
+    coef_const q >= T_k.  Every y is kept as a numerator and denominator and
+    compared by cross-multiplying; only y* itself becomes a Fraction.
+    """
+    q, sums_a = target[:2]
+    hn, hd = hi.numerator, hi.denominator
+    for seg_lo, seg_hi, sums in pair._segments:
+        yn, yd = seg_lo.numerator, seg_lo.denominator
+        if not yn * hd < hn * yd:
+            break
+        un, ud = seg_hi.numerator, seg_hi.denominator
+        if not un * hd < hn * ud:
+            un, ud = hn, hd
+        for k, (_, coef_const, slope) in enumerate(sums):
+            if slope > 0:
+                bn, bd = sums_a[k] - coef_const * q, slope * q
+                if bn * yd > yn * bd:
+                    yn, yd = bn, bd
+                    if yn * ud > un * yd:
+                        break
+            elif coef_const * q < sums_a[k]:
+                break
+        else:
+            return Fraction(yn, yd)
+    return None
+
+
+def _y_star_pieces(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> list:
+    """The linear pieces (x0, x1, alpha, beta) of y*(x) = alpha x + beta on [x_lo, x_hi].
+
+    y*(x) is _min_feasible_y's answer for the loan (x, 1-x): the smallest y
+    with every prefix sum of b (x) (y, 1-y) at least that of a (x) (x, 1-x).
+    Within one x-segment of the pair's _segments_a (the targets are linear
+    in x) and one y-segment of its _segments (the sums are linear in y), the
+    constraint on y is either sloped, y >= (T_k(x) - const_k) / slope_k, or
+    constant in y, const_k >= T_k(x), which bounds x from above.  So in such
+    a cell y* is the upper envelope of at most 2n + 1 lines, the segment's
+    lower end included, and it holds while the constant constraints do and
+    y* stays below the segment's upper end.  The targets grow with x as the
+    sums grow with y, so y* never decreases: the walk visits the y-segments
+    in order and never goes back.  Exact mode computes every piece end as a
+    Fraction.  In float mode the envelope's active line is the steepest of
+    those within tol_eq of the top.
+    """
+    exact = pair.policy.exact
+    tol, ratio = (0, Fraction) if exact else (pair.policy.tol_eq, operator.truediv)
+    segs_b, j, pieces = pair._segments, 0, []
+    for lo_a, hi_a, sums_a in pair._segments_a:
+        if hi_a < x_lo:
+            continue
+        if lo_a > x_hi:
+            break
+        x0, x1 = max(lo_a, x_lo), min(hi_a, x_hi)
+        while j < len(segs_b):
+            x0, leaves = _cell_pieces(pieces, x0, x1, sums_a, segs_b[j], tol, ratio)
+            if not leaves:
+                break
+            j += 1
+    return pieces
+
+
+def _cell_pieces(pieces: list, x0: Real, x1: Real, sums_a: tuple, seg_b: tuple, tol,
+                 ratio) -> tuple:
+    """Append the pieces of y* in one cell, from x0 toward x1, to pieces.
+
+    Returns (x, leaves): the x where the walk stopped, and whether y* leaves
+    the cell's y-segment there (at once if it does not hold at x0) rather
+    than reaching x1 inside it.
+    """
+    lo_b, hi_b, sums_b = seg_b
+    lines, x_end = [(0, lo_b)], x1
+    for (_, const_a, slope_a), (_, const_b, slope_b) in zip(sums_a, sums_b):
+        if slope_b > tol:
+            lines.append((ratio(slope_a, slope_b), ratio(const_a - const_b, slope_b)))
+        elif const_a + slope_a * x0 > const_b + tol:
+            return x0, True
+        elif slope_a > 0:
+            x_end = min(x_end, ratio(const_b + tol - const_a, slope_a))
+    while True:
+        values = [al * x0 + be for al, be in lines]
+        top = max(values)
+        if top > hi_b:
+            return x0, True
+        al, be, y0 = max((al, be, v) for (al, be), v in zip(lines, values) if v >= top - tol)
+        x_next, overtaken = max(x_end, x0), False
+        if al > 0:
+            x_next = min(x_next, x0 + (hi_b - y0) / al)
+        for (am, _), vm in zip(lines, values):
+            if am > al:
+                x = x0 + (y0 - vm) / (am - al)  # where line m overtakes the active one
+                if x0 < x < x_next:
+                    x_next, overtaken = x, True
+        if pieces and pieces[-1][1] == x0 and pieces[-1][2:] == (al, be):
+            x0 = pieces.pop()[0]  # the same line across a cell boundary: no kink
+        pieces.append((x0, x_next, al, be))
+        if x_next == x1:
+            return x1, False
+        if not overtaken:  # a constant constraint or the segment's upper end stops the cell
+            return x_next, True
+        x0 = x_next
+
+
 @dataclass(frozen=True)
 class CatalystInterval:
     """The x-range [x_min, x_max] of two-level catalysts (x, 1-x)."""
@@ -332,8 +490,7 @@ def necessary_conditions_4d(pair: CatalyticPair) -> bool:
     f_1(a) <= f_1(b), f_2(a) > f_2(b) strictly, f_3(a) <= f_3(b).
     """
     _require_dim4_nontrivial(pair)
-    a, b = pair.a.padded(4), pair.b.padded(4)
-    fa, fb = prefix_sums(a), prefix_sums(b)
+    fa, fb = prefix_sums(pair.a.padded(4)), prefix_sums(pair.b.padded(4))
     p = pair.policy
     return p.leq(fa[0], fb[0]) and p.strictly_greater(fa[1], fb[1]) and p.leq(fa[2], fb[2])
 
@@ -342,11 +499,10 @@ def rank2_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     """Closed-form interval of two-level catalysts for rank <= 4 pairs.
 
     x_min is the larger of (a1+a2-b1)/(b2+b3) and 1-(a4-b4)/(b3-a3); x_max the
-    smallest of b1/(a1+a2), (b1-a1)/(a2-b2) and 1-b4/(a3+a4).  A denominator
-    can only vanish at the tolerance boundary of the necessary conditions; the
-    corresponding constraint then degenerates to a sign condition (skip the
-    term, or declare the set empty), which the grid oracle cross-validates.
-    The interval is computed once per pair and cached on it.
+    smallest of b1/(a1+a2), (b1-a1)/(a2-b2) and 1-b4/(a3+a4).  The necessary
+    conditions keep b2+b3 and b3-a3 positive, and a term whose denominator
+    a2-b2 or a3+a4 is not positive is vacuous, except when float slack admits
+    a3+a4 ~ 0 < b4: the set is then empty.  Computed once per pair and cached.
     """
     return pair._interval
 
@@ -356,38 +512,22 @@ def _closed_form_interval(pair: CatalyticPair) -> CatalystInterval:
     if not necessary_conditions_4d(pair):
         return CatalystInterval(one, half, False)
 
-    a, b = pair.a.padded(4), pair.b.padded(4)
-    a1, a2, a3, a4 = a[:4]
-    b1, b2, b3, b4 = b[:4]
+    a1, a2, a3, a4 = pair.a.padded(4)[:4]
+    b1, b2, b3, b4 = pair.b.padded(4)[:4]
     p = pair.policy
-    empty = False
 
-    # b2 + b3 >= b3 + b4 = 1 - f2(b) > 0, since the necessary conditions give f2(a) > f2(b)
-    lower = [(a1 + a2 - b1) / (b2 + b3)]
-    den = b3 - a3
-    if p.positive(den):
-        lower.append(1 - (a4 - b4) / den)
-    elif p.leq(b4, a4):
-        pass  # constraint vacuous
-    else:
-        empty = True
-
+    # the necessary conditions give b2 + b3 >= 1 - f2(b) > 1 - f2(a) >= 0 and
+    # b3 - a3 = (f2(a) - f2(b)) - (f3(a) - f3(b)) > tol_strict - tol_eq > tol_eq
+    lower = [(a1 + a2 - b1) / (b2 + b3), 1 - (a4 - b4) / (b3 - a3)]
     upper = [b1 / (a1 + a2)]
-    den = a2 - b2
-    if p.positive(den):  # else vacuous: the necessary conditions give a1 <= b1
-        upper.append((b1 - a1) / den)
-    den = a3 + a4
-    if p.positive(den):
-        upper.append(1 - b4 / den)
-    elif not p.positive(b4):
-        pass  # both states have rank <= 2 in the tail: no constraint
-    else:
-        empty = True
-
+    if p.positive(a2 - b2):  # else vacuous: the necessary conditions give a1 <= b1
+        upper.append((b1 - a1) / (a2 - b2))
+    if p.positive(a3 + a4):
+        upper.append(1 - b4 / (a3 + a4))
+    elif p.positive(b4):  # float only: f3(a) <= f3(b) holds by tol_eq slack
+        return CatalystInterval(one, half, False)
     x_min = max(max(lower), half)
     x_max = min(min(upper), one)
-    if empty:
-        return CatalystInterval(one, half, False)
     return CatalystInterval(x_min, x_max, x_min <= x_max)
 
 

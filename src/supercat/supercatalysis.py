@@ -12,32 +12,31 @@ For a fixed borrowed two-level state the best returned two-level state is
 found exactly: the prefix sums of b (x) (y, 1-y) are piecewise linear and
 nondecreasing in y with breakpoints where two product coefficients tie, so
 the feasible y form a single interval [y*, c1] and the optimum is its left
-end y*, the feasible point closest to 1/2.  Higher returned ranks fall back
-to a simplex grid search and are flagged approximate.  The grid does not
-depend on the pair: it is built once per process per (rank, steps,
-arithmetic) and scanned in decreasing entropy, stopping at the first
-feasible state, which is the state the full scan picks.  A hill-climb then
-starts from it.
+end y*, the feasible point closest to 1/2 (catalysis._min_feasible_y solves
+it on the pair's breakpoint tables).  Higher returned ranks fall back to a
+simplex grid search and are flagged approximate.  The grid does not depend
+on the pair: it is built once per process per (rank, steps, arithmetic) and
+scanned in decreasing entropy, stopping at the first feasible state, which
+is the state the full scan picks.  A hill-climb then starts from it.
 
 Over the loans (x, 1-x) of a sweep, that optimum y*(x) is itself piecewise
 linear and nondecreasing in x, on the cells of a's breakpoint segments in x
-and b's in y.  The sweep maximum is found exactly by walking those pieces:
-on each, the gain peaks at a piece end or at a stationary point, and each
-candidate that could beat the sampled maximum is certified by gmax_given_c
-(about one per sweep).
+and b's in y (catalysis._y_star_pieces).  The sweep maximum is found exactly
+from those pieces: on each, the gain peaks at a piece end or at a stationary
+point, and each candidate that could beat the sampled maximum is certified
+by gmax_given_c (about one per sweep).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
-                        _require_interval, _require_loan, is_catalyst, max_catalyst_entropy,
-                        probe_two_level, rank2_catalyst_interval, returned_rank_bound)
+                        _min_feasible_y, _require_interval, _require_loan, _y_star_pieces,
+                        is_catalyst, max_catalyst_entropy, probe_two_level,
+                        rank2_catalyst_interval, returned_rank_bound)
 from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
                      PreconditionViolated, ZeroDenominator)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
@@ -179,83 +178,6 @@ def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
     )
 
 
-def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
-    """Smallest y in [1/2, hi] with every prefix sum of b (x) (y, 1-y) at
-    least the corresponding one of a (x) c, for target = pair.joint_target(c).
-
-    Between consecutive breakpoints (y values where b_i * y == b_j * (1-y))
-    the sorted order of the 2n products is constant, so each prefix sum is a
-    linear function of y.  Its slope is never negative: for y >= 1/2 every
-    b_i (1-y) among the k largest products has its partner b_i y there too.
-    So every constraint only bounds y from below, and the feasible y form
-    the single interval [y*, hi].  The pair caches the breakpoints and each
-    segment's prefix sums; segments are visited left to right, the last one
-    clipped at hi, and the first segment with a feasible point yields y*.
-
-    In float mode, constraints that are constant in y are compared with
-    tol_eq slack so exact ties survive rounding; sloped constraints are
-    solved without slack, since slack would shift the optimum and let the
-    reported gain creep past its upper bound.  Exact mode solves the same
-    constraints on the pair's integers (_min_feasible_y_scaled).
-    """
-    if pair.policy.exact:
-        return _min_feasible_y_scaled(pair, target, hi)
-    tol = pair.policy.tol_eq
-
-    for seg_lo, seg_hi, sums in pair._segments:
-        if not seg_lo < hi:
-            break
-        if not seg_hi < hi:
-            seg_hi = hi
-        mid = (seg_lo + seg_hi) / 2
-        y = seg_lo
-        for k, (coef_y, coef_const, slope) in enumerate(sums):
-            if slope > tol:
-                bound = (target[k] - coef_const) / slope
-                if bound > y:
-                    y = bound
-                    if y > seg_hi:
-                        break
-            elif coef_y * mid + coef_const * (1.0 - mid) < target[k] - tol:
-                # constraint is (numerically) constant on the segment
-                break
-        else:
-            return y
-    return None
-
-
-def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple, hi: Fraction) -> Optional[Fraction]:
-    """_min_feasible_y in exact mode, on integers.
-
-    target is (q, T, c, C) with T_k over D q, and the segment coefficients are
-    integers over D, so constraint k reads (coef_const + slope * y) q >= T_k.
-    A slope is 0 or positive, and with slope 0 the constraint is the constant
-    coef_const q >= T_k.  Every y is kept as a numerator and denominator and
-    compared by cross-multiplying; only y* itself becomes a Fraction.
-    """
-    q, sums_a = target[:2]
-    hn, hd = hi.numerator, hi.denominator
-    for seg_lo, seg_hi, sums in pair._segments:
-        yn, yd = seg_lo.numerator, seg_lo.denominator
-        if not yn * hd < hn * yd:
-            break
-        un, ud = seg_hi.numerator, seg_hi.denominator
-        if not un * hd < hn * ud:
-            un, ud = hn, hd
-        for k, (_, coef_const, slope) in enumerate(sums):
-            if slope > 0:
-                bn, bd = sums_a[k] - coef_const * q, slope * q
-                if bn * yd > yn * bd:
-                    yn, yd = bn, bd
-                    if yn * ud > un * yd:
-                        break
-            elif coef_const * q < sums_a[k]:
-                break
-        else:
-            return Fraction(yn, yd)
-    return None
-
-
 def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target) -> GainResult:
     """Exact best gain when the returned state is forced to two levels;
     target is pair.joint_target(c)."""
@@ -372,83 +294,6 @@ def _gain_bound(pair: CatalyticPair, c: SchmidtVector, gain: float = 0.0) -> tup
     top = max(search.value, ent_c)  # c itself is a catalyst of admissible rank
     bound = (top - ent_c) / pair.entropy_drop
     return max(bound if search.exact else min(bound, 1.0), gain), search.exact
-
-
-def _y_star_pieces(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> list:
-    """The linear pieces (x0, x1, alpha, beta) of y*(x) = alpha x + beta on [x_lo, x_hi].
-
-    y*(x) is _min_feasible_y's answer for the loan (x, 1-x): the smallest y
-    with every prefix sum of b (x) (y, 1-y) at least that of a (x) (x, 1-x).
-    Within one x-segment of the pair's _segments_a (the targets are linear
-    in x) and one y-segment of its _segments (the sums are linear in y), the
-    constraint on y is either sloped, y >= (T_k(x) - const_k) / slope_k, or
-    constant in y, const_k >= T_k(x), which bounds x from above.  So in such
-    a cell y* is the upper envelope of at most 2n + 1 lines, the segment's
-    lower end included, and it holds while the constant constraints do and
-    y* stays below the segment's upper end.  The targets grow with x as the
-    sums grow with y, so y* never decreases: the walk visits the y-segments
-    in order and never goes back.  Exact mode computes every piece end as a
-    Fraction.  Float mode follows _min_feasible_y: a constraint is sloped
-    only when its slope exceeds tol_eq, constant ones get tol_eq slack, and
-    the envelope's active line is the steepest of those within tol_eq of
-    the top.
-    """
-    exact = pair.policy.exact
-    tol, ratio = (0, Fraction) if exact else (pair.policy.tol_eq, operator.truediv)
-    segs_b, j, pieces = pair._segments, 0, []
-    for lo_a, hi_a, sums_a in pair._segments_a:
-        if hi_a < x_lo:
-            continue
-        if lo_a > x_hi:
-            break
-        x0, x1 = max(lo_a, x_lo), min(hi_a, x_hi)
-        while j < len(segs_b):
-            x0, leaves = _cell_pieces(pieces, x0, x1, sums_a, segs_b[j], tol, ratio)
-            if not leaves:
-                break
-            j += 1
-    return pieces
-
-
-def _cell_pieces(pieces: list, x0: Real, x1: Real, sums_a: tuple, seg_b: tuple, tol,
-                 ratio) -> tuple:
-    """Append the pieces of y* in one cell, from x0 toward x1, to pieces.
-
-    Returns (x, leaves): the x where the walk stopped, and whether y* leaves
-    the cell's y-segment there (at once if it does not hold at x0) rather
-    than reaching x1 inside it.
-    """
-    lo_b, hi_b, sums_b = seg_b
-    lines, x_end = [(0, lo_b)], x1
-    for (_, const_a, slope_a), (_, const_b, slope_b) in zip(sums_a, sums_b):
-        if slope_b > tol:
-            lines.append((ratio(slope_a, slope_b), ratio(const_a - const_b, slope_b)))
-        elif const_a + slope_a * x0 > const_b + tol:
-            return x0, True
-        elif slope_a > 0:
-            x_end = min(x_end, ratio(const_b + tol - const_a, slope_a))
-    while True:
-        values = [al * x0 + be for al, be in lines]
-        top = max(values)
-        if top > hi_b:
-            return x0, True
-        al, be, y0 = max((al, be, v) for (al, be), v in zip(lines, values) if v >= top - tol)
-        x_next, overtaken = max(x_end, x0), False
-        if al > 0:
-            x_next = min(x_next, x0 + (hi_b - y0) / al)
-        for (am, _), vm in zip(lines, values):
-            if am > al:
-                x = x0 + (y0 - vm) / (am - al)  # where line m overtakes the active one
-                if x0 < x < x_next:
-                    x_next, overtaken = x, True
-        if pieces and pieces[-1][1] == x0 and pieces[-1][2:] == (al, be):
-            x0 = pieces.pop()[0]  # the same line across a cell boundary: no kink
-        pieces.append((x0, x_next, al, be))
-        if x_next == x1:
-            return x1, False
-        if not overtaken:  # a constant constraint or the segment's upper end stops the cell
-            return x_next, True
-        x0 = x_next
 
 
 def _stationary_points(x0: float, x1: float, al: float, be: float):

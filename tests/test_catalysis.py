@@ -18,7 +18,8 @@ from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, 
                       necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
                       returned_rank_bound, tilde_gmax_sweep)
 from supercat.catalysis import (RANDOM_SAMPLES, SEARCH_SEED, SIMPLEX_STEPS, _candidate_table,
-                                _ordered_simplex_grid, probe_two_level)
+                                _min_feasible_y, _ordered_simplex_grid, _y_star_pieces,
+                                probe_two_level)
 from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION
@@ -100,6 +101,33 @@ class TestNecessaryConditions:
         pair = CatalyticPair(vec(0.5, 0.5, 0, 0), vec(0.5, 0.25, 0.25, 0))
         assert pair.nontrivial
         assert necessary_conditions_4d(pair)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_conditions_keep_b3_above_a3(self, policy):
+        # the closed form divides by b3 - a3 unguarded: f2(a) > f2(b) and
+        # f3(a) <= f3(b) give b3 - a3 > tol_strict - tol_eq > tol_eq.  Random
+        # pairs of ranks 2 to 4, then pairs on the edge, with f2(b) just below
+        # f2(a) and f3(b) at f3(a) or, in float mode, up to tol_eq below it
+        rng = random.Random(6107)
+        draw = random_rational_sorted_simplex if policy.exact else random_sorted_simplex
+        cases = [(draw(rng, rng.randrange(2, 5)), draw(rng, rng.randrange(2, 5)))
+                 for _ in range(2000)]
+        gaps, slacks = (((Fraction(1, 10**6), Fraction(1, 10**12)), (0,)) if policy.exact
+                        else ((1.0001e-9, 2e-9), (0.0, 9e-13)))
+        for _ in range(500):
+            a = draw(rng, 4)
+            g, e, s = rng.choice(gaps), rng.choice(slacks), rng.choice((0, a[3] / 2))
+            cases.append((a, (a[0] + s, a[1] - s - g, a[2] + g - e, a[3] + e)))
+        passed = 0
+        for raw_a, raw_b in cases:
+            if any(x < y for x, y in zip(raw_b, raw_b[1:])):
+                continue
+            pair = CatalyticPair(make_schmidt(raw_a, policy), make_schmidt(raw_b, policy), policy)
+            if pair.nontrivial and necessary_conditions_4d(pair):
+                a, b = pair.a.padded(4), pair.b.padded(4)
+                assert policy.positive(b[2] - a[2]), pair
+                passed += 1
+        assert passed > 500
 
 
 class TestRank2Interval:
@@ -474,6 +502,15 @@ class TestMaxCatalystEntropy:
         with pytest.raises(EmptyCatalystSet):
             max_catalyst_entropy(pairs["1"], 1)
 
+    def test_rank_below_one_rejected(self, pairs):
+        with pytest.raises(PreconditionViolated):
+            max_catalyst_entropy(pairs["1"], 0)
+
+    def test_rank2_empty_set_raises(self):
+        pair = random_blocked_pair_with_empty_interval(random.Random(6108))
+        with pytest.raises(EmptyCatalystSet):
+            max_catalyst_entropy(pair, 2)
+
     def test_rank3_search_dominates_rank2(self, pairs):
         search = max_catalyst_entropy(pairs["1"], 3)
         assert not search.exact
@@ -816,6 +853,37 @@ class TestTwoLevelSet:
             assert len(got) == len(want)
             for (lo, hi), (w_lo, w_hi) in zip(got, want):
                 assert (lo, hi) == (pytest.approx(w_lo, abs=1e-12), pytest.approx(w_hi, abs=1e-12))
+
+    def test_y_star_walk_above_rank_4_exact(self):
+        # above rank 4 the walk over y*(x) meets cells that y* jumps over and
+        # constant constraints that end a piece; at rank <= 4 it never does.
+        # y* jumps up where a constant constraint starts to fail, and the next
+        # piece starts at the jump, so a piece end takes the lowest piece there
+        rng = random.Random(6106)
+        seen = Counter()
+
+        def y_star(x):
+            c = probe_two_level(x, EXACT_POLICY)
+            return _min_feasible_y(pair, pair.joint_target(c), c[0])
+
+        for _ in range(60):
+            pair = random_high_rank_pair(rng, EXACT_POLICY)
+            for lo, hi in pair._two_level:
+                pieces = _y_star_pieces(pair, lo, hi)
+                assert pieces[0][0] == lo and pieces[-1][1] == hi
+                for (_, end, al, be), (start, _, am, bm) in zip(pieces, pieces[1:]):
+                    assert end == start
+                    seen["jump"] += al * end + be != am * end + bm
+                for x0, x1, al, be in pieces:
+                    assert x0 <= x1
+                    if x0 < x1:
+                        mid = (x0 + x1) / 2
+                        assert al * mid + be == y_star(mid), (pair, mid)
+                    seen["zero-length" if x0 == x1 else "piece"] += 1
+                for x in {x for piece in pieces for x in piece[:2]}:
+                    low = min(al * x + be for x0, x1, al, be in pieces if x0 <= x <= x1)
+                    assert low == y_star(x), (pair, x)
+        assert seen["jump"] > 0 and seen["zero-length"] > 0, seen
 
     def test_catalysis_owns_no_grid_scan(self):
         import supercat.catalysis as catalysis

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,11 +12,13 @@ import pytest
 
 from supercat import (EXACT_POLICY, NotNormalized, SchmidtVector, binary_entropy, entropy,
                       epsilon_family, kron, majorizes, make_schmidt)
+import supercat.cli
 from supercat.cli import build_parser, main
 from supercat.examples import EXAMPLE_PAIRS
 
 A1 = "0.4,0.4,0.1,0.1"
 B1 = "0.5,0.25,0.25,0"
+RANK5 = ("--a", "0.33,0.295,0.175,0.175,0.025", "--b", "0.36,0.245,0.22,0.15,0.025")
 
 
 def run(capsys, *argv):
@@ -51,6 +54,10 @@ class TestConvertCheck:
     def test_not_normalized(self, capsys):
         code, _, _ = run(capsys, "convert-check", "--a", "0.4,0.4", "--b", B1)
         assert code == 1
+
+    def test_empty_vector_exits_1(self, capsys):
+        assert run(capsys, "convert-check", "--a", ",", "--b", B1) == (
+            1, "", "error: empty vector ','\n")
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("a", ["1e500,1", "-1e500,1", "1e5000,1"])
@@ -121,6 +128,18 @@ class TestCatalystRange:
         assert run(capsys, *argv, "--verify") == (
             2, "", "error: no two-level catalyst found at this resolution\n")
 
+    def test_verify_disagreement_exits_2(self, capsys, monkeypatch):
+        grid = supercat.cli.grid_catalyst_interval
+
+        def shifted(pair):
+            found = grid(pair)
+            return replace(found, x_min=found.x_min + 1e-3)
+
+        monkeypatch.setattr(supercat.cli, "grid_catalyst_interval", shifted)
+        code, out, err = run(capsys, "catalyst-range", "--a", A1, "--b", B1, "--verify")
+        assert (code, err) == (2, "closed-form interval disagrees with grid oracle\n")
+        assert json.loads(out)["oracle_agrees"] is False
+
     def test_rational_input(self, capsys):
         code, out, _ = run(capsys, "catalyst-range", "--a", "2/5,2/5,1/10,1/10",
                            "--b", "1/2,1/4,1/4,0", "--exact")
@@ -132,6 +151,13 @@ class TestCatalystRange:
                            "--b", B1)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["catalyst-range", "gain-sweep"])
+    def test_rank_above_4_exits_2(self, capsys, tmp_path, command):
+        out = ["--out", str(tmp_path / "s.csv")] if command == "gain-sweep" else []
+        assert run(capsys, command, *RANK5, *out) == (
+            2, "", "error: both Schmidt ranks must be at most 4\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGainSweep:
@@ -243,6 +269,22 @@ class TestGainSweep:
         assert code == 0
         assert json.loads(out)["oracle_mismatches"] == []
 
+    def test_sweep_verify_disagreement_exits_2(self, capsys, tmp_path, monkeypatch):
+        grid = supercat.cli.grid_gmax_rank2
+
+        def shifted(pair, c):
+            found = grid(pair, c)
+            return replace(found, gain=found.gain + 0.01)
+
+        monkeypatch.setattr(supercat.cli, "grid_gmax_rank2", shifted)
+        code, out, _ = run(capsys, "gain-sweep", "--a", A1, "--b", B1, "--points", "5",
+                           "--verify", "--out", str(tmp_path / "v.csv"))
+        assert code == 2
+        mismatches = json.loads(out)["oracle_mismatches"]
+        assert len(mismatches) == 5
+        assert all(m["oracle_gmax"] == pytest.approx(m["gmax"] + 0.01, abs=1e-5)
+                   for m in mismatches)
+
     @pytest.mark.parametrize("name", sorted(EXAMPLE_PAIRS))
     def test_exact_sweep_verify_agrees_with_oracle(self, capsys, tmp_path, name):
         # the oracle checks each point's exact loan, not one rebuilt from its float x
@@ -345,6 +387,10 @@ class TestEpsilonFamily:
     def test_non_finite_epsilon_raises_not_normalized(self):
         with pytest.raises(NotNormalized, match="epsilon"):
             epsilon_family(math.nan)
+
+    def test_empty_epsilon_list_exits_1(self, capsys):
+        assert run(capsys, "epsilon-family", "--eps", ",") == (
+            1, "", "error: empty epsilon list\n")
 
     def test_malformed_epsilon_exits_1(self, capsys):
         code, _, err = run(capsys, "epsilon-family", "--eps", "abc")

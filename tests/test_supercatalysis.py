@@ -1,5 +1,6 @@
 """Gain computation, exact optimization, bounds, sweeps, constructions."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,13 +15,14 @@ from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, 
                       nielsen_convertible, prefix_sums, rank2_catalyst_interval,
                       rank_reduce_returned, returned_rank_bound, schmidt_rank, tilde_gmax_sweep,
                       trivial_swap_construction, verify_epsilon_family)
-from supercat.catalysis import _affine_grid, _ordered_simplex_grid, probe_two_level
+from supercat.catalysis import (_affine_grid, _min_feasible_y, _ordered_simplex_grid,
+                                _y_star_pieces, probe_two_level)
 from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon,
                              NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
 from supercat.examples import example_pair
 from supercat.schmidt import _constants
 from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _gain_bound,
-                                     _min_feasible_y, _y_star_pieces)
+                                     _stationary_points)
 
 from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
 
@@ -519,6 +521,10 @@ class TestSweep:
         with pytest.raises(EmptyCatalystSet):
             tilde_gmax_sweep(pair, n_points=11)
 
+    def test_single_point_rejected(self, pairs):
+        with pytest.raises(PreconditionViolated):
+            tilde_gmax_sweep(pairs["1"], 1)
+
     def test_each_x_evaluated_once_with_one_loan_check(self, monkeypatch):
         # every joint check, float or exact, goes through the pair's two methods
         counts = Counter()
@@ -607,6 +613,26 @@ class TestSweepMaximum:
             assert sweep.tilde_gmax == gmax_given_c(pair, sweep.argmax_c).gain
             assert sweep.argmax_c[0] == pytest.approx(sweep.argmax_x, abs=1e-15)
         assert set(kinds) == {"endpoint", "kink", "stationary"}, kinds
+
+    def test_stationary_peak_between_rising_ends(self):
+        # the gain h(al x + be) - h(x) rises at both ends of this piece, so one
+        # bisection over [x0, x1] sees no sign change of its slope; the split
+        # at the zero of the second derivative finds the peak inside
+        x0, x1 = 0.7718734771339038, 0.9961355495435174
+        al, be = 1.3355906865082887, -0.34781833678925067
+
+        def slope(x):
+            y = al * x + be
+            return al * math.log2((1 - y) / y) - math.log2((1 - x) / x)
+
+        assert slope(x0) > 0 and slope(x1) > 0
+        n = 20000
+        xs = [x0 + (x1 - x0) * i / n for i in range(n + 1)]
+        gains = [binary_entropy(al * x + be) - binary_entropy(x) for x in xs]
+        peaks = [xs[i] for i in range(1, n) if gains[i - 1] < gains[i] >= gains[i + 1]]
+        assert peaks == [pytest.approx(0.84486, abs=1e-5)]
+        got = list(_stationary_points(x0, x1, al, be))
+        assert got == [pytest.approx(peaks[0], abs=(x1 - x0) / n)]
 
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_pieces_match_min_feasible_y(self, policy):
