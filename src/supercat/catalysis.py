@@ -114,10 +114,6 @@ class CatalyticPair:
         return None if x is None else (binary_entropy(x), probe_two_level(x, self.policy))
 
     @cached_property
-    def _b_top(self) -> Real:
-        return max(self.b)
-
-    @cached_property
     def _scaled(self) -> tuple:
         """Exact mode: (A, B), a and b as integers over their common denominator D."""
         d = math.lcm(*(x.denominator for x in self.a + self.b))
@@ -159,7 +155,7 @@ class CatalyticPair:
         sorted products b_i d_j; past a shorter b (x) d its last prefix sum
         repeats, as zero padding gives inside majorizes, and a shorter target
         needs none, as the sums of b (x) d only grow.  Float mode allows
-        tol_eq slack, tests k = 1 on max(b) max(d) before sorting anything,
+        tol_eq slack, tests k = 1 on b[0] max(d) before sorting anything,
         then compares each prefix sum as accumulate yields it and stops at the
         first that fails.  Exact mode compares integers B_i D_j, reusing the
         loan's own when d is the loan.  Both sides share the denominator D q
@@ -167,7 +163,7 @@ class CatalyticPair:
         """
         if not self.policy.exact:
             tol = self.policy.tol_eq
-            if target[0] > self._b_top * max(d) + tol:
+            if target[0] > self.b[0] * max(d) + tol:
                 return False
             products = [x * y for x in self.b for y in d]
             products.sort(reverse=True)
@@ -205,8 +201,8 @@ def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
     (1/2, 1) where two products can tie, and 1.  Between consecutive cuts the
     sorted order of the products is fixed, so every prefix sum is linear in
     y there.  Returns one (lo, hi, sums) per segment, where sums lists the
-    cumulative (y-coefficient, constant, slope) of the k largest products,
-    k = 1..2n.  The order is taken at the segment's midpoint, strictly
+    sum of the k largest products, k = 1..2n, as (const, slope): the sum is
+    const + slope y.  The order is taken at the segment's midpoint, strictly
     between two cuts, so no tie between products of different coefficients
     can enter it.  In exact mode b_coeffs are the integers B_i = b_i D, so the
     cuts are Fractions and the cumulative coefficients integers over D.
@@ -237,7 +233,7 @@ def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
         for _, dy, dc in terms:
             coef_y += dy
             coef_const += dc
-            sums.append((coef_y, coef_const, coef_y - coef_const))
+            sums.append((coef_const, coef_y - coef_const))
         segments.append((lo, hi, tuple(sums)))
     return tuple(segments)
 
@@ -258,7 +254,7 @@ def _two_level_pieces(pair: CatalyticPair) -> tuple:
         (lo_a, hi_a, sums_a), (lo_b, hi_b, sums_b) = segs_a[i], segs_b[j]
         lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
         i, j = i + (hi_a == hi), j + (hi_b == hi)
-        for (_, const_a, slope_a), (_, const_b, slope_b) in zip(sums_a, sums_b):
+        for (const_a, slope_a), (const_b, slope_b) in zip(sums_a, sums_b):
             const, slope = const_b - const_a, slope_b - slope_a
             if slope > tol:
                 lo = max(lo, ratio(-const, slope))
@@ -304,14 +300,14 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
             seg_hi = hi
         mid = (seg_lo + seg_hi) / 2
         y = seg_lo
-        for k, (coef_y, coef_const, slope) in enumerate(sums):
+        for k, (coef_const, slope) in enumerate(sums):
             if slope > tol:
                 bound = (target[k] - coef_const) / slope
                 if bound > y:
                     y = bound
                     if y > seg_hi:
                         break
-            elif coef_y * mid + coef_const * (1.0 - mid) < target[k] - tol:
+            elif coef_const + slope * mid < target[k] - tol:
                 # constraint is (numerically) constant on the segment
                 break
         else:
@@ -337,7 +333,7 @@ def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple, hi: Fraction) -> 
         un, ud = seg_hi.numerator, seg_hi.denominator
         if not un * hd < hn * ud:
             un, ud = hn, hd
-        for k, (_, coef_const, slope) in enumerate(sums):
+        for k, (coef_const, slope) in enumerate(sums):
             if slope > 0:
                 bn, bd = sums_a[k] - coef_const * q, slope * q
                 if bn * yd > yn * bd:
@@ -395,7 +391,7 @@ def _cell_pieces(pieces: list, x0: Real, x1: Real, sums_a: tuple, seg_b: tuple, 
     """
     lo_b, hi_b, sums_b = seg_b
     lines, x_end = [(0, lo_b)], x1
-    for (_, const_a, slope_a), (_, const_b, slope_b) in zip(sums_a, sums_b):
+    for (const_a, slope_a), (const_b, slope_b) in zip(sums_a, sums_b):
         if slope_b > tol:
             lines.append((ratio(slope_a, slope_b), ratio(const_a - const_b, slope_b)))
         elif const_a + slope_a * x0 > const_b + tol:
@@ -428,11 +424,14 @@ def _cell_pieces(pieces: list, x0: Real, x1: Real, sums_a: tuple, seg_b: tuple, 
 
 @dataclass(frozen=True)
 class CatalystInterval:
-    """The x-range [x_min, x_max] of two-level catalysts (x, 1-x)."""
+    """The x-range [x_min, x_max] of two-level catalysts (x, 1-x), empty if x_min > x_max."""
 
     x_min: Real
     x_max: Real
-    nonempty: bool
+
+    @property
+    def nonempty(self) -> bool:
+        return self.x_min <= self.x_max
 
     @property
     def width(self) -> float:
@@ -510,7 +509,7 @@ def rank2_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
 def _closed_form_interval(pair: CatalyticPair) -> CatalystInterval:
     _, half, one = _constants(pair.policy.exact)
     if not necessary_conditions_4d(pair):
-        return CatalystInterval(one, half, False)
+        return CatalystInterval(one, half)
 
     a1, a2, a3, a4 = pair.a.padded(4)[:4]
     b1, b2, b3, b4 = pair.b.padded(4)[:4]
@@ -525,10 +524,10 @@ def _closed_form_interval(pair: CatalyticPair) -> CatalystInterval:
     if p.positive(a3 + a4):
         upper.append(1 - b4 / (a3 + a4))
     elif p.positive(b4):  # float only: f3(a) <= f3(b) holds by tol_eq slack
-        return CatalystInterval(one, half, False)
+        return CatalystInterval(one, half)
     x_min = max(max(lower), half)
     x_max = min(min(upper), one)
-    return CatalystInterval(x_min, x_max, x_min <= x_max)
+    return CatalystInterval(x_min, x_max)
 
 
 def probe_two_level(x: Real, policy: ComparisonPolicy) -> SchmidtVector:

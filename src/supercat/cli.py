@@ -1,10 +1,10 @@
 """Command-line front end: convertibility checks, catalyst ranges, gain sweeps,
 the near-maximal-gain family, and the bundled end-to-end examples.
 
-Vectors are given as comma-separated decimals or p/q rationals.  Every
-numeric output file is written next to a manifest recording the command,
-inputs, comparison policy and sweep settings that produced it, so reruns are
-reproducible byte for byte.
+Vectors are given as comma-separated decimals or p/q rationals.  Sweep
+outputs (gain-sweep without --c, and examples) are written next to a manifest
+of the command, inputs, comparison policy and sweep settings, so reruns are
+byte-identical; any other --out file holds exactly the JSON printed on stdout.
 
 Exit codes: 0 on success, 1 on malformed input, 2 on precondition violations
 (including oracle disagreement under --verify).

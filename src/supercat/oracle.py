@@ -65,7 +65,7 @@ def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
                   xs)
     if found is None:
         raise EmptyCatalystSet("no two-level catalyst found at this resolution")
-    return CatalystInterval(*found, True)
+    return CatalystInterval(*found)
 
 
 def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:

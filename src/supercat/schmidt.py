@@ -263,7 +263,7 @@ def split_partial_sum(u: SchmidtVector, c: SchmidtVector, k1: int, k2: int) -> R
         raise PreconditionViolated(f"auxiliary vector must have dimension 2, got {len(c)}")
     if not (k1 >= k2 >= 0):
         raise IndexOutOfRange(f"need k1 >= k2 >= 0, got k1={k1}, k2={k2}")
-    if k1 > len(u) or k2 > len(u):
+    if k1 > len(u):
         raise IndexOutOfRange(f"split indices ({k1}, {k2}) exceed dim {len(u)}")
     zero = _constants(u.exact)[0]
     s1 = partial_sum(u, k1) if k1 else zero

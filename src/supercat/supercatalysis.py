@@ -355,31 +355,23 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     The maximum over the whole range comes from the linear pieces of y*(x)
     (_sweep_candidates): the candidates are ranked by their closed-form gain
     and each one that could beat the best value so far is certified by
-    gmax_given_c.  So tilde_gmax is the best certified or sampled gain; in
-    exact mode its argmax is a rational kink or endpoint, or a float
-    stationary point that one exact solve re-checks.  argmax_kind says
-    which; "sample" would mean a sampled point beat every candidate, which
-    only rounding can cause.  The envelope value (bound at the least
-    entangled catalyst) is the matching upper bound when it is attained.
+    gmax_given_c, solved afresh even where it is a sample (rarely: no memo
+    is kept).  So tilde_gmax is the best certified or sampled gain; in exact
+    mode its argmax is a rational kink or endpoint, or a float stationary
+    point that one exact solve re-checks.  argmax_kind says which; "sample"
+    would mean a sampled point beat every candidate, which only rounding can
+    cause.  The envelope value (bound at the least entangled catalyst) is
+    the matching upper bound when it is attained.
     """
     if n_points < 2:
         raise PreconditionViolated("a sweep needs at least two points")
-    interval = _require_interval(pair)
-
-    evaluated = {}
-
-    def evaluate(x):
-        """(borrowed state, best gain) at x, computed once per sweep."""
-        if x not in evaluated:
-            c = probe_two_level(x, pair.policy)
-            evaluated[x] = c, gmax_given_c(pair, c).gain
-        return evaluated[x]
-
+    interval, policy = _require_interval(pair), pair.policy
     xs = _affine_grid(interval.x_min, interval.x_max, n_points)
     points = []
     for x in xs:
-        c, g = evaluate(x)
-        points.append(SweepPoint(float(x), c, binary_entropy(x), g, _gain_bound(pair, c)[0]))
+        c = probe_two_level(x, policy)
+        points.append(SweepPoint(float(x), c, binary_entropy(x), gmax_given_c(pair, c).gain,
+                                 _gain_bound(pair, c)[0]))
 
     values = [p.gmax for p in points]
     i_best = max(range(len(values)), key=values.__getitem__)
@@ -389,13 +381,13 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     for x, (predicted, _) in sorted(cands.items(), key=lambda kv: kv[1][0], reverse=True):
         if predicted <= best_v:
             break
-        g = evaluate(x)[1]
+        g = gmax_given_c(pair, probe_two_level(x, policy)).gain
         if g > best_v:
             best_v, best_x = g, x
 
     envelope = (binary_entropy(interval.x_min) - binary_entropy(interval.x_max)) / pair.entropy_drop
     return SweepResult(points=tuple(points), tilde_gmax=best_v, argmax_x=float(best_x),
-                       argmax_c=evaluate(best_x)[0],
+                       argmax_c=probe_two_level(best_x, policy),
                        argmax_kind=cands[best_x][1] if best_x in cands else "sample",
                        interval=interval, envelope_bound=envelope)
 

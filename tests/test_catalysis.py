@@ -1,5 +1,6 @@
 """Catalyst membership, the closed-form interval, extreme catalysts, E_r."""
 
+import dataclasses
 import math
 import random
 import subprocess
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import supercat
-from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
-                      bound_gmax, entropy, gmax_given_c, is_catalyst, kron,
+from supercat import (CatalystInterval, CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector,
+                      binary_entropy, bound_gmax, entropy, gmax_given_c, is_catalyst, kron,
                       least_entangled_rank2_catalyst, majorizes, make_schmidt,
                       max_catalyst_entropy, most_entangled_rank2_catalyst,
                       necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
@@ -23,7 +24,7 @@ from supercat.catalysis import (RANDOM_SAMPLES, SEARCH_SEED, SIMPLEX_STEPS, _can
 from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION
-from supercat.schmidt import _coerce
+from supercat.schmidt import _coerce, _constants
 
 from conftest import (random_blocked_pair_with_empty_interval, random_nontrivial_pair,
                       random_rational_sorted_simplex, random_sorted_simplex)
@@ -184,6 +185,33 @@ class TestRank2Interval:
         pair = CatalyticPair(vec(0.25, 0.25, 0.25, 0.25), vec(0.5, 0.25, 0.25, 0))
         with pytest.raises(PreconditionViolated):
             rank2_catalyst_interval(pair)
+
+    def test_float_slack_admits_vanishing_a_tail_with_empty_set(self):
+        # a3 + a4 ~ 0 < b4: in float mode f3(a) <= f3(b) holds only by tol_eq
+        # slack, and the closed form returns the empty interval at once
+        raw_a = (0.6, 0.4 - 8e-13, 4e-13, 4e-13)
+        raw_b = (0.7, 0.3 - 1e-6 - 1.2e-12, 1e-6, 1.2e-12)
+        pair = CatalyticPair(make_schmidt(raw_a), make_schmidt(raw_b))
+        assert pair.nontrivial and necessary_conditions_4d(pair)
+        a, b = pair.a.padded(4), pair.b.padded(4)
+        assert not FLOAT_POLICY.positive(a[2] + a[3]) and FLOAT_POLICY.positive(b[3])
+        assert rank2_catalyst_interval(pair) == CatalystInterval(1.0, 0.5)
+        exact = CatalyticPair(make_schmidt(raw_a, EXACT_POLICY), make_schmidt(raw_b, EXACT_POLICY),
+                              EXACT_POLICY)
+        assert exact.nontrivial and not necessary_conditions_4d(exact)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_nonempty_derived_from_the_ends(self, policy):
+        assert [f.name for f in dataclasses.fields(CatalystInterval)] == ["x_min", "x_max"]
+        _, half, one = _constants(policy.exact)
+        x = _coerce(0.6, policy)
+        point, empty = CatalystInterval(x, x), CatalystInterval(one, half)
+        assert point.nonempty and point.width == 0.0
+        assert point.to_json_value() == {"x_min": 0.6, "x_max": 0.6, "nonempty": True}
+        assert not empty.nonempty and empty.width == 0.0
+        assert empty.to_json_value() == {"x_min": 1.0, "x_max": 0.5, "nonempty": False}
+        with pytest.raises(TypeError):
+            CatalystInterval(x, x, True)
 
     def test_empty_interval_rank2_input(self):
         # blocked, passes the necessary conditions, but no two-level catalyst

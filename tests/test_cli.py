@@ -140,6 +140,14 @@ class TestCatalystRange:
         assert (code, err) == (2, "closed-form interval disagrees with grid oracle\n")
         assert json.loads(out)["oracle_agrees"] is False
 
+    def test_out_writes_the_printed_json(self, capsys, tmp_path):
+        path = tmp_path / "sub" / "range.json"
+        code, out, _ = run(capsys, "catalyst-range", "--a", A1, "--b", B1, "--verify",
+                           "--out", str(path))
+        assert code == 0 and json.loads(out)["oracle_agrees"] is True
+        assert path.read_bytes() == out.encode()
+        assert sorted(tmp_path.rglob("*")) == [path.parent, path]  # no manifest
+
     def test_rational_input(self, capsys):
         code, out, _ = run(capsys, "catalyst-range", "--a", "2/5,2/5,1/10,1/10",
                            "--b", "1/2,1/4,1/4,0", "--exact")
@@ -365,6 +373,14 @@ class TestEpsilonFamily:
         assert all(r["ok"] for r in reports)
         assert gains[0] < gains[1] < gains[2]
         assert gains[2] > 0.99
+
+    def test_out_writes_the_printed_json(self, capsys, tmp_path):
+        path = tmp_path / "sub" / "family.json"
+        code, out, _ = run(capsys, "epsilon-family", "--eps", "1e-2,1/10000", "--exact",
+                           "--out", str(path))
+        assert code == 0 and len(json.loads(out)["reports"]) == 2
+        assert path.read_bytes() == out.encode()
+        assert sorted(tmp_path.rglob("*")) == [path.parent, path]  # no manifest
 
     def test_invalid_epsilon_exits_2(self, capsys):
         code, _, err = run(capsys, "epsilon-family", "--eps", "0.3")

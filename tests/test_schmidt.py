@@ -284,6 +284,12 @@ class TestSplitPartialSum:
         with pytest.raises(PreconditionViolated):
             split_partial_sum(vec(0.5, 0.5), vec(0.6, 0.3, 0.1), 1, 0)
 
+    @pytest.mark.parametrize("k1, k2", [(3, 0), (3, 3)])
+    def test_split_beyond_dimension(self, k1, k2):
+        # k1 >= k2, so k1 alone decides whether the split fits in u
+        with pytest.raises(IndexOutOfRange, match="exceed dim 2"):
+            split_partial_sum(vec(0.5, 0.5), vec(0.6, 0.4), k1, k2)
+
 
 class TestProperties:
     @given(schmidt_vectors())

@@ -461,7 +461,28 @@ class TestMinFeasibleY:
             vectors.append(make_schmidt(random_sorted_simplex(rng, rng.randrange(2, 7)), policy))
         for b in vectors:
             for _, _, sums in CatalyticPair(b, b, policy)._segments:
-                assert min(slope for _, _, slope in sums) >= floor, b
+                assert min(slope for _, slope in sums) >= floor, b
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_segments_hold_const_slope_columns(self, policy):
+        # entry k of a segment is the sum of the k largest products of
+        # v (x) (y, 1-y) as const + slope y, for v = b (_segments) and
+        # v = a (_segments_a); exact mode's are integers over the lcm D
+        rng = random.Random(1618)
+        for _ in range(40):
+            pair = random_nontrivial_pair(rng, policy)
+            scale = (math.lcm(*(x.denominator for x in pair.a + pair.b))
+                     if policy.exact else 1)
+            for v, segments in ((pair.b, pair._segments), (pair.a, pair._segments_a)):
+                for lo, hi, sums in segments:
+                    assert all(len(entry) == 2 for entry in sums), sums
+                    y = (lo + hi) / 2
+                    want = prefix_sums(kron(v, probe_two_level(y, policy)))
+                    got = [(const + slope * y) / scale for const, slope in sums]
+                    if policy.exact:
+                        assert got == list(want), (pair, y)
+                    else:
+                        assert got == pytest.approx(want, abs=1e-12), (pair, y)
 
 
 class TestSweep:
