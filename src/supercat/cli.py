@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 from .catalysis import CatalyticPair, rank2_catalyst_interval, returned_rank_bound
-from .errors import CatalysisError, EmptyCatalystSet, IndexOutOfRange, NegativeEntry, NotNormalized
+from .errors import (CatalysisError, DomainError, EmptyCatalystSet, IndexOutOfRange,
+                     NegativeEntry, NotNormalized)
 from .examples import EXAMPLE_PAIRS, example_pair
 from .oracle import grid_catalyst_interval, grid_gmax_rank2
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, SchmidtVector, entropy,
                       make_schmidt, prefix_sums)
-from .supercatalysis import _gain_bound, epsilon_family, gmax_given_c, tilde_gmax_sweep, \
-    verify_epsilon_family
+from .supercatalysis import _solve_loan, epsilon_family, tilde_gmax_sweep, verify_epsilon_family
 
 ORACLE_GAIN_TOL = 1e-5
 ORACLE_INTERVAL_TOL = 1e-6
@@ -143,16 +144,34 @@ def _sweep_summary(pair: CatalyticPair, sweep, points: int) -> dict:
         "entropy_a": entropy(pair.a),
         "entropy_b": entropy(pair.b),
         "bound_violations": sum(1 for p in sweep.points if p.gmax > p.bound + 1e-12),
-        "points": [{"x": p.x, "entropy_c_bits": p.entropy_c, "gmax": p.gmax,
-                    "bound": p.bound} for p in sweep.points],
     }
 
 
-def _sweep_csv(sweep) -> str:
-    lines = ["x,entropy_c_bits,gmax,bound"]
+def _sweep_rows(sweep) -> list:
+    """Each point's x, entropy_c_bits, gmax and bound as repr text, which for a
+    finite float is also json's text, so the CSV and the summary's points share
+    it.  A non-finite value would read nan in one and NaN in the other."""
+    rows = []
     for p in sweep.points:
-        lines.append(f"{p.x!r},{p.entropy_c!r},{p.gmax!r},{p.bound!r}")
-    return "\n".join(lines) + "\n"
+        row = (p.x, p.entropy_c, p.gmax, p.bound)
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"non-finite sweep value at x={p.x!r}: {row}")
+        rows.append(tuple(map(repr, row)))
+    return rows
+
+
+def _sweep_csv(rows) -> str:
+    return "x,entropy_c_bits,gmax,bound\n" + "".join(f"{x},{e},{g},{b}\n" for x, e, g, b in rows)
+
+
+def _summary_text(summary: dict, rows) -> str:
+    """_dump_json of the summary with its points, the rows of the CSV: the C
+    encoder cannot indent, so the points are written here in the same layout
+    rather than by the pure-Python one."""
+    points = ",\n".join(f'    {{\n      "bound": {b},\n      "entropy_c_bits": {e},\n'
+                        f'      "gmax": {g},\n      "x": {x}\n    }}' for x, e, g, b in rows)
+    return _dump_json({**summary, "points": None}).replace(
+        '\n  "points": null', f'\n  "points": [\n{points}\n  ]', 1)
 
 
 def _verify_sweep(pair: CatalyticPair, sweep) -> list:
@@ -167,8 +186,9 @@ def _verify_sweep(pair: CatalyticPair, sweep) -> list:
 def _run_sweep_files(pair: CatalyticPair, points: int, out_csv: Path, command: str,
                      inputs: dict, verify: bool) -> tuple[dict, str, int]:
     """Sweep, write the CSV, summary and manifest files, and return the
-    summary, its encoded text and the exit status."""
+    summary without its points, its encoded text and the exit status."""
     sweep = tilde_gmax_sweep(pair, n_points=points)
+    rows = _sweep_rows(sweep)
     summary = _sweep_summary(pair, sweep, points)
     status = 0
     if verify:
@@ -180,8 +200,8 @@ def _run_sweep_files(pair: CatalyticPair, points: int, out_csv: Path, command: s
     manifest = {"command": command, "inputs": inputs, "policy": _policy_json(pair.policy),
                 "sweep": {"n_points": points},
                 "outputs": [str(out_csv), str(stem) + ".summary.json"]}
-    text = _dump_json(summary)
-    _write(out_csv, _sweep_csv(sweep))
+    text = _summary_text(summary, rows)
+    _write(out_csv, _sweep_csv(rows))
     _write(Path(str(stem) + ".summary.json"), text)
     _write(Path(str(stem) + ".manifest.json"), _dump_json(manifest))
     return summary, text, status
@@ -195,12 +215,11 @@ def cmd_gain_sweep(args) -> int:
 
     if args.c:
         c = parse_vector(args.c, policy)
-        result = gmax_given_c(pair, c)
-        bound, certified = _gain_bound(pair, c, result.gain)
+        result, bound, certified = _solve_loan(pair, c)
         payload = {
             "c": c.to_json_value(),
             "gain": result.gain,
-            "bound": bound,
+            "bound": max(bound, result.gain),
             "bound_certified": certified,
             "returned_state": result.returned_state.to_json_value(),
             "method": result.method,
@@ -246,21 +265,23 @@ def cmd_epsilon_family(args) -> int:
 def cmd_examples(args) -> int:
     out_dir = Path(args.out_dir)
     status = 0
-    summaries = {}
+    texts = {}
     for name in EXAMPLE_PAIRS:
         pair = example_pair(name)
         a, b = pair.a, pair.b
         inputs = {"a": a.to_json_value(), "b": b.to_json_value()}
         out_csv = out_dir / f"example{name}.csv"
-        summary, _, st = _run_sweep_files(pair, args.points, out_csv, "examples", inputs,
-                                       args.verify)
-        summaries[name] = summary
+        summary, texts[name], st = _run_sweep_files(pair, args.points, out_csv, "examples",
+                                                    inputs, args.verify)
         status = max(status, st)
         print(f"example {name}: tilde_gmax={summary['tilde_gmax']:.6f} "
               f"argmax_x={summary['argmax_x']:.6f} argmax_kind={summary['argmax_kind']} "
               f"interior_optimum={summary['interior_optimum']}", file=sys.stderr)
-    _write(out_dir / "examples.summary.json", _dump_json(summaries))
-    sys.stdout.write(_dump_json({"out_dir": str(out_dir), "examples": sorted(summaries)}))
+    # _dump_json of {name: summary}: each summary's text, one level deeper
+    _write(out_dir / "examples.summary.json", "{\n" + ",\n".join(
+        f"  {json.dumps(name)}: " + texts[name].rstrip("\n").replace("\n", "\n  ")
+        for name in sorted(texts)) + "\n}\n")
+    sys.stdout.write(_dump_json({"out_dir": str(out_dir), "examples": sorted(texts)}))
     return status
 
 

@@ -24,7 +24,9 @@ linear and nondecreasing in x, on the cells of a's breakpoint segments in x
 and b's in y (catalysis._y_star_pieces).  The sweep maximum is found exactly
 from those pieces: on each, the gain peaks at a piece end or at a stationary
 point, and each candidate that could beat the sampled maximum is certified
-by gmax_given_c (about one per sweep).
+by gmax_given_c (about one per sweep).  Each sampled loan is solved once, by
+_solve_loan: one loan check, returned-rank cap and entropy serve both its
+gain and its bound.
 """
 
 from __future__ import annotations
@@ -178,16 +180,16 @@ def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
     )
 
 
-def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target) -> GainResult:
+def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target, ent_c: float) -> GainResult:
     """Exact best gain when the returned state is forced to two levels;
-    target is pair.joint_target(c)."""
+    target is pair.joint_target(c) and ent_c is entropy(c)."""
     policy = pair.policy
     c1 = c[0]
     y = _min_feasible_y(pair, target, c1)
     if y is None or not policy.strictly_greater(c1, y):
         return GainResult(0.0, c, EXACT_METHOD)
 
-    g = (binary_entropy(y) - entropy(c)) / pair.entropy_drop
+    g = (binary_entropy(y) - ent_c) / pair.entropy_drop
     return GainResult(min(max(g, 0.0), 1.0), probe_two_level(y, policy), EXACT_METHOD)
 
 
@@ -195,24 +197,23 @@ def _ordered_descending(t) -> bool:
     return all(t[i] >= t[i + 1] for i in range(len(t) - 1)) and t[-1] >= 0
 
 
-def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int,
-                    target) -> GainResult:
+def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int, target,
+                    ent_c: float) -> GainResult:
     """Approximate best gain over returned states of rank <= rank_cap;
-    target is pair.joint_target(c).
+    target is pair.joint_target(c) and ent_c is entropy(c).
 
     The most entropic of c, the exact rank-2 optimum for a two-level c, and
     the feasible states of the simplex grid (catalysis._best_candidate)
     seeds a hill-climb.
     """
     policy = pair.policy
-    ent_c = entropy(c)
 
     def feasible(v: SchmidtVector) -> bool:
         return pair.joint_feasible(target, v) and majorizes(c, v, policy)
 
     best_ent, best_d = ent_c, c
     if schmidt_rank(c, policy) <= 2:
-        seed = _exact_rank2_gain(pair, c, target)
+        seed = _exact_rank2_gain(pair, c, target, ent_c)
         ent = entropy(seed.returned_state)
         if ent > best_ent:
             best_ent, best_d = ent, seed.returned_state
@@ -262,10 +263,15 @@ def gmax_given_c(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     gain 0 with d = c.
     """
     c, target = _require_loan(pair, c)
-    rank_cap = returned_rank_bound(pair, c)
+    return _gain_at_cap(pair, c, target, returned_rank_bound(pair, c), entropy(c))
+
+
+def _gain_at_cap(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int,
+                 ent_c: float) -> GainResult:
+    """gmax_given_c for a checked loan c, its returned-rank cap and its entropy."""
     if rank_cap <= 2:
-        return _exact_rank2_gain(pair, c, target)
-    return _grid_rank_gain(pair, c, rank_cap, target)
+        return _exact_rank2_gain(pair, c, target, ent_c)
+    return _grid_rank_gain(pair, c, rank_cap, target, ent_c)
 
 
 def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
@@ -278,22 +284,35 @@ def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
     certified at rank cap 2, where E_2 is exact for pairs of every rank; for
     larger caps E_r is a search lower bound, so the value is clamped to 1.
     """
-    c, _ = _require_loan(pair, c)
-    return _gain_bound(pair, c, gmax_given_c(pair, c).gain)[0]
+    result, bound, _ = _solve_loan(pair, c)
+    return max(bound, result.gain)
 
 
-def _gain_bound(pair: CatalyticPair, c: SchmidtVector, gain: float = 0.0) -> tuple:
-    """(bound_gmax value, certified) for a loan that passed _require_loan, never below
-    the given gain, which stands uncertified when the search finds no member.
-    Sweeps give none, so their bound_violations count checks the raw bound."""
+def _solve_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
+    """(gmax_given_c result, raw bound, certified) for the borrowed state c, with
+    the loan checked and its returned-rank cap and entropy computed once.
+
+    The raw bound is _gain_bound's, not yet floored at the gain: sweeps report
+    it so, and their bound_violations count checks it; bound_gmax and
+    gain-sweep --c report max(bound, gain).
+    """
+    c, target = _require_loan(pair, c)
+    rank_cap, ent_c = returned_rank_bound(pair, c), entropy(c)
+    return (_gain_at_cap(pair, c, target, rank_cap, ent_c),
+            *_gain_bound(pair, rank_cap, ent_c))
+
+
+def _gain_bound(pair: CatalyticPair, rank_cap: int, ent_c: float) -> tuple:
+    """(bound, certified) for a loan of entropy ent_c and returned-rank cap
+    rank_cap, clamped to 1 where uncertified; (0.0, False) when the search
+    finds no member, so that only the gain stands."""
     try:
-        search = max_catalyst_entropy(pair, returned_rank_bound(pair, c))
+        search = max_catalyst_entropy(pair, rank_cap)
     except EmptyCatalystSet:
-        return gain, False
-    ent_c = entropy(c)
+        return 0.0, False
     top = max(search.value, ent_c)  # c itself is a catalyst of admissible rank
     bound = (top - ent_c) / pair.entropy_drop
-    return max(bound if search.exact else min(bound, 1.0), gain), search.exact
+    return (bound if search.exact else min(bound, 1.0)), search.exact
 
 
 def _stationary_points(x0: float, x1: float, al: float, be: float):
@@ -351,17 +370,17 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     """Sweep the whole two-level catalyst range and maximize the gain.
 
     Samples n_points values of x uniformly over [x_min, x_max] (endpoints
-    included) and computes the exact best gain and its upper bound at each.
-    The maximum over the whole range comes from the linear pieces of y*(x)
-    (_sweep_candidates): the candidates are ranked by their closed-form gain
-    and each one that could beat the best value so far is certified by
-    gmax_given_c, solved afresh even where it is a sample (rarely: no memo
-    is kept).  So tilde_gmax is the best certified or sampled gain; in exact
-    mode its argmax is a rational kink or endpoint, or a float stationary
-    point that one exact solve re-checks.  argmax_kind says which; "sample"
-    would mean a sampled point beat every candidate, which only rounding can
-    cause.  The envelope value (bound at the least entangled catalyst) is
-    the matching upper bound when it is attained.
+    included) and computes the exact best gain and its upper bound at each,
+    both from one _solve_loan pass.  The maximum over the whole range comes
+    from the linear pieces of y*(x) (_sweep_candidates): the candidates are
+    ranked by their closed-form gain and each one that could beat the best
+    value so far is certified by gmax_given_c, solved again where it is also
+    a sample (rarely: no memo is kept).  So tilde_gmax is the best certified
+    or sampled gain; in exact mode its argmax is a rational kink or endpoint,
+    or a float stationary point that one exact solve re-checks.  argmax_kind
+    says which; "sample" would mean a sampled point beat every candidate,
+    which only rounding can cause.  The envelope value (bound at the least
+    entangled catalyst) is the matching upper bound when it is attained.
     """
     if n_points < 2:
         raise PreconditionViolated("a sweep needs at least two points")
@@ -370,8 +389,8 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     points = []
     for x in xs:
         c = probe_two_level(x, policy)
-        points.append(SweepPoint(float(x), c, binary_entropy(x), gmax_given_c(pair, c).gain,
-                                 _gain_bound(pair, c)[0]))
+        result, bound, _ = _solve_loan(pair, c)
+        points.append(SweepPoint(float(x), c, binary_entropy(x), result.gain, bound))
 
     values = [p.gmax for p in points]
     i_best = max(range(len(values)), key=values.__getitem__)

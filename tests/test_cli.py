@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,11 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from supercat import (EXACT_POLICY, NotNormalized, SchmidtVector, binary_entropy, entropy,
-                      epsilon_family, kron, majorizes, make_schmidt)
+from supercat import (EXACT_POLICY, FLOAT_POLICY, NotNormalized, SchmidtVector, binary_entropy,
+                      entropy, epsilon_family, kron, majorizes, make_schmidt, tilde_gmax_sweep)
 import supercat.cli
-from supercat.cli import build_parser, main
-from supercat.examples import EXAMPLE_PAIRS
+from supercat.cli import _summary_text, _sweep_rows, _sweep_summary, build_parser, main
+from supercat.errors import DomainError
+from supercat.examples import EXAMPLE_PAIRS, example_pair
+
+from conftest import random_nontrivial_pair
 
 A1 = "0.4,0.4,0.1,0.1"
 B1 = "0.5,0.25,0.25,0"
@@ -364,6 +368,46 @@ class TestGainSweep:
         assert summary["tilde_gmax"] > 0.02
 
 
+class TestSweepText:
+    """The summary's points are written by hand from the CSV's row text; the
+    summary must still be exactly what json writes for the whole dict."""
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_summary_text_is_the_json_of_the_full_summary(self, policy):
+        rng = random.Random(4151)
+        for i in range(24):
+            pair = random_nontrivial_pair(rng, policy, min_width=1e-3)
+            sweep = tilde_gmax_sweep(pair, n_points=rng.randint(2, 30))
+            summary = _sweep_summary(pair, sweep, len(sweep.points))
+            if i % 3 == 1:  # as under --verify with no mismatch
+                summary["oracle_mismatches"] = []
+            elif i % 3 == 2:  # and with some
+                summary["oracle_mismatches"] = [{"x": p.x, "gmax": p.gmax, "oracle_gmax": p.bound}
+                                                for p in sweep.points[::3]]
+            points = [{"x": p.x, "entropy_c_bits": p.entropy_c, "gmax": p.gmax,
+                       "bound": p.bound} for p in sweep.points]
+            want = json.dumps({**summary, "points": points}, indent=2, sort_keys=True) + "\n"
+            assert _summary_text(summary, _sweep_rows(sweep)) == want
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_exits_2_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                       value):
+        # repr writes nan where json writes NaN, so the two files would disagree
+        sweep = tilde_gmax_sweep(example_pair("1"), n_points=5)
+        points = list(sweep.points)
+        points[2] = replace(points[2], bound=value)
+        broken = replace(sweep, points=tuple(points))
+        with pytest.raises(DomainError, match="non-finite"):
+            _sweep_rows(broken)
+        monkeypatch.setattr(supercat.cli, "tilde_gmax_sweep", lambda pair, n_points: broken)
+        out_csv = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "gain-sweep", "--a", A1, "--b", B1, "--points", "5",
+                             "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: non-finite sweep value")
+        assert not any(tmp_path.iterdir())
+
+
 class TestEpsilonFamily:
     def test_gain_progression(self, capsys):
         code, out, _ = run(capsys, "epsilon-family", "--eps", "1e-2,1e-3,1e-4")
@@ -458,6 +502,17 @@ class TestExamples:
         assert [combined[name]["argmax_kind"] for name in "1234"] == \
             ["endpoint", "endpoint", "kink", "kink"]
         assert "example 3: tilde_gmax=0.093890 argmax_x=0.618421 argmax_kind=kink " in err
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    def test_combined_summary_is_the_json_of_each(self, capsys, tmp_path, verify):
+        code, _, _ = run(capsys, "examples", "--out-dir", str(tmp_path), "--points", "21",
+                         *(["--verify"] if verify else []))
+        assert code == 0
+        each = {name: json.loads((tmp_path / f"example{name}.summary.json").read_text())
+                for name in EXAMPLE_PAIRS}
+        assert all(("oracle_mismatches" in s) == verify for s in each.values())
+        assert (tmp_path / "examples.summary.json").read_text() == \
+            json.dumps(each, indent=2, sort_keys=True) + "\n"
 
 
 class TestParserBuiltOnce:

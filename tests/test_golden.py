@@ -1,13 +1,16 @@
-"""Golden digests of the gain-sweep CSV on the four bundled pairs.
+"""Golden digests of the gain-sweep CSV and summary on the four bundled pairs,
+and of the combined summary of examples.
 
-The CSV is the reproducible output of a sweep, so every speed-up must keep
-its bytes.  The digests were recorded before the sweep's per-pair caches and
-per-sweep memo existed; any drift in a single printed float fails here.
+The CSV and the summary are the reproducible outputs of a sweep, so every
+speed-up must keep their bytes.  The CSV digests were recorded before the
+sweep's per-pair caches and per-sweep memo existed, the summary digests
+before the summary's points were written from the CSV's row text; any drift
+in a single printed float fails here.
 """
 
 import hashlib
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -24,15 +27,57 @@ GOLDEN = {
     ("exact", "3"): "955b173199bb663176d6eac22f209a197b0ecdd13a4e0aaec733d006455bdde8",
     ("exact", "4"): "674240fc9b83f02dd0f8ce194fd6beb2a6d44f7dda7b6c45b7b6685bd5184965",
 }
+# the summary, which gain-sweep prints on stdout and writes next to the CSV
+SUMMARY_GOLDEN = {
+    ("float", "1"): "804643f88ca4aeba279a8bc6e4f636fc8954426fd49f255c81904029ea3392cb",
+    ("float", "2"): "f79a699308689af404444ee229b2731f39b3a613b046e93a48fab922426fb6df",
+    ("float", "3"): "0d38a28570c8edbdd7e90a49c6c300f525903ef9ac1de02309303177b3ba4a91",
+    ("float", "4"): "6d44b362e6388476ef02fdb16af03fb7913da1249966e87bd69db7213951c60d",
+    ("exact", "1"): "1453e961dee2850662f166abcb2bc4185f270601ce13cd88256efdf1d7dc8a18",
+    ("exact", "2"): "4dbb9e22a5dd920b72c5405306bfa6c6e50e05aac79c2d83269aed60cfb573fd",
+    ("exact", "3"): "b9a1fc167cc3366b6641d53a6941875664f7157dc35c8a9aa9a291147128c4cd",
+    ("exact", "4"): "62dfa90e7d0fbc7bcb74baec8cb62c14a02c6c97b451308a868c1f06f7c79da5",
+}
+# examples.summary.json of `supercat examples` at its default 200 points
+EXAMPLES_GOLDEN = {
+    "plain": "a10c1cca72d7c74a0fe2c968c75656390fa3f4cc6cc02ff36011517d3f45ec0b",
+    "verify": "1bc6916d1c07c94ce6215cee19f66b1634816f924f39f6d3acd76a287dad9d39",
+}
 MODE_ARGS = {"float": ["--points", "200"], "exact": ["--exact", "--points", "50"]}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _sweep(mode, name, out):
+    a, b = EXAMPLE_PAIRS[name]
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = main(["gain-sweep", "--a", ",".join(a), "--b", ",".join(b),
+                     *MODE_ARGS[mode], "--out", str(out)])
+    assert code == 0
+    return stdout.getvalue()
 
 
 @pytest.mark.parametrize("mode,name", sorted(GOLDEN))
 def test_sweep_csv_digest(mode, name, tmp_path):
-    a, b = EXAMPLE_PAIRS[name]
     out = tmp_path / "sweep.csv"
-    with redirect_stdout(io.StringIO()):
-        code = main(["gain-sweep", "--a", ",".join(a), "--b", ",".join(b),
-                     *MODE_ARGS[mode], "--out", str(out)])
+    _sweep(mode, name, out)
+    assert _sha256(out.read_bytes()) == GOLDEN[mode, name]
+
+
+@pytest.mark.parametrize("mode,name", sorted(SUMMARY_GOLDEN))
+def test_sweep_summary_digest(mode, name, tmp_path):
+    stdout = _sweep(mode, name, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.summary.json").read_text() == stdout
+    assert _sha256(stdout.encode()) == SUMMARY_GOLDEN[mode, name]
+
+
+@pytest.mark.parametrize("flag", sorted(EXAMPLES_GOLDEN))
+def test_examples_summary_digest(flag, tmp_path):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["examples", "--out-dir", str(tmp_path),
+                     *(["--verify"] if flag == "verify" else [])])
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[mode, name]
+    assert _sha256((tmp_path / "examples.summary.json").read_bytes()) == EXAMPLES_GOLDEN[flag]

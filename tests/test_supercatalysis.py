@@ -21,7 +21,7 @@ from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsi
                              NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
 from supercat.examples import example_pair
 from supercat.schmidt import _constants
-from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _gain_bound,
+from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _solve_loan,
                                      _stationary_points)
 
 from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
@@ -36,6 +36,21 @@ def vec(*xs):
 @pytest.fixture(scope="module")
 def pairs():
     return {name: example_pair(name) for name in "1234"}
+
+
+def count_joint_calls(monkeypatch) -> Counter:
+    """Calls of CatalyticPair.joint_target and joint_feasible, through which
+    every joint check, float or exact, goes."""
+    counts = Counter()
+    for name in ("joint_target", "joint_feasible"):
+        original = getattr(CatalyticPair, name)
+
+        def counted(self, *args, _name=name, _fn=original):
+            counts[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(CatalyticPair, name, counted)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +187,7 @@ class TestGmaxGivenC:
         pair = CatalyticPair(vec(0.5, 0.35, 0.05, 0.05, 0.05), vec(0.6, 0.2, 0.2))
         c = vec(0.646, 0.354)
         assert returned_rank_bound(pair, c) == 3
-        seed = _exact_rank2_gain(pair, c, pair.joint_target(c))
+        seed = _exact_rank2_gain(pair, c, pair.joint_target(c), entropy(c))
         assert gmax_given_c(pair, c).gain >= seed.gain > 0.0413013
 
 
@@ -190,7 +205,7 @@ def reference_grid_rank_gain(pair, c, rank_cap, target):
 
     best_ent, best_d = ent_c, c
     if schmidt_rank(c, policy) <= 2:
-        seed = _exact_rank2_gain(pair, c, target)
+        seed = _exact_rank2_gain(pair, c, target, ent_c)
         ent = entropy(seed.returned_state)
         if ent > best_ent:
             best_ent, best_d = ent, seed.returned_state
@@ -323,7 +338,7 @@ class TestBoundGmax:
         # value (2.19) exceeded the trivial bound 1
         pair, c = pairs["1"], vec(0.5, 0.3, 0.2)
         assert returned_rank_bound(pair, c) == 4
-        bound, certified = _gain_bound(pair, c)
+        _, bound, certified = _solve_loan(pair, c)
         assert certified is False
         assert gmax_given_c(pair, c).gain <= bound <= 1.0
         assert bound_gmax(pair, c) == bound
@@ -352,21 +367,31 @@ class TestBoundGmax:
         assert returned_rank_bound(pair, c) == 3
         with pytest.raises(EmptyCatalystSet):
             max_catalyst_entropy(pair, 3)
-        gain = gmax_given_c(pair, c).gain
-        assert gain == pytest.approx(0.0416, abs=1e-4)
-        assert _gain_bound(pair, c, gain) == (gain, False)
-        assert bound_gmax(pair, c) == gain
+        result, bound, certified = _solve_loan(pair, c)
+        assert result.gain == pytest.approx(0.0416, abs=1e-4)
+        assert result == gmax_given_c(pair, c)
+        assert (bound, certified) == (0.0, False)
+        assert bound_gmax(pair, c) == result.gain
 
     def test_certified_rank2_bound_not_clamped(self):
         # small entropy drop: the certified rank-2 bound is loose and above 1
         pair = CatalyticPair(vec(0.65, 0.19, 0.11, 0.05), vec(0.68, 0.15, 0.13, 0.04))
         c = vec(0.75, 0.25)
         expected = (binary_entropy(4 / 7) - binary_entropy(0.75)) / pair.entropy_drop
-        bound, certified = _gain_bound(pair, c)
+        _, bound, certified = _solve_loan(pair, c)
         assert certified is True
         assert bound == pytest.approx(expected, abs=1e-12)
         assert bound > 2.5
         assert bound_gmax(pair, c) == bound
+
+    def test_one_loan_check_per_call(self, pairs, monkeypatch):
+        # bound_gmax used to check the loan itself and again in gmax_given_c
+        pair, c = pairs["3"], vec(0.6, 0.4)
+        assert returned_rank_bound(pair, c) == 2
+        bound_gmax(pair, c)  # per-pair facts are computed once, not per loan
+        counts = count_joint_calls(monkeypatch)
+        bound_gmax(pair, c)
+        assert counts == {"joint_target": 1, "joint_feasible": 1}
 
 
 def reference_min_feasible_y(b_coeffs, targets, lo, hi, policy):
@@ -547,24 +572,17 @@ class TestSweep:
             tilde_gmax_sweep(pairs["1"], 1)
 
     def test_each_x_evaluated_once_with_one_loan_check(self, monkeypatch):
-        # every joint check, float or exact, goes through the pair's two methods
-        counts = Counter()
-        for name in ("joint_target", "joint_feasible"):
-            original = getattr(CatalyticPair, name)
-
-            def counted(self, *args, _name=name, _fn=original):
-                counts[_name] += 1
-                return _fn(self, *args)
-
-            monkeypatch.setattr(CatalyticPair, name, counted)
+        counts = count_joint_calls(monkeypatch)
         evaluated = []
-        original_gmax = supercat.supercatalysis.gmax_given_c
+        # the samples are solved by _solve_loan, the certified candidates by gmax_given_c
+        for name in ("_solve_loan", "gmax_given_c"):
+            original = getattr(supercat.supercatalysis, name)
 
-        def gmax(pair, c):
-            evaluated.append(c[0])
-            return original_gmax(pair, c)
+            def solve(pair, c, _fn=original):
+                evaluated.append(c[0])
+                return _fn(pair, c)
 
-        monkeypatch.setattr(supercat.supercatalysis, "gmax_given_c", gmax)
+            monkeypatch.setattr(supercat.supercatalysis, name, solve)
         pair = example_pair("3")
         rank2_catalyst_interval(pair)  # per-pair facts are computed once, not per x
         counts.clear()
