@@ -57,13 +57,16 @@ class CatalyticPair:
     and _two_level the exact set of two-level catalysts at any rank.
 
     The pair owns the joint-transfer test a (x) c -> b (x) d that every
-    catalyst and gain question reduces to (joint_target, joint_feasible).
-    Both arithmetics decide it on prefix sums of the sorted products, those
-    of a (x) c built once per loan.  Float mode multiplies the coefficients
-    themselves, and each verdict equals majorizes(kron(b, d), kron(a, c))
-    bit for bit.  Exact mode works on integers: a and b are cached as
-    A_i = a_i D and B_i = b_i D over the lcm D of their denominators, and a
-    loan or returned state as integers over the lcm of its own denominators.
+    catalyst and gain question reduces to (joint_target, joint_feasible),
+    and the membership test d = c of a loan (_member), which is_catalyst,
+    the E_r search and the interval oracle share.  Both arithmetics decide
+    them on prefix sums of the sorted products, those of a (x) c built once
+    per loan.  Float mode multiplies the coefficients themselves, and each
+    verdict equals majorizes(kron(b, d), kron(a, c)) bit for bit.  Exact mode
+    works on integers: a and b are cached as A_i = a_i D and B_i = b_i D over
+    the lcm D of their denominators, and a loan or returned state as
+    integers over the lcm of its own denominators; a loan's membership takes
+    them as given, so a caller that tables them builds them once.
     """
 
     a: SchmidtVector
@@ -150,27 +153,30 @@ class CatalyticPair:
     def joint_feasible(self, target, d: SchmidtVector) -> bool:
         """Does b (x) d majorize a (x) c, for target = joint_target(c)?
 
-        d must be in the pair's arithmetic, in any order, with no negative
-        entry.  The target's prefix sums are compared with those of the
-        sorted products b_i d_j; past a shorter b (x) d its last prefix sum
-        repeats, as zero padding gives inside majorizes, and a shorter target
-        needs none, as the sums of b (x) d only grow.  Float mode allows
-        tol_eq slack, tests k = 1 on b[0] max(d) before sorting anything,
-        then compares each prefix sum as accumulate yields it and stops at the
-        first that fails.  Exact mode compares integers B_i D_j, reusing the
-        loan's own when d is the loan.  Both sides share the denominator D q
-        when d's is q; otherwise each is multiplied by the other's.
+        d is any sequence in the pair's arithmetic, such as a plain pair
+        (y, 1 - y), in any order, with no negative entry.  The target's
+        prefix sums are compared with those of the sorted products b_i d_j;
+        past a shorter b (x) d its last prefix sum repeats, as zero padding
+        gives inside majorizes, and a shorter target needs none, as the sums
+        of b (x) d only grow.  Float mode allows tol_eq slack, tests k = 1 on
+        b[0] max(d) before sorting anything, then compares each prefix sum as
+        accumulate yields it and stops at the first that fails.  Exact mode
+        compares integers B_i D_j, reusing the loan's own when d is the loan.
+        Both sides share the denominator D q when d's is q; otherwise each is
+        multiplied by the other's.
         """
         if not self.policy.exact:
             tol = self.policy.tol_eq
             if target[0] > self.b[0] * max(d) + tol:
                 return False
-            products = [x * y for x in self.b for y in d]
+            # as _sorted_products builds them, without a call per probe
+            products = [x * y for y in d for x in self.b]
             products.sort(reverse=True)
             for t, s in zip(target, accumulate(products)):
                 if t > s + tol:
                     return False
-            return all(t <= s + tol for t in target[len(products):])
+            return len(target) <= len(products) or all(
+                t <= s + tol for t in target[len(products):])
         q, sums_a, c, ints = target
         qd, ints = (q, ints) if d is c else _scaled_vector(d)
         sums_b = _product_prefix_sums(self._scaled[1], ints)
@@ -180,18 +186,48 @@ class CatalyticPair:
         sums_b += sums_b[-1:] * (len(sums_a) - len(sums_b))  # no-op when not shorter
         return all(map(operator.le, sums_a, sums_b))
 
+    def _member(self, form) -> bool:
+        """Is the loan c a catalyst, for form = _member_form(c)?
+
+        c must be in the pair's arithmetic and order.  This is the membership
+        test of is_catalyst, the E_r search and the interval oracle's grid.
+        Float mode decides joint_feasible(joint_target(c), c).  Exact mode
+        reads the integers C of form = (q, C): the products A_i C_j and
+        B_i C_j share the denominator D q and are equally many, so their sorted
+        prefix sums are compared as accumulate yields them, up to the first
+        that fails, with nothing stored or padded.
+        """
+        if not self.policy.exact:
+            return self.joint_feasible(self.joint_target(form), form)
+        ints = form[1]
+        scaled_a, scaled_b = self._scaled
+        return all(map(operator.le, accumulate(_sorted_products(scaled_a, ints)),
+                       accumulate(_sorted_products(scaled_b, ints))))
+
+
+def _sorted_products(u, v) -> list:
+    """All products u_i v_j in decreasing order, built v-major so that each
+    run over a non-increasing u comes already sorted."""
+    products = [x * y for y in v for x in u]
+    products.sort(reverse=True)
+    return products
+
 
 def _product_prefix_sums(u, v) -> tuple:
     """Prefix sums of all products u_i v_j, sorted in decreasing order."""
-    products = [x * y for x in u for y in v]
-    products.sort(reverse=True)
-    return tuple(accumulate(products))
+    return tuple(accumulate(_sorted_products(u, v)))
 
 
 def _scaled_vector(v: SchmidtVector) -> tuple:
     """(q, integers): an exact vector as integers over the lcm q of its denominators."""
     q = math.lcm(*(x.denominator for x in v))
     return q, [x.numerator * (q // x.denominator) for x in v]
+
+
+def _member_form(c: SchmidtVector, exact: bool):
+    """c as CatalyticPair._member reads it: (q, C) = _scaled_vector(c) in exact
+    mode, c itself in float mode."""
+    return _scaled_vector(c) if exact else c
 
 
 def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
@@ -445,7 +481,7 @@ class CatalystInterval:
 def is_catalyst(pair: CatalyticPair, c: SchmidtVector) -> bool:
     """Membership of c, in the pair's arithmetic, in the catalyst set of the pair."""
     c = _coerce_vector(c, pair.policy)
-    return pair.joint_feasible(pair.joint_target(c), c)
+    return pair._member(_member_form(c, pair.policy.exact))
 
 
 def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
@@ -620,8 +656,9 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
             raise EmptyCatalystSet("no two-level catalyst exists for this pair")
         return CatalystEntropySearch(best_val, best_cert, True)
 
+    exact = pair.policy.exact  # the table's rows are ordered and in the pair's arithmetic
     found = _best_candidate(r, SIMPLEX_STEPS, RANDOM_SAMPLES, pair.policy, best_val,
-                            lambda v: is_catalyst(pair, v))
+                            lambda v: pair._member(_member_form(v, exact)))
     if found is not None:
         best_val, best_cert = found
     if best_cert is None:

@@ -5,16 +5,21 @@ on a grid of step SCAN_RESOLUTION they probe catalyst membership or joint
 feasibility up to the first member and down from the end to the last, and
 bisect both boundaries to REFINE_TOL.  This module owns every grid scan over
 two-level vectors, to certify the fast paths; none scales past small systems.
+
+A probe pays only for its joint test, which CatalyticPair decides: the
+membership test _member on the interval grid's tabled forms, and
+joint_feasible on a plain pair (y, 1 - y) in the gain scan.  This module
+holds no comparison of its own.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _require_dim4_nontrivial,
-                        _require_loan, is_catalyst, probe_two_level)
+from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _member_form,
+                        _require_dim4_nontrivial, _require_loan, probe_two_level)
 from .errors import EmptyCatalystSet
-from .schmidt import EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy, entropy
+from .schmidt import EXACT_POLICY, FLOAT_POLICY, SchmidtVector, _coerce, binary_entropy, entropy
 from .supercatalysis import GRID_METHOD, GainResult
 
 #: Grid step of every scan over two-level vectors (x, 1-x).
@@ -45,10 +50,13 @@ def _scan(member, xs):
 
 @cache
 def _interval_grid(exact: bool) -> tuple:
-    """(xs, probes): grid_catalyst_interval's grid and each point's probe_two_level
-    vector by x, built once per arithmetic on first use; callers only read it."""
+    """(xs, forms): grid_catalyst_interval's grid and the _member_form of each
+    point's probe_two_level vector by x: the vector in float mode, its integer
+    form (q, C) in exact mode.  Built once per arithmetic on first use;
+    callers only read it."""
+    policy = EXACT_POLICY if exact else FLOAT_POLICY
     xs = tuple(min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(1 + round(0.5 / SCAN_RESOLUTION)))
-    return xs, {x: probe_two_level(x, EXACT_POLICY if exact else FLOAT_POLICY) for x in xs}
+    return xs, {x: _member_form(probe_two_level(x, policy), exact) for x in xs}
 
 
 def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
@@ -56,13 +64,15 @@ def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
 
     Reports a hull: the first and last scanned members, each bisected against
     its failing neighbour; the points between are not probed.  Grid points
-    reuse _interval_grid's vectors.  Raises EmptyCatalystSet when no grid
-    point is a catalyst, as for a set narrower than the resolution.
+    reuse _interval_grid's forms, and a bisection midpoint builds its own
+    from probe_two_level.  Raises EmptyCatalystSet when no grid point is a
+    catalyst, as for a set narrower than the resolution.
     """
     _require_dim4_nontrivial(pair)
-    xs, probes = _interval_grid(pair.policy.exact)
-    found = _scan(lambda x: is_catalyst(pair, probes.get(x) or probe_two_level(x, pair.policy)),
-                  xs)
+    policy = pair.policy
+    xs, forms = _interval_grid(policy.exact)
+    found = _scan(lambda x: pair._member(
+        forms.get(x) or _member_form(probe_two_level(x, policy), policy.exact)), xs)
     if found is None:
         raise EmptyCatalystSet("no two-level catalyst found at this resolution")
     return CatalystInterval(*found)
@@ -82,7 +92,8 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     c1 = float(c[0])
 
     def feasible(y: float) -> bool:
-        return pair.joint_feasible(target, probe_two_level(y, pair.policy))
+        y = _coerce(y, pair.policy)  # the rule of probe_two_level
+        return pair.joint_feasible(target, (y, 1 - y))
 
     steps = max(1, int(round((c1 - 0.5) / SCAN_RESOLUTION)))
     found = _scan(feasible, _affine_grid(0.5, c1, steps + 1))

@@ -1,11 +1,12 @@
 """Golden digests of the gain-sweep CSV and summary on the four bundled pairs,
-and of the combined summary of examples.
+of the combined summary of examples, and of the oracles' printed numbers.
 
 The CSV and the summary are the reproducible outputs of a sweep, so every
 speed-up must keep their bytes.  The CSV digests were recorded before the
 sweep's per-pair caches and per-sweep memo existed, the summary digests
-before the summary's points were written from the CSV's row text; any drift
-in a single printed float fails here.
+before the summary's points were written from the CSV's row text, and the
+oracle digests before the oracles' probes stopped building a vector per
+probe; any drift in a single printed float fails here.
 """
 
 import hashlib
@@ -42,6 +43,23 @@ SUMMARY_GOLDEN = {
 EXAMPLES_GOLDEN = {
     "plain": "a10c1cca72d7c74a0fe2c968c75656390fa3f4cc6cc02ff36011517d3f45ec0b",
     "verify": "1bc6916d1c07c94ce6215cee19f66b1634816f924f39f6d3acd76a287dad9d39",
+}
+# stdout of catalyst-range --verify, whose "oracle" block holds the interval
+# oracle's bisected ends
+RANGE_GOLDEN = {
+    ("float", "1"): "f456b1cd3ebfb4c5ce09b41f4a404b6edf2e27b23b3baf7000c102dac85ea0f6",
+    ("float", "2"): "33fb7f331d5ea6dd27d505996d96f17894bbe865b72d2a672719fdfb592745cb",
+    ("float", "3"): "bd26f90bdc4c7e819eafac51c39f1408a7d524d23d3e67fe9b4865709c80be27",
+    ("float", "4"): "9b2f9bebcb70eccc6ed71bf44d11f035eb4bfee0659a5aad73209de4fac1e6b0",
+    ("exact", "1"): "c2372249f98060d7de6138234ced2be29e3539dd82ae6137c6dad65cb0f762da",
+    ("exact", "2"): "33fb7f331d5ea6dd27d505996d96f17894bbe865b72d2a672719fdfb592745cb",
+    ("exact", "3"): "760afe547c34379bdc42de6c9f43a23a188d5c07668c466d23d364f4e1d7b5c4",
+    ("exact", "4"): "c468ce69f3cce753a68c3313cb4411b1dbe11c2bd2c88b2bb2d3600ce24701a0",
+}
+# stdout of gain-sweep --c 0.625,0.375 --verify on pair 1, which prints oracle_gain
+LOAN_GOLDEN = {
+    "float": "3e9400358ee0a488bc6e714ebc27140dedb2697e9ae1f6d3bc36408a10f0aff0",
+    "exact": "38aa0b22a628c41ed0c978c88e6e7643431e98433dac8e9456c9da5e29cb5ecd",
 }
 MODE_ARGS = {"float": ["--points", "200"], "exact": ["--exact", "--points", "50"]}
 
@@ -81,3 +99,28 @@ def test_examples_summary_digest(flag, tmp_path):
                      *(["--verify"] if flag == "verify" else [])])
     assert code == 0
     assert _sha256((tmp_path / "examples.summary.json").read_bytes()) == EXAMPLES_GOLDEN[flag]
+
+
+def _stdout(argv) -> str:
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = main(argv)
+    assert code == 0
+    return stdout.getvalue()
+
+
+@pytest.mark.parametrize("mode,name", sorted(RANGE_GOLDEN))
+def test_catalyst_range_verify_digest(mode, name):
+    a, b = EXAMPLE_PAIRS[name]
+    stdout = _stdout(["catalyst-range", "--a", ",".join(a), "--b", ",".join(b), "--verify",
+                      *(["--exact"] if mode == "exact" else [])])
+    assert _sha256(stdout.encode()) == RANGE_GOLDEN[mode, name]
+
+
+@pytest.mark.parametrize("mode", sorted(LOAN_GOLDEN))
+def test_loan_verify_digest(mode):
+    a, b = EXAMPLE_PAIRS["1"]
+    stdout = _stdout(["gain-sweep", "--a", ",".join(a), "--b", ",".join(b), "--c", "0.625,0.375",
+                      "--verify", *(["--exact"] if mode == "exact" else [])])
+    assert '"oracle_gain": 0.07442316637776933' in stdout
+    assert _sha256(stdout.encode()) == LOAN_GOLDEN[mode]

@@ -3,18 +3,25 @@
 import random
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 import supercat
-from supercat import (EXACT_POLICY, FLOAT_POLICY, CatalyticPair, SchmidtVector,
-                      grid_catalyst_interval, grid_gmax_rank2, gmax_given_c, make_schmidt,
-                      rank2_catalyst_interval)
-from supercat.catalysis import probe_two_level
-from supercat.errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
+import supercat.oracle
+from supercat import (EXACT_POLICY, FLOAT_POLICY, CatalyticPair, CatalystInterval, SchmidtVector,
+                      binary_entropy, entropy, grid_catalyst_interval, grid_gmax_rank2,
+                      gmax_given_c, is_catalyst, make_schmidt, rank2_catalyst_interval)
+from supercat.catalysis import (_affine_grid, _require_dim4_nontrivial, _require_loan,
+                                _scaled_vector, probe_two_level)
+from supercat.errors import CatalysisError, EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from supercat.examples import example_pair
-from supercat.oracle import _bisect, _interval_grid, _scan
+from supercat.oracle import SCAN_RESOLUTION, _bisect, _interval_grid, _scan
+from supercat.schmidt import _coerce_vector
+from supercat.supercatalysis import GRID_METHOD, GainResult
 
 from conftest import random_nontrivial_pair
 
@@ -169,8 +176,8 @@ class TestScan:
 
 
 class TestIntervalGrid:
-    """The fixed grid of grid_catalyst_interval and its probe vectors are
-    built once per arithmetic, on first use."""
+    """The fixed grid of grid_catalyst_interval and its probes' membership
+    forms are built once per arithmetic, on first use."""
 
     def test_second_pair_builds_no_grid(self):
         for policy in (FLOAT_POLICY, EXACT_POLICY):
@@ -191,7 +198,142 @@ class TestIntervalGrid:
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     def test_probes_are_probe_two_level(self, exact):
         policy = EXACT_POLICY if exact else FLOAT_POLICY
-        xs, probes = _interval_grid(exact)
+        xs, forms = _interval_grid(exact)
         assert xs == tuple(min(0.5 + i * 1e-3, 1.0) for i in range(501))
-        assert all(probes[x] == probe_two_level(x, policy) for x in xs)
-        assert all(probes[x].exact == exact for x in xs)
+        if exact:  # each probe vector's integer form (q, C), over the lcm q of its denominators
+            assert all(forms[x] == _scaled_vector(probe_two_level(x, EXACT_POLICY)) for x in xs)
+            assert all(type(k) is int for x in xs for k in (forms[x][0], *forms[x][1]))
+        else:  # the probe vector itself
+            assert all(forms[x] == probe_two_level(x, policy) for x in xs)
+            assert all(forms[x].exact == exact for x in xs)
+
+
+def reference_is_catalyst(pair, c):
+    """is_catalyst as the joint test with d = c, before membership had its own kernel."""
+    c = _coerce_vector(c, pair.policy)
+    return pair.joint_feasible(pair.joint_target(c), c)
+
+
+@cache
+def reference_interval_grid(exact):
+    policy = EXACT_POLICY if exact else FLOAT_POLICY
+    xs = tuple(min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(1 + round(0.5 / SCAN_RESOLUTION)))
+    return xs, {x: probe_two_level(x, policy) for x in xs}
+
+
+def reference_grid_catalyst_interval(pair):
+    """grid_catalyst_interval as it was when every probe went through
+    is_catalyst, grid points with their tabled vectors."""
+    _require_dim4_nontrivial(pair)
+    xs, probes = reference_interval_grid(pair.policy.exact)
+    found = _scan(lambda x: reference_is_catalyst(
+        pair, probes.get(x) or probe_two_level(x, pair.policy)), xs)
+    if found is None:
+        raise EmptyCatalystSet("no two-level catalyst found at this resolution")
+    return CatalystInterval(*found)
+
+
+def reference_grid_gmax_rank2(pair, c):
+    """grid_gmax_rank2 as it was when every probe built a SchmidtVector."""
+    c, target = _require_loan(pair, c)
+    c1 = float(c[0])
+
+    def feasible(y):
+        return pair.joint_feasible(target, probe_two_level(y, pair.policy))
+
+    steps = max(1, int(round((c1 - 0.5) / SCAN_RESOLUTION)))
+    found = _scan(feasible, _affine_grid(0.5, c1, steps + 1))
+    if found is None or found[0] >= c1 - pair.policy.tol_strict:
+        return GainResult(0.0, c, GRID_METHOD)
+    y_star = found[0]
+    g = (binary_entropy(y_star) - entropy(c)) / pair.entropy_drop
+    return GainResult(min(max(g, 0.0), 1.0), probe_two_level(y_star, pair.policy),
+                      GRID_METHOD)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the CatalysisError it raised."""
+    try:
+        return fn(*args)
+    except CatalysisError as exc:
+        return type(exc), str(exc)
+
+
+def two_level_loans(rng, pair):
+    """Six two-level loans of the pair: its interval's ends, its quartiles
+    and one random point of it."""
+    interval = rank2_catalyst_interval(pair)
+    ts = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, Fraction(rng.randrange(101), 100))
+    if not pair.policy.exact:
+        ts = tuple(map(float, ts))
+    xs = [interval.x_min + t * (interval.x_max - interval.x_min) for t in ts]
+    return [probe_two_level(x, pair.policy) for x in xs]
+
+
+@pytest.fixture
+def spied_scans(monkeypatch):
+    """(member, xs) of every oracle._scan call, in order: the oracles' own probes."""
+    scans = []
+    real = supercat.oracle._scan
+
+    def spy(member, xs):
+        scans.append((member, xs))
+        return real(member, xs)
+
+    monkeypatch.setattr(supercat.oracle, "_scan", spy)
+    return scans
+
+
+@pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+class TestOracleProbes:
+    """Each oracle probe pays only for its joint test: the interval grid's
+    membership forms are tabled and the gain scan passes a plain pair to
+    joint_feasible.  Results and probe verdicts must equal those of the
+    oracles as they were, copied above, on random pairs in both arithmetics."""
+
+    def test_results_match_reference(self, policy):
+        rng = random.Random(7118)
+        kinds = Counter()
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng, policy)
+            got = outcome(grid_catalyst_interval, pair)
+            assert got == outcome(reference_grid_catalyst_interval, pair), pair
+            kinds["interval" if isinstance(got, CatalystInterval) else got[0].__name__] += 1
+            for c in two_level_loans(rng, pair):
+                got = outcome(grid_gmax_rank2, pair, c)
+                assert got == outcome(reference_grid_gmax_rank2, pair, c), (pair, c)
+                kinds[got.gain > 0 if isinstance(got, GainResult) else got[0].__name__] += 1
+        assert kinds["interval"] >= 90 and kinds[True] >= 100 and kinds[False] >= 100, kinds
+
+    def test_probe_verdicts_match_reference(self, policy, spied_scans):
+        rng = random.Random(7119)
+        verdicts = Counter()
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng, policy)
+            spied_scans.clear()
+            outcome(grid_catalyst_interval, pair)
+            member, xs = spied_scans[0]
+            interval = rank2_catalyst_interval(pair)
+            lo, width = float(interval.x_min), float(interval.x_max) - float(interval.x_min)
+            # off the grid: anywhere in (1/2, 1), and around the interval's ends
+            mids = [0.5 + rng.random() / 2 for _ in range(25)]
+            while len(mids) < 50:
+                x = lo + width * (3 * rng.random() - 1)
+                if 0.5 < x < 1.0:
+                    mids.append(x)
+            assert len(xs) == 501 and not set(xs) & set(mids)
+            for x in (*xs, *mids):
+                v = probe_two_level(x, policy)
+                want = reference_is_catalyst(pair, v)
+                assert member(x) == want == is_catalyst(pair, v), (pair, x)
+                verdicts["interval", want] += 1
+            c = two_level_loans(rng, pair)[rng.randrange(1, 4)]
+            spied_scans.clear()
+            grid_gmax_rank2(pair, c)
+            feasible, ys = spied_scans[0]
+            target = pair.joint_target(c)
+            for y in ys:
+                want = pair.joint_feasible(target, probe_two_level(y, policy))
+                assert feasible(y) == want, (pair, c, y)
+                verdicts["gain", want] += 1
+        assert min(verdicts.values()) >= 1000 and len(verdicts) == 4, verdicts

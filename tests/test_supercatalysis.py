@@ -40,7 +40,8 @@ def pairs():
 
 def count_joint_calls(monkeypatch) -> Counter:
     """Calls of CatalyticPair.joint_target and joint_feasible, through which
-    every joint check, float or exact, goes."""
+    every joint check, float or exact, goes, except an exact membership test
+    (CatalyticPair._member)."""
     counts = Counter()
     for name in ("joint_target", "joint_feasible"):
         original = getattr(CatalyticPair, name)
