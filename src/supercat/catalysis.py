@@ -59,14 +59,15 @@ class CatalyticPair:
     The pair owns the joint-transfer test a (x) c -> b (x) d that every
     catalyst and gain question reduces to (joint_target, joint_feasible),
     and the membership test d = c of a loan (_member), which is_catalyst,
-    the E_r search and the interval oracle share.  Both arithmetics decide
-    them on prefix sums of the sorted products, those of a (x) c built once
-    per loan.  Float mode multiplies the coefficients themselves, and each
-    verdict equals majorizes(kron(b, d), kron(a, c)) bit for bit.  Exact mode
-    works on integers: a and b are cached as A_i = a_i D and B_i = b_i D over
-    the lcm D of their denominators, and a loan or returned state as
-    integers over the lcm of its own denominators; a loan's membership takes
-    them as given, so a caller that tables them builds them once.
+    the E_r search and the interval oracle share.  Each is one body for both
+    arithmetics, over the cached _sides (A, B, tol) and a vector's
+    _member_form (q, C): prefix sums of the sorted products, those of
+    a (x) c built once per loan, compared with tol slack.  Float mode reads
+    the coefficients themselves with q = D = 1 and tol = tol_eq, so each
+    verdict equals majorizes(kron(b, d), kron(a, c)) bit for bit.  Exact
+    mode reads integers over the lcm D of a's and b's denominators and the
+    lcm q of the vector's, with tol = 0.  A loan's membership takes its form
+    as given, so a caller that tables forms builds each once.
     """
 
     a: SchmidtVector
@@ -117,92 +118,86 @@ class CatalyticPair:
         return None if x is None else (binary_entropy(x), probe_two_level(x, self.policy))
 
     @cached_property
-    def _scaled(self) -> tuple:
-        """Exact mode: (A, B), a and b as integers over their common denominator D."""
-        d = math.lcm(*(x.denominator for x in self.a + self.b))
-        return (tuple(x.numerator * (d // x.denominator) for x in self.a),
-                tuple(x.numerator * (d // x.denominator) for x in self.b))
+    def _sides(self) -> tuple:
+        """(A, B, tol): a and b as every joint test reads them, and its slack:
+        the coefficients and tol_eq in float mode, the integers A_i = a_i D and
+        B_i = b_i D over the lcm D of their denominators and 0 in exact mode."""
+        exact = self.policy.exact
+        _, ints = _member_form(self.a + self.b, exact)
+        n = len(self.a)
+        return tuple(ints[:n]), tuple(ints[n:]), 0 if exact else self.policy.tol_eq
 
     @cached_property
     def _segments(self) -> tuple:
-        """_breakpoint_segments of b, in y: the joint test's side b (x) (y, 1-y)."""
-        if self.policy.exact:
-            return _breakpoint_segments(self._scaled[1], True)
-        return _breakpoint_segments(self.b, False)
+        """_breakpoint_segments of B, in y: the joint test's side b (x) (y, 1-y)."""
+        return _breakpoint_segments(self._sides[1], self.policy.exact)
 
     @cached_property
     def _segments_a(self) -> tuple:
-        """_breakpoint_segments of a, in x: the targets a (x) (x, 1-x) of the two-level loans."""
-        if self.policy.exact:
-            return _breakpoint_segments(self._scaled[0], True)
-        return _breakpoint_segments(self.a, False)
+        """_breakpoint_segments of A, in x: the targets a (x) (x, 1-x) of the two-level loans."""
+        return _breakpoint_segments(self._sides[0], self.policy.exact)
 
-    def joint_target(self, c: SchmidtVector):
+    def joint_target(self, c: SchmidtVector) -> tuple:
         """The side a (x) c of the joint test for the loan c, built once per loan.
 
-        Float mode: the prefix sums of the sorted products a_i c_j, which are
-        prefix_sums(kron(a, c)).  Exact mode: (q, sums, c, C), where q is the
-        lcm of c's denominators, C_j = c_j q, and sums are the prefix sums of
-        the sorted integer products A_i C_j, all over the denominator D q.
+        Returns (q, sums, c, C), where (q, C) = _member_form(c) and sums are
+        the prefix sums of the sorted products A_i C_j, all over the
+        denominator D q (q = D = 1 in float mode, where C is c).
         """
-        if not self.policy.exact:
-            return _product_prefix_sums(self.a, c)
-        q, ints = _scaled_vector(c)
-        return q, _product_prefix_sums(self._scaled[0], ints), c, ints
+        q, ints = _member_form(c, self.policy.exact)
+        return q, tuple(accumulate(_sorted_products(self._sides[0], ints))), c, ints
 
     def joint_feasible(self, target, d: SchmidtVector) -> bool:
         """Does b (x) d majorize a (x) c, for target = joint_target(c)?
 
         d is any sequence in the pair's arithmetic, such as a plain pair
-        (y, 1 - y), in any order, with no negative entry.  The target's
-        prefix sums are compared with those of the sorted products b_i d_j;
-        past a shorter b (x) d its last prefix sum repeats, as zero padding
-        gives inside majorizes, and a shorter target needs none, as the sums
-        of b (x) d only grow.  Float mode allows tol_eq slack, tests k = 1 on
-        b[0] max(d) before sorting anything, then compares each prefix sum as
-        accumulate yields it and stops at the first that fails.  Exact mode
-        compares integers B_i D_j, reusing the loan's own when d is the loan.
-        Both sides share the denominator D q when d's is q; otherwise each is
-        multiplied by the other's.
+        (y, 1 - y), in any order, with no negative entry; the loan's own C is
+        reused when d is c.  Exact mode reads any other d as integers D over
+        its own denominator, and when that differs from c's multiplies each
+        side by the other's; float mode reads d itself.  The k = 1 test,
+        on B_1 max(D) before anything is sorted, comes first; then each prefix
+        sum of the sorted products B_i D_j is compared with the target's as
+        accumulate yields it, up to the first that fails.  Past a shorter
+        b (x) d its last prefix sum repeats, as zero padding gives inside
+        majorizes, and a shorter target needs none, as the sums of b (x) d
+        only grow.  Float verdicts equal majorizes(kron(b, d), kron(a, c))
+        bit for bit.
         """
-        if not self.policy.exact:
-            tol = self.policy.tol_eq
-            if target[0] > self.b[0] * max(d) + tol:
-                return False
-            # as _sorted_products builds them, without a call per probe
-            products = [x * y for y in d for x in self.b]
-            products.sort(reverse=True)
-            for t, s in zip(target, accumulate(products)):
-                if t > s + tol:
-                    return False
-            return len(target) <= len(products) or all(
-                t <= s + tol for t in target[len(products):])
         q, sums_a, c, ints = target
-        qd, ints = (q, ints) if d is c else _scaled_vector(d)
-        sums_b = _product_prefix_sums(self._scaled[1], ints)
-        if qd != q:
-            sums_a = [s * qd for s in sums_a]
-            sums_b = [s * q for s in sums_b]
-        sums_b += sums_b[-1:] * (len(sums_a) - len(sums_b))  # no-op when not shorter
-        return all(map(operator.le, sums_a, sums_b))
+        _, scaled_b, tol = self._sides
+        if d is not c:
+            ints = d
+            if self.policy.exact:  # d over its own denominator, cross-multiplied if not q
+                qd, ints = _member_form(d, True)
+                if qd != q:
+                    sums_a = [s * qd for s in sums_a]
+                    scaled_b = [x * q for x in scaled_b]
+        if sums_a[0] > scaled_b[0] * max(ints) + tol:
+            return False
+        # as _sorted_products builds them, without a call per probe
+        products = [x * y for y in ints for x in scaled_b]
+        products.sort(reverse=True)
+        for t, s in zip(sums_a, accumulate(products)):
+            if t > s + tol:
+                return False
+        return len(sums_a) <= len(products) or all(t <= s + tol for t in sums_a[len(products):])
 
     def _member(self, form) -> bool:
         """Is the loan c a catalyst, for form = _member_form(c)?
 
         c must be in the pair's arithmetic and order.  This is the membership
-        test of is_catalyst, the E_r search and the interval oracle's grid.
-        Float mode decides joint_feasible(joint_target(c), c).  Exact mode
-        reads the integers C of form = (q, C): the products A_i C_j and
-        B_i C_j share the denominator D q and are equally many, so their sorted
-        prefix sums are compared as accumulate yields them, up to the first
-        that fails, with nothing stored or padded.
+        test of is_catalyst, the E_r search and the interval oracle's grid:
+        the products A_i C_j and B_i C_j share the denominator D q and are
+        equally many, so their sorted prefix sums, those of b (x) c plus tol,
+        are compared as accumulate yields them, up to the first that fails,
+        with nothing stored or padded.
         """
-        if not self.policy.exact:
-            return self.joint_feasible(self.joint_target(form), form)
+        scaled_a, scaled_b, tol = self._sides
         ints = form[1]
-        scaled_a, scaled_b = self._scaled
-        return all(map(operator.le, accumulate(_sorted_products(scaled_a, ints)),
-                       accumulate(_sorted_products(scaled_b, ints))))
+        sums_b = accumulate(_sorted_products(scaled_b, ints))
+        if tol:  # an exact sum plus 0 would only cost
+            sums_b = map(tol.__add__, sums_b)
+        return all(map(operator.le, accumulate(_sorted_products(scaled_a, ints)), sums_b))
 
 
 def _sorted_products(u, v) -> list:
@@ -213,21 +208,14 @@ def _sorted_products(u, v) -> list:
     return products
 
 
-def _product_prefix_sums(u, v) -> tuple:
-    """Prefix sums of all products u_i v_j, sorted in decreasing order."""
-    return tuple(accumulate(_sorted_products(u, v)))
-
-
-def _scaled_vector(v: SchmidtVector) -> tuple:
-    """(q, integers): an exact vector as integers over the lcm q of its denominators."""
-    q = math.lcm(*(x.denominator for x in v))
-    return q, [x.numerator * (q // x.denominator) for x in v]
-
-
-def _member_form(c: SchmidtVector, exact: bool):
-    """c as CatalyticPair._member reads it: (q, C) = _scaled_vector(c) in exact
-    mode, c itself in float mode."""
-    return _scaled_vector(c) if exact else c
+def _member_form(c, exact: bool) -> tuple:
+    """(q, C): c as every joint test reads it.  Exact mode: the integers
+    C_j = c_j q over the lcm q of c's denominators (the probe x = p/q is
+    (p, q - p)).  Float mode: (1, c)."""
+    if not exact:
+        return 1, c
+    q = math.lcm(*(x.denominator for x in c))
+    return q, [x.numerator * (q // x.denominator) for x in c]
 
 
 def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:
@@ -283,8 +271,7 @@ def _two_level_pieces(pair: CatalyticPair) -> tuple:
     and in float mode as _min_feasible_y does; pieces at most tol_eq apart
     are merged.
     """
-    exact = pair.policy.exact
-    tol, ratio = (0, Fraction) if exact else (pair.policy.tol_eq, operator.truediv)
+    tol, ratio = pair._sides[2], (Fraction if pair.policy.exact else operator.truediv)
     segs_a, segs_b, pieces, i, j = pair._segments_a, pair._segments, [], 0, 0
     while i < len(segs_a) and j < len(segs_b):
         (lo_a, hi_a, sums_a), (lo_b, hi_b, sums_b) = segs_a[i], segs_b[j]
@@ -327,7 +314,7 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
     """
     if pair.policy.exact:
         return _min_feasible_y_scaled(pair, target, hi)
-    tol = pair.policy.tol_eq
+    sums_a, tol = target[1], pair.policy.tol_eq
 
     for seg_lo, seg_hi, sums in pair._segments:
         if not seg_lo < hi:
@@ -338,12 +325,12 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
         y = seg_lo
         for k, (coef_const, slope) in enumerate(sums):
             if slope > tol:
-                bound = (target[k] - coef_const) / slope
+                bound = (sums_a[k] - coef_const) / slope
                 if bound > y:
                     y = bound
                     if y > seg_hi:
                         break
-            elif coef_const + slope * mid < target[k] - tol:
+            elif coef_const + slope * mid < sums_a[k] - tol:
                 # constraint is (numerically) constant on the segment
                 break
         else:
@@ -400,8 +387,7 @@ def _y_star_pieces(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> list:
     Fraction.  In float mode the envelope's active line is the steepest of
     those within tol_eq of the top.
     """
-    exact = pair.policy.exact
-    tol, ratio = (0, Fraction) if exact else (pair.policy.tol_eq, operator.truediv)
+    tol, ratio = pair._sides[2], (Fraction if pair.policy.exact else operator.truediv)
     segs_b, j, pieces = pair._segments, 0, []
     for lo_a, hi_a, sums_a in pair._segments_a:
         if hi_a < x_lo:

@@ -6,10 +6,10 @@ feasibility up to the first member and down from the end to the last, and
 bisect both boundaries to REFINE_TOL.  This module owns every grid scan over
 two-level vectors, to certify the fast paths; none scales past small systems.
 
-A probe pays only for its joint test, which CatalyticPair decides: the
-membership test _member on the interval grid's tabled forms, and
-joint_feasible on a plain pair (y, 1 - y) in the gain scan.  This module
-holds no comparison of its own.
+A probe pays only for its joint test, which CatalyticPair decides with one
+body per question in both arithmetics: the membership test _member on the
+interval grid's tabled forms (q, C), and joint_feasible on a plain pair
+(y, 1 - y) in the gain scan.  This module holds no comparison of its own.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ def _scan(member, xs):
 
 @cache
 def _interval_grid(exact: bool) -> tuple:
-    """(xs, forms): grid_catalyst_interval's grid and the _member_form of each
-    point's probe_two_level vector by x: the vector in float mode, its integer
-    form (q, C) in exact mode.  Built once per arithmetic on first use;
-    callers only read it."""
+    """(xs, forms): grid_catalyst_interval's grid and the _member_form (q, C)
+    of each point's probe_two_level vector by x, in one shape for both
+    arithmetics: (1, the vector) in float mode, its integers in exact mode.
+    Built once per arithmetic on first use; callers only read it."""
     policy = EXACT_POLICY if exact else FLOAT_POLICY
     xs = tuple(min(0.5 + i * SCAN_RESOLUTION, 1.0) for i in range(1 + round(0.5 / SCAN_RESOLUTION)))
     return xs, {x: _member_form(probe_two_level(x, policy), exact) for x in xs}

@@ -141,26 +141,7 @@ def gain(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector, d: SchmidtVector,
     1; this shortcut keeps the trivial-swap construction exact in float mode.
     All four vectors are taken in the policy's arithmetic.
     """
-    pair = CatalyticPair(a, b, policy)
-    c, d = _coerce_vector(c, policy), _coerce_vector(d, policy)
-    failures = []
-    if not pair.nontrivial:
-        failures.append("main transformation needs no catalyst")
-    if not pair.joint_feasible(pair.joint_target(c), d):
-        failures.append("joint transformation a(x)c -> b(x)d is infeasible")
-    if not nielsen_convertible(d, c, policy):
-        failures.append("returned state cannot reach borrowed state")
-    if failures:
-        raise InvalidConfiguration(failures)
-    drop = pair.entropy_drop
-    if drop <= policy.tol_strict:
-        raise ZeroDenominator(f"entropy drop {drop} too small")
-    if _sorted_equal(c, d, policy):
-        return 0.0
-    if _sorted_equal(kron(pair.a, c), kron(pair.b, d), policy):
-        return 1.0
-    g = (entropy(d) - entropy(c)) / drop
-    return min(max(g, 0.0), 1.0)
+    return _verdict_gain(*_assess(a, b, c, d, policy))
 
 
 def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
@@ -168,16 +149,46 @@ def check_supercatalytic(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector,
                          policy: ComparisonPolicy = FLOAT_POLICY) -> SupercatalysisVerdict:
     """Evaluate each defining condition of supercatalysis separately, with
     all four vectors in the policy's arithmetic."""
+    return _assess(a, b, c, d, policy)[3]
+
+
+def _assess(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector, d: SchmidtVector,
+            policy: ComparisonPolicy) -> tuple:
+    """(pair, c, d, verdict) for the quadruple, c and d in the policy's
+    arithmetic: one pair, one joint target for c and one of each test, which
+    gain, check_supercatalytic and verify_epsilon_family share."""
     pair = CatalyticPair(a, b, policy)
     c, d = _coerce_vector(c, policy), _coerce_vector(d, policy)
-    return SupercatalysisVerdict(
+    target = pair.joint_target(c)
+    return pair, c, d, SupercatalysisVerdict(
         base_blocked=pair.nontrivial,
         states_differ=not _sorted_equal(c, d, policy),
-        joint_feasible=pair.joint_feasible(pair.joint_target(c), d),
+        joint_feasible=pair.joint_feasible(target, d),
         returned_reaches_borrowed=nielsen_convertible(d, c, policy),
-        borrowed_is_catalyst=is_catalyst(pair, c),
+        borrowed_is_catalyst=pair.joint_feasible(target, c),
         returned_is_catalyst=is_catalyst(pair, d),
     )
+
+
+def _verdict_gain(pair: CatalyticPair, c: SchmidtVector, d: SchmidtVector,
+                  verdict: SupercatalysisVerdict) -> float:
+    """gain of the quadruple _assess returned (pair, c, d, verdict) for."""
+    failures = [message for holds, message in (
+        (verdict.base_blocked, "main transformation needs no catalyst"),
+        (verdict.joint_feasible, "joint transformation a(x)c -> b(x)d is infeasible"),
+        (verdict.returned_reaches_borrowed, "returned state cannot reach borrowed state"),
+    ) if not holds]
+    if failures:
+        raise InvalidConfiguration(failures)
+    drop = pair.entropy_drop
+    if drop <= pair.policy.tol_strict:
+        raise ZeroDenominator(f"entropy drop {drop} too small")
+    if not verdict.states_differ:
+        return 0.0
+    if _sorted_equal(kron(pair.a, c), kron(pair.b, d), pair.policy):
+        return 1.0
+    g = (entropy(d) - entropy(c)) / drop
+    return min(max(g, 0.0), 1.0)
 
 
 def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target, ent_c: float) -> GainResult:
@@ -527,11 +538,9 @@ def epsilon_family(eps: Real, policy: ComparisonPolicy = FLOAT_POLICY) -> Epsilo
 def verify_epsilon_family(family: EpsilonFamily,
                           policy: ComparisonPolicy = FLOAT_POLICY) -> EpsilonFamilyReport:
     """Check every supercatalysis condition for a family member and report."""
-    a, b, c, d = family.a, family.b, family.c, family.d
-    pair = CatalyticPair(a, b, policy)
-    fa, fb = prefix_sums(a), prefix_sums(b)
-    verdict = check_supercatalytic(a, b, c, d, policy)
-    g = gain(a, b, c, d, policy) if verdict.ok else 0.0
+    pair, c, d, verdict = _assess(family.a, family.b, family.c, family.d, policy)
+    fa, fb = prefix_sums(pair.a), prefix_sums(pair.b)
+    g = _verdict_gain(pair, c, d, verdict) if verdict.ok else 0.0
     interval = rank2_catalyst_interval(pair)
     e = family.eps
     return EpsilonFamilyReport(

@@ -470,7 +470,7 @@ class TestJointKernelProperties:
                 d1 = math.nextafter(d1, 0.0)
             for _ in range(9):
                 d1 = math.nextafter(d1, 1.0)
-                d = SchmidtVector((d1 / 2,) + (d1,) * len(target))
+                d = SchmidtVector((d1 / 2,) + (d1,) * len(target[1]))
                 got = pair.joint_feasible(target, d)
                 assert got == reference_joint(pair, c, d), (pair, c, d)
                 verdicts[got, b1 * d1 + tol == t1] += 1

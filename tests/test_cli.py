@@ -212,6 +212,22 @@ class TestGainSweep:
         assert payload["bound_certified"] is False
         assert payload["bound"] == payload["gain"] == pytest.approx(0.0416, abs=1e-4)
 
+    def test_loan_that_is_its_own_best_return(self, capsys):
+        # returned-rank cap 3, and no returned state is more entropic than the
+        # loan: the grid search reports gain 0 with the loan handed back
+        c = "0.4762733459472656,0.41372665405273434,0.11"
+        code, out, _ = run(capsys, "gain-sweep",
+                           "--a", "0.40219782251745784,0.3899667676648765,0.10417854384910674,"
+                           "0.10365686596855894",
+                           "--b", "0.583852141561288,0.19931416572953276,0.1899541143327429,"
+                           "0.026879578376436397",
+                           "--c", c)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["gain"], payload["method"]) == (0.0, "grid-approximate")
+        assert payload["returned_state"] == payload["c"] == [float(x) for x in c.split(",")]
+        assert payload["bound_certified"] is False
+
     def test_uncertified_bound_not_below_gain(self, capsys):
         # the rank-3 search's E_3 sat below the returned state's entropy: the
         # bound printed was 0.3024240418117655

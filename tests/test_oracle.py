@@ -1,5 +1,6 @@
 """Grid oracles and their agreement with the closed-form/exact paths."""
 
+import math
 import random
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from supercat import (EXACT_POLICY, FLOAT_POLICY, CatalyticPair, CatalystInterva
                       binary_entropy, entropy, grid_catalyst_interval, grid_gmax_rank2,
                       gmax_given_c, is_catalyst, make_schmidt, rank2_catalyst_interval)
 from supercat.catalysis import (_affine_grid, _require_dim4_nontrivial, _require_loan,
-                                _scaled_vector, probe_two_level)
+                                probe_two_level)
 from supercat.errors import CatalysisError, EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from supercat.examples import example_pair
 from supercat.oracle import SCAN_RESOLUTION, _bisect, _interval_grid, _scan
@@ -201,11 +202,14 @@ class TestIntervalGrid:
         xs, forms = _interval_grid(exact)
         assert xs == tuple(min(0.5 + i * 1e-3, 1.0) for i in range(501))
         if exact:  # each probe vector's integer form (q, C), over the lcm q of its denominators
-            assert all(forms[x] == _scaled_vector(probe_two_level(x, EXACT_POLICY)) for x in xs)
-            assert all(type(k) is int for x in xs for k in (forms[x][0], *forms[x][1]))
-        else:  # the probe vector itself
-            assert all(forms[x] == probe_two_level(x, policy) for x in xs)
-            assert all(forms[x].exact == exact for x in xs)
+            for x in xs:
+                q, ints = forms[x]
+                assert all(type(k) is int for k in (q, *ints))
+                assert tuple(Fraction(k, q) for k in ints) == probe_two_level(x, policy)
+                assert math.gcd(q, *ints) == 1  # no smaller common denominator
+        else:  # (1, the probe vector itself)
+            assert all(forms[x] == (1, probe_two_level(x, policy)) for x in xs)
+            assert all(forms[x][1].exact == exact for x in xs)
 
 
 def reference_is_catalyst(pair, c):

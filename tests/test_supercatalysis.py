@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import supercat.schmidt
 import supercat.supercatalysis
 from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
                       bound_gmax, check_supercatalytic, entropy, epsilon_family, gain,
@@ -40,7 +41,7 @@ def pairs():
 
 def count_joint_calls(monkeypatch) -> Counter:
     """Calls of CatalyticPair.joint_target and joint_feasible, through which
-    every joint check, float or exact, goes, except an exact membership test
+    every joint check goes in both arithmetics, except a membership test
     (CatalyticPair._member)."""
     counts = Counter()
     for name in ("joint_target", "joint_feasible"):
@@ -295,6 +296,19 @@ class TestGridRankGain:
                                             pair.joint_target(c))
             got = gmax_given_c(pair, c)
             assert got == want and got.returned_state.exact
+
+    def test_no_returned_state_beats_the_loan(self):
+        # a loan that is its own best returned state at cap 3: the search and
+        # the hill-climb find nothing more entropic, so the gain is 0 with d = c
+        pair = CatalyticPair(vec(0.40219782251745784, 0.3899667676648765, 0.10417854384910674,
+                                 0.10365686596855894),
+                             vec(0.583852141561288, 0.19931416572953276, 0.1899541143327429,
+                                 0.026879578376436397))
+        c = vec(0.4762733459472656, 0.41372665405273434, 0.11)
+        assert (pair.rank_a, pair.rank_b, returned_rank_bound(pair, c)) == (4, 4, 3)
+        result = gmax_given_c(pair, c)
+        assert result == GainResult(0.0, c, "grid-approximate")
+        assert reference_grid_rank_gain(pair, c, 3, pair.joint_target(c)) == result
 
 
 class TestLoanArithmetic:
@@ -825,6 +839,28 @@ class TestEpsilonFamily:
         assert report.ok
         assert fam.c[0] == rank2_catalyst_interval(
             CatalyticPair(fam.a, fam.b, EXACT_POLICY)).x_max
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_each_condition_checked_once(self, policy, monkeypatch):
+        # the report built three pairs (its own, check_supercatalytic's and
+        # gain's), made five majorizes calls and ran a (x) c -> b (x) d twice
+        fam = epsilon_family(Fraction(1, 100), policy)
+        counts = count_joint_calls(monkeypatch)
+        for cls, name in ((CatalyticPair, "__post_init__"), (CatalyticPair, "_member"),
+                          (supercat.schmidt, "majorizes")):
+            original = getattr(cls, name)
+
+            def counted(*args, _name=name, _fn=original):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        report = verify_epsilon_family(fam, policy)
+        assert report.ok
+        # a (x) c -> b (x) d and c's membership on the one joint target, d's
+        # membership, then a -> b and d -> c
+        assert counts == {"__post_init__": 1, "joint_target": 1, "joint_feasible": 2,
+                          "_member": 1, "majorizes": 2}
 
     def test_exact_construction_rejects_irrational_root(self):
         with pytest.raises(InvalidEpsilon):
