@@ -18,7 +18,9 @@ in supercatalysis) do not depend on the pair.  Each search builds its table
 once per process per (rank, grid steps, arithmetic), on first use, sorted by
 decreasing entropy, and stops at its first member.  The result is that of
 the full scan: the highest-entropy member, ties going to the candidate
-listed first.
+listed first.  The returned-state grid skips a row that
+CatalyticPair.joint_lead fails on its two leading coefficients before it
+builds the row's vector; no skipped row could pass its full test.
 """
 
 from __future__ import annotations
@@ -67,7 +69,10 @@ class CatalyticPair:
     verdict equals majorizes(kron(b, d), kron(a, c)) bit for bit.  Exact
     mode reads integers over the lcm D of a's and b's denominators and the
     lcm q of the vector's, with tol = 0.  A loan's membership takes its form
-    as given, so a caller that tables forms builds each once.
+    as given, so a caller that tables forms builds each once.  joint_lead
+    makes the joint test's first two prefix sums, and majorizes' first, on
+    a returned state's two leading coefficients alone, so the returned-state
+    grid can reject most rows before it builds them.
     """
 
     a: SchmidtVector
@@ -181,6 +186,43 @@ class CatalyticPair:
             if t > s + tol:
                 return False
         return len(sums_a) <= len(products) or all(t <= s + tol for t in sums_a[len(products):])
+
+    def joint_lead(self, target, top):
+        """A test lead(d1, d2) on the two largest coefficients of a
+        non-increasing d, False only where joint_feasible(target, d) or
+        majorizes(c, d) is, for target = joint_target(c) and top = max(c).
+
+        It fails d on the k = 1 and k = 2 tests of joint_feasible and on the
+        first partial sum of majorizes, each made as its owner makes it: the
+        largest product of b (x) d is B_1 d_1 and, as products of
+        non-negatives round monotonically, the second is
+        max(B_2 d_1, B_1 d_2), so every float comparison is the owner's bit
+        for bit.  In exact mode the target's sums T_k are over D q and B over
+        D, so B is scaled by q, and each test is multiplied through by the
+        denominators of d_1 and d_2 (and of top), so it runs on integers.
+        The pair must be blocked, so of dimension at least 2.
+        """
+        q, sums_a = target[:2]
+        scaled_b, tol = self._sides[1:]
+        t1, t2 = sums_a[:2]
+        b1, b2 = scaled_b[0] * q, scaled_b[1] * q
+        if not self.policy.exact:
+            top += tol
+
+            def lead(d1, d2) -> bool:
+                p1 = b1 * d1
+                return not (t1 > p1 + tol or t2 > p1 + max(b2 * d1, b1 * d2) + tol) and d1 <= top
+
+            return lead
+        top_n, top_d = top.numerator, top.denominator
+
+        def lead_exact(d1, d2) -> bool:
+            n1, m1, n2, m2 = d1.numerator, d1.denominator, d2.numerator, d2.denominator
+            p1 = b1 * n1  # B_1 d_1 times m1
+            return (not (t1 * m1 > p1 or t2 * m1 * m2 > p1 * m2 + max(b2 * n1 * m2, b1 * n2 * m1))
+                    and n1 * top_d <= top_n * m1)
+
+        return lead_exact
 
     def _member(self, form) -> bool:
         """Is the loan c a catalyst, for form = _member_form(c)?
@@ -687,19 +729,25 @@ def _candidate_table(r: int, steps: int, samples: int, exact: bool) -> tuple:
 
 
 def _best_candidate(r: int, steps: int, samples: int, policy: ComparisonPolicy, floor: float,
-                    member):
+                    member, lead=None):
     """(entropy, vector) of the first candidate of _candidate_table(r, steps,
     samples) above floor that passes member, or None.
 
     The table is sorted by decreasing entropy, so this is the highest-entropy
     member above floor, ties going to the candidate listed first: exactly
     what a full scan in list order keeping only strict improvements returns.
-    Each vector is built only when it is tested.
+    Each vector is built only when it is tested.  lead, if given, is a test
+    lead(d1, d2) on a row's two leading coefficients that is False only
+    where member is (CatalyticPair.joint_lead for the returned-state grid);
+    a row it fails is skipped before it is sliced, so the result is the
+    same.
     """
     ents, coefs = _candidate_table(r, steps, samples, policy.exact)
     for i, ent in enumerate(ents):
         if ent <= floor:
             break
+        if lead is not None and not lead(coefs[i * r], coefs[i * r + 1]):
+            continue
         v = SchmidtVector(coefs[i * r:i * r + r])
         if member(v):
             return ent, v

@@ -17,7 +17,9 @@ it on the pair's breakpoint tables).  Higher returned ranks fall back to a
 simplex grid search and are flagged approximate.  The grid does not depend
 on the pair: it is built once per process per (rank, steps, arithmetic) and
 scanned in decreasing entropy, stopping at the first feasible state, which
-is the state the full scan picks.  A hill-climb then starts from it.
+is the state the full scan picks.  A row whose two leading coefficients
+already fail the joint test or d -> c is skipped before its vector is built
+(CatalyticPair.joint_lead).  A hill-climb then starts from the state found.
 
 Over the loans (x, 1-x) of a sweep, that optimum y*(x) is itself piecewise
 linear and nondecreasing in x, on the cells of a's breakpoint segments in x
@@ -215,7 +217,11 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int, target
 
     The most entropic of c, the exact rank-2 optimum for a two-level c, and
     the feasible states of the simplex grid (catalysis._best_candidate)
-    seeds a hill-climb.
+    seeds a hill-climb.  A grid row d is feasible when b (x) d majorizes
+    a (x) c and c majorizes d.  The scan skips, unbuilt, each row that fails
+    the joint test's first two prefix sums or d1 <= c1, as the full test
+    makes them (CatalyticPair.joint_lead); such a row fails its full test
+    too, so the result is the full scan's.
     """
     policy = pair.policy
 
@@ -230,7 +236,8 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int, target
             best_ent, best_d = ent, seed.returned_state
 
     grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
-    found = _best_candidate(rank_cap, grid_steps, 0, policy, best_ent, feasible)
+    found = _best_candidate(rank_cap, grid_steps, 0, policy, best_ent, feasible,
+                            pair.joint_lead(target, c[0]))
     if found is not None:
         best_ent, best_d = found
 

@@ -9,7 +9,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import settings
 
-from supercat import (CatalyticPair, ComparisonPolicy, FLOAT_POLICY, make_schmidt,
+from supercat import (CatalyticPair, ComparisonPolicy, FLOAT_POLICY, is_catalyst, make_schmidt,
                       necessary_conditions_4d, rank2_catalyst_interval)
 from supercat.errors import PreconditionViolated
 
@@ -62,6 +62,19 @@ def random_nontrivial_pair(rng: random.Random, policy: ComparisonPolicy = FLOAT_
         if not interval.nonempty or interval.width < min_width:
             continue
         return pair
+
+
+def random_catalyst(rng: random.Random, pair: CatalyticPair, r: int = 3):
+    """A random catalyst of rank r in the pair's arithmetic, its last level at
+    least 1e-3; an exact one over a denominator of 20, 60 or 1000."""
+    while True:
+        if pair.policy.exact:
+            raw = random_rational_sorted_simplex(rng, r, rng.choice((20, 60, 1000)))
+        else:
+            raw = random_sorted_simplex(rng, r)
+        c = make_schmidt(raw, pair.policy)
+        if c[-1] >= 1e-3 and is_catalyst(pair, c):
+            return c
 
 
 def random_blocked_pair_with_empty_interval(rng: random.Random,

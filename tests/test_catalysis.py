@@ -16,8 +16,8 @@ from supercat import (CatalystInterval, CatalyticPair, EXACT_POLICY, FLOAT_POLIC
                       binary_entropy, bound_gmax, entropy, gmax_given_c, is_catalyst, kron,
                       least_entangled_rank2_catalyst, majorizes, make_schmidt,
                       max_catalyst_entropy, most_entangled_rank2_catalyst,
-                      necessary_conditions_4d, nielsen_convertible, rank2_catalyst_interval,
-                      returned_rank_bound, tilde_gmax_sweep)
+                      necessary_conditions_4d, nielsen_convertible, prefix_sums,
+                      rank2_catalyst_interval, returned_rank_bound, tilde_gmax_sweep)
 from supercat.catalysis import (RANDOM_SAMPLES, SEARCH_SEED, SIMPLEX_STEPS, _candidate_table,
                                 _min_feasible_y, _ordered_simplex_grid, _y_star_pieces,
                                 probe_two_level)
@@ -26,8 +26,9 @@ from supercat.examples import EXAMPLE_PAIRS, example_pair
 from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION
 from supercat.schmidt import _coerce, _constants
 
-from conftest import (random_blocked_pair_with_empty_interval, random_nontrivial_pair,
-                      random_rational_sorted_simplex, random_sorted_simplex)
+from conftest import (random_blocked_pair_with_empty_interval, random_catalyst,
+                      random_nontrivial_pair, random_rational_sorted_simplex,
+                      random_sorted_simplex)
 
 
 def vec(*xs):
@@ -499,6 +500,126 @@ class TestJointKernelProperties:
                 verdicts[got, head] += 1
         assert verdicts[False, True] > 20, verdicts  # decided by the tail alone
         assert verdicts[False, False] > 20, verdicts
+
+
+def reference_lead(pair, c, d1, d2, sums_a=None) -> tuple:
+    """The three tests of CatalyticPair.joint_lead as kron and prefix_sums in
+    the pair's arithmetic: prefix sums 1 and 2 of b (x) (d1, d2), which are
+    those of b (x) d for any non-increasing d led by d1 and d2, against
+    sums_a, those of a (x) c, and d1 against c's largest coefficient."""
+    leq = pair.policy.leq
+    t = sums_a or prefix_sums(kron(pair.a, c))
+    s = prefix_sums(kron(pair.b, SchmidtVector((d1, d2))))
+    return leq(t[0], s[0]), leq(t[1], s[1]), leq(d1, c[0])
+
+
+#: (cap, steps) of the returned-state grid tables
+GRID_TABLES = ((3, 200), (4, 60))
+
+
+class TestJointLead:
+    """CatalyticPair.joint_lead rejects a returned-state grid row on its two
+    leading coefficients only where the row's full test, the joint test and
+    majorizes(c, d), rejects it too, and it is exactly the three tests it
+    names, so ties and ulps decide as they do in joint_feasible and
+    majorizes."""
+
+    @staticmethod
+    def _check_rows(pair, c, verdicts):
+        target = pair.joint_target(c)
+        lead, sums_a = pair.joint_lead(target, c[0]), prefix_sums(kron(pair.a, c))
+        for r, steps in GRID_TABLES:
+            coefs = _candidate_table(r, steps, 0, pair.policy.exact)[1]
+            for i in range(0, len(coefs), r):
+                d1, d2 = coefs[i], coefs[i + 1]
+                k1, k2, top = want = reference_lead(pair, c, d1, d2, sums_a)
+                got = lead(d1, d2)
+                assert got == all(want), (pair, c, d1, d2)
+                if not got:
+                    d = SchmidtVector(coefs[i:i + r])
+                    assert not (pair.joint_feasible(target, d) and majorizes(c, d, pair.policy))
+                verdicts["k1" if not k1 else "k2" if not k2 else "top" if not top else True] += 1
+
+    @pytest.mark.parametrize("policy,n_cases", [(FLOAT_POLICY, 30), (EXACT_POLICY, 10)],
+                             ids=["float", "exact"])
+    def test_sound_on_every_grid_row(self, policy, n_cases):
+        rng = random.Random(6041)
+        verdicts = Counter()
+        for i in range(n_cases):
+            pair = random_nontrivial_pair(rng, policy)
+            self._check_rows(pair, random_catalyst(rng, pair, 3 - i % 2), verdicts)
+        # each test decides some rows alone
+        assert all(verdicts[key] > 100 for key in ("k1", "k2", "top", True)), verdicts
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_equal_leading_coefficients_of_b(self, policy):
+        # b1 == b2, so max(b2 d1, b1 d2) is always b2 d1, and the k = 2 test
+        # never decides alone (t2 <= 2 t1); the pair is blocked, and the loan
+        # need not be a catalyst for the rows to be tested
+        pair = text_pair(("17/50,33/100,33/100", "2/5,2/5,1/10,1/10"), policy)
+        assert pair.nontrivial and pair.b[0] == pair.b[1]
+        verdicts = Counter()
+        for c in ("1/2,3/10,1/5", "2/5,2/5,1/5", "3/5,2/5"):
+            self._check_rows(pair, make_schmidt(c.split(","), policy), verdicts)
+        assert verdicts[True] > 100 and verdicts["k1"] > 100, verdicts
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_tables_hold_equal_leads_and_zero_seconds(self, exact):
+        # the rows the sound-on-every-row tests cover include d1 == d2 and d2 == 0
+        for r, steps in GRID_TABLES:
+            coefs = _candidate_table(r, steps, 0, exact)[1]
+            leads = [(coefs[i], coefs[i + 1]) for i in range(0, len(coefs), r)]
+            assert any(d1 == d2 for d1, d2 in leads) and any(d2 == 0 for _, d2 in leads)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_the_loan_itself_passes(self, policy):
+        # d = c meets the joint test and majorizes(c, c), at d1 == c1 exactly
+        rng = random.Random(6042)
+        for _ in range(20):
+            pair = random_nontrivial_pair(rng, policy)
+            c = random_catalyst(rng, pair)
+            assert pair.joint_lead(pair.joint_target(c), c[0])(c[0], c[1]), (pair, c)
+
+    def test_second_sum_within_an_ulp_of_its_threshold(self):
+        # d1 = c1 passes the k = 1 test and the c1 test; d2 is stepped one ulp
+        # at a time across the d2 where b1 d1 + b1 d2 + tol_eq meets the
+        # target's second prefix sum, in the range where b1 d2 >= b2 d1
+        rng = random.Random(6043)
+        tol = FLOAT_POLICY.tol_eq
+        verdicts = Counter()
+        while verdicts["cases"] < 40:
+            pair = random_nontrivial_pair(rng)
+            c = random_catalyst(rng, pair)
+            t2 = prefix_sums(kron(pair.a, c))[1]
+            (b1, b2), d1 = pair.b[:2], c[0]
+            d2 = (t2 - tol - b1 * d1) / b1
+            if not b2 * d1 < b1 * d2 < b1 * d1:
+                continue
+            verdicts["cases"] += 1
+            lead = pair.joint_lead(pair.joint_target(c), d1)
+            for _ in range(4):
+                d2 = math.nextafter(d2, 0.0)
+            for _ in range(9):
+                d2 = math.nextafter(d2, 1.0)
+                got = lead(d1, d2)
+                assert got == all(reference_lead(pair, c, d1, d2)), (pair, c, d2)
+                verdicts[got, b1 * d1 + b1 * d2 + tol == t2] += 1
+        assert verdicts[True, False] > 50 and verdicts[False, False] > 50, verdicts
+        assert verdicts[True, True] > 5, verdicts
+
+    def test_first_coefficient_at_the_loans_plus_tol(self):
+        # majorizes(c, d) lets d1 reach c1 + tol_eq as floats add it, not past
+        rng = random.Random(6044)
+        tol = FLOAT_POLICY.tol_eq
+        for _ in range(20):
+            pair = random_nontrivial_pair(rng)
+            c = random_catalyst(rng, pair)
+            lead = pair.joint_lead(pair.joint_target(c), c[0])
+            edge = c[0] + tol
+            for d1, want in ((math.nextafter(edge, 0.0), True), (edge, True),
+                             (math.nextafter(edge, 1.0), False)):
+                assert lead(d1, d1) is want, (pair, c, d1)
+                assert all(reference_lead(pair, c, d1, d1)) is want
 
 
 class TestMaxCatalystEntropy:

@@ -6,7 +6,9 @@ speed-up must keep their bytes.  The CSV digests were recorded before the
 sweep's per-pair caches and per-sweep memo existed, the summary digests
 before the summary's points were written from the CSV's row text, and the
 oracle digests before the oracles' probes stopped building a vector per
-probe; any drift in a single printed float fails here.
+probe, and the cap >= 3 loan digests before the returned-state grid skipped
+rows on their two leading coefficients; any drift in a single printed float
+fails here.
 """
 
 import hashlib
@@ -60,6 +62,23 @@ RANGE_GOLDEN = {
 LOAN_GOLDEN = {
     "float": "3e9400358ee0a488bc6e714ebc27140dedb2697e9ae1f6d3bc36408a10f0aff0",
     "exact": "38aa0b22a628c41ed0c978c88e6e7643431e98433dac8e9456c9da5e29cb5ecd",
+}
+# stdout of gain-sweep --c for loans whose returned-rank cap is 3 or 4, so the
+# returned state comes from the grid search and its hill-climb: a rank-3 loan
+# of a rank-4 pair, a two-level loan of a rank-5 pair and a rank-3 loan of
+# bundled pair 1, each as (a, b, c)
+HIGH_CAP_LOANS = {
+    "cap3": ("0.55,0.27,0.13,0.05", "0.62,0.19,0.17,0.02", "0.65,0.3,0.05"),
+    "cap3-two-level": ("0.5,0.35,0.05,0.05,0.05", "0.6,0.2,0.2", "0.646,0.354"),
+    "cap4": (",".join(EXAMPLE_PAIRS["1"][0]), ",".join(EXAMPLE_PAIRS["1"][1]), "1/2,3/10,1/5"),
+}
+HIGH_CAP_GOLDEN = {
+    ("float", "cap3"): "b1ea2ad88372fc5cbe54e215ee20f477fece70e027f002b35ea3040d7df2b0c2",
+    ("float", "cap3-two-level"): "f79680d95f28e416d0bfce7f2da3fcdbd1335565f25ecf3b458a70109f28223b",
+    ("float", "cap4"): "feb0d900ebf6a0f9c5b5cd83c9690ec9013268bc2d5cb63638dc35c2948c1149",
+    ("exact", "cap3"): "6187dbf1665edc10dbc18fe308af4ed9525b452e909eeee2c0ebf06b1a84f5df",
+    ("exact", "cap3-two-level"): "667f6c79d7de5dd8aa073b2592d4c5b3ab4f853c0c2530a76177ddf872cb02d1",
+    ("exact", "cap4"): "d82c33739eac977c1511eec13ea416eb1f0b23d4d7fc6c258260933a13e6be9c",
 }
 MODE_ARGS = {"float": ["--points", "200"], "exact": ["--exact", "--points", "50"]}
 
@@ -124,3 +143,12 @@ def test_loan_verify_digest(mode):
                       "--verify", *(["--exact"] if mode == "exact" else [])])
     assert '"oracle_gain": 0.07442316637776933' in stdout
     assert _sha256(stdout.encode()) == LOAN_GOLDEN[mode]
+
+
+@pytest.mark.parametrize("mode,case", sorted(HIGH_CAP_GOLDEN))
+def test_high_cap_loan_digest(mode, case):
+    a, b, c = HIGH_CAP_LOANS[case]
+    stdout = _stdout(["gain-sweep", "--a", a, "--b", b, "--c", c,
+                      *(["--exact"] if mode == "exact" else [])])
+    assert '"method": "grid-approximate"' in stdout
+    assert _sha256(stdout.encode()) == HIGH_CAP_GOLDEN[mode, case]

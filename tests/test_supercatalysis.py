@@ -25,7 +25,8 @@ from supercat.schmidt import _constants
 from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _solve_loan,
                                      _stationary_points)
 
-from conftest import random_nontrivial_pair, random_rational_sorted_simplex, random_sorted_simplex
+from conftest import (random_catalyst, random_nontrivial_pair, random_rational_sorted_simplex,
+                      random_sorted_simplex)
 
 TIGHT_GAIN = 0.07442316637776933  # first bundled pair: (h(0.6)-h(0.625))/(E(a)-E(b))
 
@@ -250,14 +251,6 @@ def reference_grid_rank_gain(pair, c, rank_cap, target):
     return GainResult(min(max(g, 0.0), 1.0), best_d, GRID_METHOD)
 
 
-def random_rank3_loan(rng, pair):
-    """A random rank-3 catalyst of the pair, its last level at least 1e-3."""
-    while True:
-        c = make_schmidt(random_sorted_simplex(rng, 3), pair.policy)
-        if c[2] >= 1e-3 and is_catalyst(pair, c):
-            return c
-
-
 class TestGridRankGain:
     """At returned-rank cap >= 3 the grid is scanned in decreasing entropy up
     to its first feasible state; every result must equal the full scan's."""
@@ -270,7 +263,7 @@ class TestGridRankGain:
         cases += [random_nontrivial_pair(rng, min_width=0.02) for _ in range(60)]
         caps = Counter()
         for pair in cases:
-            c = random_rank3_loan(rng, pair)
+            c = random_catalyst(rng, pair)
             cap = returned_rank_bound(pair, c)
             want = reference_grid_rank_gain(pair, c, cap, pair.joint_target(c))
             assert gmax_given_c(pair, c) == want, (pair, c)
@@ -288,14 +281,36 @@ class TestGridRankGain:
             assert gmax_given_c(pair, c) == want, c
 
     def test_exact_loans_match_linear_scan(self, exact_pairs):
-        c = make_schmidt(("1/2", "3/10", "1/5"), EXACT_POLICY)
-        for name in "14":
-            pair = exact_pairs[name]
+        # 1/2,3/10,1/5 on bundled pairs 1 and 4 (cap 4), then random rational
+        # rank-3 loans over denominators 20, 60 and 1000 on the bundled pairs
+        # (cap 4) and on random rank-4 pairs (cap 3)
+        rng = random.Random(6053)
+        loan = make_schmidt(("1/2", "3/10", "1/5"), EXACT_POLICY)
+        cases = [(exact_pairs[name], loan) for name in "14"]
+        cases += [(exact_pairs[name], None) for name in "1234"]
+        cases += [(random_nontrivial_pair(rng, EXACT_POLICY), None) for _ in range(20)]
+        caps = Counter()
+        for pair, c in cases:
+            c = c or random_catalyst(rng, pair)
             assert is_catalyst(pair, c)
-            want = reference_grid_rank_gain(pair, c, returned_rank_bound(pair, c),
-                                            pair.joint_target(c))
+            cap = returned_rank_bound(pair, c)
+            want = reference_grid_rank_gain(pair, c, cap, pair.joint_target(c))
             got = gmax_given_c(pair, c)
-            assert got == want and got.returned_state.exact
+            assert got == want and got.returned_state.exact, (pair, c)
+            caps[cap, want.gain > 0] += 1
+        assert caps[3, True] >= 10 and caps[4, True] >= 5, caps
+
+    def test_grid_rejects_rows_on_their_leading_coefficients(self, monkeypatch):
+        # a cap-3 loan: the grid scan ran 1,935 joint tests before it skipped
+        # the rows that CatalyticPair.joint_lead rejects, and 282 after, with
+        # the same result
+        pair = CatalyticPair(vec(0.55, 0.27, 0.13, 0.05), vec(0.62, 0.19, 0.17, 0.02))
+        c = vec(0.65, 0.3, 0.05)
+        assert returned_rank_bound(pair, c) == 3
+        counts = count_joint_calls(monkeypatch)
+        result = gmax_given_c(pair, c)
+        assert counts == Counter(joint_target=1, joint_feasible=282)
+        assert result == GainResult(0.4482289311147481, vec(0.59, 0.355, 0.055), GRID_METHOD)
 
     def test_no_returned_state_beats_the_loan(self):
         # a loan that is its own best returned state at cap 3: the search and
@@ -366,7 +381,7 @@ class TestBoundGmax:
         cases += [random_nontrivial_pair(rng, min_width=0.02) for _ in range(60)]
         caps = Counter()
         for pair in cases:
-            c = random_rank3_loan(rng, pair)
+            c = random_catalyst(rng, pair)
             gain = gmax_given_c(pair, c).gain
             assert bound_gmax(pair, c) >= gain, (pair, c)
             caps[returned_rank_bound(pair, c)] += 1
