@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated
+from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated, ZeroDenominator
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector,
                       _coerce, _coerce_vector, _constants, binary_entropy, entropy,
                       nielsen_convertible, prefix_sums, schmidt_rank)
@@ -187,10 +187,11 @@ class CatalyticPair:
                 return False
         return len(sums_a) <= len(products) or all(t <= s + tol for t in sums_a[len(products):])
 
-    def joint_lead(self, target, top):
+    def joint_lead(self, target):
         """A test lead(d1, d2) on the two largest coefficients of a
         non-increasing d, False only where joint_feasible(target, d) or
-        majorizes(c, d) is, for target = joint_target(c) and top = max(c).
+        majorizes(c, d) is, for target = joint_target(c) of a sorted loan c,
+        whose largest coefficient c_1 it reads from the target.
 
         It fails d on the k = 1 and k = 2 tests of joint_feasible and on the
         first partial sum of majorizes, each made as its owner makes it: the
@@ -199,22 +200,22 @@ class CatalyticPair:
         max(B_2 d_1, B_1 d_2), so every float comparison is the owner's bit
         for bit.  In exact mode the target's sums T_k are over D q and B over
         D, so B is scaled by q, and each test is multiplied through by the
-        denominators of d_1 and d_2 (and of top), so it runs on integers.
+        denominators of d_1 and d_2 (and of c_1), so it runs on integers.
         The pair must be blocked, so of dimension at least 2.
         """
-        q, sums_a = target[:2]
+        q, sums_a, c = target[:3]
         scaled_b, tol = self._sides[1:]
         t1, t2 = sums_a[:2]
         b1, b2 = scaled_b[0] * q, scaled_b[1] * q
         if not self.policy.exact:
-            top += tol
+            top = c[0] + tol
 
             def lead(d1, d2) -> bool:
                 p1 = b1 * d1
                 return not (t1 > p1 + tol or t2 > p1 + max(b2 * d1, b1 * d2) + tol) and d1 <= top
 
             return lead
-        top_n, top_d = top.numerator, top.denominator
+        top_n, top_d = c[0].numerator, c[0].denominator
 
         def lead_exact(d1, d2) -> bool:
             n1, m1, n2, m2 = d1.numerator, d1.denominator, d2.numerator, d2.denominator
@@ -524,7 +525,7 @@ def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     if not pair.joint_feasible(target, c):
         raise NotACatalyst("the borrowed state is not a catalyst for this pair")
     if pair.entropy_drop <= pair.policy.tol_strict:
-        raise PreconditionViolated("main transformation has no entropy drop")
+        raise ZeroDenominator(f"entropy drop {pair.entropy_drop} too small")
     return c, target
 
 

@@ -20,14 +20,15 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .catalysis import CatalyticPair, rank2_catalyst_interval, returned_rank_bound
+from .catalysis import CatalyticPair, rank2_catalyst_interval
 from .errors import (CatalysisError, DomainError, EmptyCatalystSet, IndexOutOfRange,
                      NegativeEntry, NotNormalized)
 from .examples import EXAMPLE_PAIRS, example_pair
 from .oracle import grid_catalyst_interval, grid_gmax_rank2
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, SchmidtVector, entropy,
                       make_schmidt, prefix_sums)
-from .supercatalysis import _solve_loan, epsilon_family, tilde_gmax_sweep, verify_epsilon_family
+from .supercatalysis import (GRID_METHOD, _solve_loan, epsilon_family, tilde_gmax_sweep,
+                             verify_epsilon_family)
 
 ORACLE_GAIN_TOL = 1e-5
 ORACLE_INTERVAL_TOL = 1e-6
@@ -90,19 +91,14 @@ def cmd_convert_check(args) -> int:
     b = parse_vector(args.b, policy)
     n = max(len(a), len(b))
     fa, fb = prefix_sums(a.padded(n)), prefix_sums(b.padded(n))
-    rows = []
-    violated = []
-    for k, (sa, sb) in enumerate(zip(fa, fb), start=1):
-        ok = policy.leq(sa, sb)
-        rows.append({"k": k, "partial_sum_a": float(sa), "partial_sum_b": float(sb), "ok": ok})
-        if not ok:
-            violated.append(k)
-    convertible = not violated
+    rows = [{"k": k, "partial_sum_a": float(sa), "partial_sum_b": float(sb),
+             "ok": policy.leq(sa, sb)} for k, (sa, sb) in enumerate(zip(fa, fb), start=1)]
+    violated = [row["k"] for row in rows if not row["ok"]]
     for row in rows:
         mark = "ok" if row["ok"] else "violated"
         print(f"k={row['k']}: f_k(a)={row['partial_sum_a']:.12g} "
               f"f_k(b)={row['partial_sum_b']:.12g}  {mark}", file=sys.stderr)
-    _emit(args, {"convertible": convertible, "violated_at": violated, "table": rows})
+    _emit(args, {"convertible": not violated, "violated_at": violated, "table": rows})
     return 0
 
 
@@ -143,7 +139,7 @@ def _sweep_summary(pair: CatalyticPair, sweep, points: int) -> dict:
         "interior_optimum": sweep.interior_optimum(),
         "entropy_a": entropy(pair.a),
         "entropy_b": entropy(pair.b),
-        "bound_violations": sum(1 for p in sweep.points if p.gmax > p.bound + 1e-12),
+        "bound_violations": sum(p.gmax > p.bound + ComparisonPolicy.tol_eq for p in sweep.points),
     }
 
 
@@ -226,7 +222,7 @@ def cmd_gain_sweep(args) -> int:
         }
         agree = True
         if args.verify:
-            if returned_rank_bound(pair, c) >= 3:
+            if result.method == GRID_METHOD:
                 oracle_gain = agree = None
                 print("no oracle applies: the returned-rank cap is 3 or more, and the oracle "
                       "scans two-level returned states only", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Brute-force verifiers for the closed-form and exact-optimization paths.
 
 These scanners know nothing about interval formulas or breakpoint algebra:
-on a grid of step SCAN_RESOLUTION they probe catalyst membership or joint
-feasibility up to the first member and down from the end to the last, and
-bisect both boundaries to REFINE_TOL.  This module owns every grid scan over
-two-level vectors, to certify the fast paths; none scales past small systems.
+on a grid of step SCAN_RESOLUTION, _first probes catalyst membership or joint
+feasibility up to the first member and bisects the boundary before it to
+REFINE_TOL; the interval oracle runs it from each end, the gain oracle from
+1/2 up.  This module owns every grid scan over two-level vectors, to certify
+the fast paths; none scales past small systems.
 
 A probe pays only for its joint test, which CatalyticPair decides with one
 body per question in both arithmetics: the membership test _member on the
@@ -28,24 +29,18 @@ SCAN_RESOLUTION = 1e-3
 REFINE_TOL = 1e-9
 
 
-def _bisect(predicate, x_false: float, x_true: float) -> float:
-    """Boundary of a verdict change, located to REFINE_TOL, on the True side."""
+def _first(member, xs):
+    """The first point of xs that passes member, bisected to REFINE_TOL
+    against the failing point before it, or xs[0] if that passes; None if no
+    point passes.  No point past the first member is probed."""
+    i = next((i for i, x in enumerate(xs) if member(x)), None)
+    if i is None:
+        return None
+    x_false, x_true = xs[i - 1 if i else 0], xs[i]
     while abs(x_true - x_false) > REFINE_TOL:
         mid = 0.5 * (x_false + x_true)
-        x_false, x_true = (x_false, mid) if predicate(mid) else (mid, x_true)
+        x_false, x_true = (x_false, mid) if member(mid) else (mid, x_true)
     return x_true
-
-
-def _scan(member, xs):
-    """(first, last) passing points of xs, or None if none passes, each bisected
-    against its failing neighbour unless it ends xs; no point between is probed."""
-    first = next((i for i in range(len(xs)) if member(xs[i])), None)
-    if first is None:
-        return None
-    last = next((i for i in range(len(xs) - 1, first, -1) if member(xs[i])), first)
-    lo = xs[first] if first == 0 else _bisect(member, xs[first - 1], xs[first])
-    hi = xs[last] if last == len(xs) - 1 else _bisect(member, xs[last + 1], xs[last])
-    return lo, hi
 
 
 @cache
@@ -62,28 +57,35 @@ def _interval_grid(exact: bool) -> tuple:
 def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     """Scan two-level catalysts over x in [0.5, 1] and refine the boundaries.
 
-    Reports a hull: the first and last scanned members, each bisected against
-    its failing neighbour; the points between are not probed.  Grid points
-    reuse _interval_grid's forms, and a bisection midpoint builds its own
-    from probe_two_level.  Raises EmptyCatalystSet when no grid point is a
-    catalyst, as for a set narrower than the resolution.
+    Reports a hull: _first from each end of the grid, the first member from
+    either end bisected against its failing neighbour; the points between
+    are not probed.  Grid points reuse _interval_grid's forms, and a
+    bisection midpoint builds its own from probe_two_level.  Raises
+    EmptyCatalystSet when no grid point is a catalyst, as for a set narrower
+    than the resolution.
     """
     _require_dim4_nontrivial(pair)
     policy = pair.policy
     xs, forms = _interval_grid(policy.exact)
-    found = _scan(lambda x: pair._member(
-        forms.get(x) or _member_form(probe_two_level(x, policy), policy.exact)), xs)
-    if found is None:
+
+    def member(x: float) -> bool:
+        return pair._member(forms.get(x) or _member_form(probe_two_level(x, policy), policy.exact))
+
+    lo = _first(member, xs)
+    if lo is None:
         raise EmptyCatalystSet("no two-level catalyst found at this resolution")
-    return CatalystInterval(*found)
+    return CatalystInterval(lo, _first(member, xs[::-1]))
 
 
 def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     """Scan returned states (y, 1-y) over [1/2, c1] for the best feasible gain.
 
-    Feasibility need not be monotone in y, so every point below the first
-    member is inspected; the smallest feasible y (the most entangled feasible
-    returned state) is kept and the boundary just below it bisected.
+    Feasibility is monotone in y: for 1/2 <= y <= y', (y', 1-y') majorizes
+    (y, 1-y), and tensoring with b keeps majorization, so the feasible y form
+    an interval [y*, c1].  The scan still walks upward from 1/2 to the first
+    feasible grid point, as a check independent of that argument, and
+    bisects the boundary just below it; y* gives the most entangled feasible
+    returned state.  A binary search over the grid is ROADMAP item 4.
 
     Only two-level returned states are scanned, so where returned_rank_bound
     is 3 or more the optimum may have more levels and no oracle applies.
@@ -96,10 +98,9 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
         return pair.joint_feasible(target, (y, 1 - y))
 
     steps = max(1, int(round((c1 - 0.5) / SCAN_RESOLUTION)))
-    found = _scan(feasible, _affine_grid(0.5, c1, steps + 1))
-    if found is None or found[0] >= c1 - pair.policy.tol_strict:
+    y_star = _first(feasible, _affine_grid(0.5, c1, steps + 1))
+    if y_star is None or y_star >= c1 - pair.policy.tol_strict:
         return GainResult(0.0, c, GRID_METHOD)
-    y_star = found[0]
     g = (binary_entropy(y_star) - entropy(c)) / pair.entropy_drop
     return GainResult(min(max(g, 0.0), 1.0), probe_two_level(y_star, pair.policy),
                       GRID_METHOD)

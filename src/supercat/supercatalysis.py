@@ -98,9 +98,9 @@ class SweepResult:
         return self.points[-1].gmax
 
     def interior_optimum(self) -> bool:
-        """Does some interior borrowed state beat both interval endpoints by 1e-9?"""
-        return (self.tilde_gmax > self.gmax_at_x_min + 1e-9
-                and self.tilde_gmax > self.gmax_at_x_max + 1e-9)
+        """Does some interior borrowed state beat both interval endpoints by tol_strict?"""
+        return all(self.tilde_gmax > g + ComparisonPolicy.tol_strict
+                   for g in (self.gmax_at_x_min, self.gmax_at_x_max))
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int, target
 
     grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
     found = _best_candidate(rank_cap, grid_steps, 0, policy, best_ent, feasible,
-                            pair.joint_lead(target, c[0]))
+                            pair.joint_lead(target))
     if found is not None:
         best_ent, best_d = found
 
@@ -264,7 +264,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int, target
                     improved = True
         if not improved:
             step /= 2
-    if best_ent <= ent_c + 1e-12:
+    if best_ent <= ent_c + policy.tol_eq:
         return GainResult(0.0, c, GRID_METHOD)
     g = (best_ent - ent_c) / pair.entropy_drop
     return GainResult(min(max(g, 0.0), 1.0), best_d, GRID_METHOD)

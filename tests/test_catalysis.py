@@ -527,7 +527,7 @@ class TestJointLead:
     @staticmethod
     def _check_rows(pair, c, verdicts):
         target = pair.joint_target(c)
-        lead, sums_a = pair.joint_lead(target, c[0]), prefix_sums(kron(pair.a, c))
+        lead, sums_a = pair.joint_lead(target), prefix_sums(kron(pair.a, c))
         for r, steps in GRID_TABLES:
             coefs = _candidate_table(r, steps, 0, pair.policy.exact)[1]
             for i in range(0, len(coefs), r):
@@ -578,7 +578,7 @@ class TestJointLead:
         for _ in range(20):
             pair = random_nontrivial_pair(rng, policy)
             c = random_catalyst(rng, pair)
-            assert pair.joint_lead(pair.joint_target(c), c[0])(c[0], c[1]), (pair, c)
+            assert pair.joint_lead(pair.joint_target(c))(c[0], c[1]), (pair, c)
 
     def test_second_sum_within_an_ulp_of_its_threshold(self):
         # d1 = c1 passes the k = 1 test and the c1 test; d2 is stepped one ulp
@@ -596,7 +596,7 @@ class TestJointLead:
             if not b2 * d1 < b1 * d2 < b1 * d1:
                 continue
             verdicts["cases"] += 1
-            lead = pair.joint_lead(pair.joint_target(c), d1)
+            lead = pair.joint_lead(pair.joint_target(c))
             for _ in range(4):
                 d2 = math.nextafter(d2, 0.0)
             for _ in range(9):
@@ -614,7 +614,7 @@ class TestJointLead:
         for _ in range(20):
             pair = random_nontrivial_pair(rng)
             c = random_catalyst(rng, pair)
-            lead = pair.joint_lead(pair.joint_target(c), c[0])
+            lead = pair.joint_lead(pair.joint_target(c))
             edge = c[0] + tol
             for d1, want in ((math.nextafter(edge, 0.0), True), (edge, True),
                              (math.nextafter(edge, 1.0), False)):
@@ -1036,7 +1036,7 @@ class TestTwoLevelSet:
 
     def test_catalysis_owns_no_grid_scan(self):
         import supercat.catalysis as catalysis
-        for name in ("_scan", "_bisect", "_scan_two_level", "SCAN_RESOLUTION"):
+        for name in ("_first", "_scan", "_bisect", "_scan_two_level", "SCAN_RESOLUTION"):
             assert not hasattr(catalysis, name), name
 
 

@@ -20,7 +20,7 @@ from supercat.catalysis import (_affine_grid, _require_dim4_nontrivial, _require
                                 probe_two_level)
 from supercat.errors import CatalysisError, EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from supercat.examples import example_pair
-from supercat.oracle import SCAN_RESOLUTION, _bisect, _interval_grid, _scan
+from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION, _first, _interval_grid
 from supercat.schmidt import _coerce_vector
 from supercat.supercatalysis import GRID_METHOD, GainResult
 
@@ -110,6 +110,28 @@ class TestOracleAgreement:
         assert exact == pytest.approx(grid_gmax_rank2(pair, c).gain, abs=1e-5)
 
 
+def bisect(predicate, x_false, x_true):
+    """Boundary of a verdict change, located to REFINE_TOL, on the True side:
+    the oracles' bisection before _first took it in."""
+    while abs(x_true - x_false) > REFINE_TOL:
+        mid = 0.5 * (x_false + x_true)
+        x_false, x_true = (x_false, mid) if predicate(mid) else (mid, x_true)
+    return x_true
+
+
+def scan_both_ends(member, xs):
+    """(first, last) passing points of xs, or None if none passes, each bisected
+    against its failing neighbour unless it ends xs: the oracles' scan before
+    _first, probing up to the first member and down from the end to the last."""
+    first = next((i for i in range(len(xs)) if member(xs[i])), None)
+    if first is None:
+        return None
+    last = next((i for i in range(len(xs) - 1, first, -1) if member(xs[i])), first)
+    lo = xs[first] if first == 0 else bisect(member, xs[first - 1], xs[first])
+    hi = xs[last] if last == len(xs) - 1 else bisect(member, xs[last + 1], xs[last])
+    return lo, hi
+
+
 def reference_scan(member, xs):
     """The full scan: every grid point probed, then the first and last
     members bisected against their failing neighbours."""
@@ -118,8 +140,8 @@ def reference_scan(member, xs):
         return None
     first = verdicts.index(True)
     last = len(xs) - 1 - verdicts[::-1].index(True)
-    lo = xs[first] if first == 0 else _bisect(member, xs[first - 1], xs[first])
-    hi = xs[last] if last == len(xs) - 1 else _bisect(member, xs[last + 1], xs[last])
+    lo = xs[first] if first == 0 else bisect(member, xs[first - 1], xs[first])
+    hi = xs[last] if last == len(xs) - 1 else bisect(member, xs[last + 1], xs[last])
     return lo, hi
 
 
@@ -141,8 +163,9 @@ def verdict_lists(rng):
 
 
 class TestScan:
-    """_scan probes upward to the first member and downward to the last;
-    its result must equal the full scan's on every verdict list."""
+    """_first probes upward to the first member only, and the interval
+    oracle's hull runs it from each end; both, and the reference oracles'
+    scan_both_ends, must equal the full scan's ends on every verdict list."""
 
     def test_matches_full_scan_and_skips_the_middle(self):
         rng = random.Random(6201)
@@ -159,15 +182,17 @@ class TestScan:
                 return int(x * 2**20) % 3 == 0  # between grid points: any fixed verdict
 
             want = reference_scan(member, xs)
-            probed.clear()
-            assert _scan(member, xs) == want, verdicts
+            assert scan_both_ends(member, xs) == want, verdicts  # the reference oracles' scan
             members = [i for i, v in enumerate(verdicts) if v]
+            probed.clear()
+            lo = _first(member, xs)
+            assert lo == (want and want[0]), verdicts
+            assert probed == list(range(members[0] + 1 if members else len(xs))), verdicts
             if members:
                 first, last = members[0], members[-1]
+                assert (lo, _first(member, xs[::-1])) == want, verdicts
                 assert not [i for i in probed if first < i < last], verdicts
-                assert sorted(probed) == [*range(first + 1), *range(max(last, first + 1), len(xs))]
-            else:
-                assert sorted(probed) == list(range(len(xs)))
+                assert sorted(probed) == sorted([*range(first + 1), *range(last, len(xs))])
             kinds.add(min(len(members), 2) if len(members) < len(xs) else "all")
             if len(members) == 2 and members[1] == members[0] + 1:
                 kinds.add("adjacent")
@@ -230,7 +255,7 @@ def reference_grid_catalyst_interval(pair):
     is_catalyst, grid points with their tabled vectors."""
     _require_dim4_nontrivial(pair)
     xs, probes = reference_interval_grid(pair.policy.exact)
-    found = _scan(lambda x: reference_is_catalyst(
+    found = scan_both_ends(lambda x: reference_is_catalyst(
         pair, probes.get(x) or probe_two_level(x, pair.policy)), xs)
     if found is None:
         raise EmptyCatalystSet("no two-level catalyst found at this resolution")
@@ -246,7 +271,7 @@ def reference_grid_gmax_rank2(pair, c):
         return pair.joint_feasible(target, probe_two_level(y, pair.policy))
 
     steps = max(1, int(round((c1 - 0.5) / SCAN_RESOLUTION)))
-    found = _scan(feasible, _affine_grid(0.5, c1, steps + 1))
+    found = scan_both_ends(feasible, _affine_grid(0.5, c1, steps + 1))
     if found is None or found[0] >= c1 - pair.policy.tol_strict:
         return GainResult(0.0, c, GRID_METHOD)
     y_star = found[0]
@@ -276,15 +301,15 @@ def two_level_loans(rng, pair):
 
 @pytest.fixture
 def spied_scans(monkeypatch):
-    """(member, xs) of every oracle._scan call, in order: the oracles' own probes."""
+    """(member, xs) of every oracle._first call, in order: the oracles' own probes."""
     scans = []
-    real = supercat.oracle._scan
+    real = supercat.oracle._first
 
     def spy(member, xs):
         scans.append((member, xs))
         return real(member, xs)
 
-    monkeypatch.setattr(supercat.oracle, "_scan", spy)
+    monkeypatch.setattr(supercat.oracle, "_first", spy)
     return scans
 
 
@@ -341,3 +366,23 @@ class TestOracleProbes:
                 assert feasible(y) == want, (pair, c, y)
                 verdicts["gain", want] += 1
         assert min(verdicts.values()) >= 1000 and len(verdicts) == 4, verdicts
+
+
+@pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+def test_gain_verdicts_are_monotone_in_y(policy, spied_scans):
+    """Joint feasibility of (y, 1-y) is monotone in y (grid_gmax_rank2's
+    docstring argues it): along the gain oracle's own grid and probe, no
+    verdict goes from True back to False."""
+    rng = random.Random(7120)
+    shapes = Counter()
+    for _ in range(100):
+        pair = random_nontrivial_pair(rng, policy)
+        for c in two_level_loans(rng, pair):
+            spied_scans.clear()
+            grid_gmax_rank2(pair, c)
+            feasible, ys = spied_scans[0]
+            verdicts = [feasible(y) for y in ys]
+            first = verdicts.index(True) if True in verdicts else len(ys)
+            assert all(verdicts[first:]), (pair, c)
+            shapes["none" if first == len(ys) else "all" if first == 0 else "step"] += 1
+    assert shapes["step"] >= 500, shapes

@@ -11,13 +11,15 @@ import supercat.schmidt
 import supercat.supercatalysis
 from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
                       bound_gmax, check_supercatalytic, entropy, epsilon_family, gain,
-                      gmax_given_c, is_catalyst, kron, least_entangled_rank2_catalyst, majorizes,
-                      make_schmidt, max_catalyst_entropy, most_entangled_rank2_catalyst,
-                      nielsen_convertible, prefix_sums, rank2_catalyst_interval,
-                      rank_reduce_returned, returned_rank_bound, schmidt_rank, tilde_gmax_sweep,
+                      gmax_given_c, grid_gmax_rank2, is_catalyst, kron,
+                      least_entangled_rank2_catalyst, majorizes, make_schmidt,
+                      max_catalyst_entropy, most_entangled_rank2_catalyst, nielsen_convertible,
+                      prefix_sums, rank2_catalyst_interval, rank_reduce_returned,
+                      returned_rank_bound, schmidt_rank, tilde_gmax_sweep,
                       trivial_swap_construction, verify_epsilon_family)
 from supercat.catalysis import (_affine_grid, _min_feasible_y, _ordered_simplex_grid,
                                 _y_star_pieces, probe_two_level)
+from supercat.cli import main
 from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon,
                              NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
 from supercat.examples import example_pair
@@ -103,6 +105,25 @@ class TestGain:
         c = vec(0.6, 0.4)
         with pytest.raises(ZeroDenominator):
             gain(a_mix, b, c, c)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_zero_denominator_at_every_loan_entry(self, policy, capsys):
+        # the mixed pair above, written out: gain, every function that takes
+        # a loan and gain-sweep --c raise or print one error, gain's
+        a_text, b_text = "0.49999999999,0.250000000015,0.249999999985,1e-11", "0.5,0.25,0.25,0"
+        a, b = (make_schmidt(text.split(","), policy) for text in (a_text, b_text))
+        c = make_schmidt(["0.6", "0.4"], policy)
+        with pytest.raises(ZeroDenominator) as caught:
+            gain(a, b, c, c, policy)
+        message = str(caught.value)
+        assert message == f"entropy drop {entropy(a) - entropy(b)} too small"
+        for fn in (gmax_given_c, bound_gmax, grid_gmax_rank2):
+            with pytest.raises(ZeroDenominator) as caught:
+                fn(CatalyticPair(a, b, policy), c)
+            assert str(caught.value) == message, fn
+        argv = ["gain-sweep", "--a", a_text, "--b", b_text, "--c", "0.6,0.4"]
+        assert main(argv + ["--exact"] * policy.exact) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestCheckSupercatalytic:
