@@ -1,11 +1,11 @@
 """Brute-force verifiers for the closed-form and exact-optimization paths.
 
 These scanners know nothing about interval formulas or breakpoint algebra:
-on a grid of step SCAN_RESOLUTION, _first probes catalyst membership or joint
-feasibility up to the first member and bisects the boundary before it to
-REFINE_TOL; the interval oracle runs it from each end, the gain oracle from
-1/2 up.  This module owns every grid scan over two-level vectors, to certify
-the fast paths; none scales past small systems.
+on a grid of step SCAN_RESOLUTION, each finds the first point that passes
+catalyst membership (walking from each end: it need not be monotone in x) or
+joint feasibility (by binary search: it is monotone in y), and _first bisects
+the boundary before it to REFINE_TOL.  This module owns every grid scan over
+two-level vectors, to certify the fast paths; none scales past small systems.
 
 A probe pays only for its joint test, which CatalyticPair decides with one
 body per question in both arithmetics: the membership test _member on the
@@ -15,6 +15,7 @@ interval grid's tabled forms (q, C), and joint_feasible on a plain pair
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 
 from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _member_form,
@@ -29,12 +30,12 @@ SCAN_RESOLUTION = 1e-3
 REFINE_TOL = 1e-9
 
 
-def _first(member, xs):
-    """The first point of xs that passes member, bisected to REFINE_TOL
-    against the failing point before it, or xs[0] if that passes; None if no
-    point passes.  No point past the first member is probed."""
-    i = next((i for i, x in enumerate(xs) if member(x)), None)
-    if i is None:
+def _first(member, xs, i):
+    """The boundary at xs[i], the first point of xs that passes member, as
+    its caller found it: xs[i] bisected to REFINE_TOL against the failing
+    xs[i - 1], or xs[0] if i == 0; None if i == len(xs), no point passing.
+    Only bisection midpoints are probed, none of them on the grid."""
+    if i == len(xs):
         return None
     x_false, x_true = xs[i - 1 if i else 0], xs[i]
     while abs(x_true - x_false) > REFINE_TOL:
@@ -57,9 +58,9 @@ def _interval_grid(exact: bool) -> tuple:
 def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     """Scan two-level catalysts over x in [0.5, 1] and refine the boundaries.
 
-    Reports a hull: _first from each end of the grid, the first member from
-    either end bisected against its failing neighbour; the points between
-    are not probed.  Grid points reuse _interval_grid's forms, and a
+    Reports a hull: from each end of the grid, a linear walk to the first
+    member, which _first bisects against its failing neighbour; the points
+    between are not probed.  Grid points reuse _interval_grid's forms, and a
     bisection midpoint builds its own from probe_two_level.  Raises
     EmptyCatalystSet when no grid point is a catalyst, as for a set narrower
     than the resolution.
@@ -71,10 +72,13 @@ def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     def member(x: float) -> bool:
         return pair._member(forms.get(x) or _member_form(probe_two_level(x, policy), policy.exact))
 
-    lo = _first(member, xs)
+    def walk(xs):  # membership need not be monotone in x: no binary search
+        return _first(member, xs, next((i for i, x in enumerate(xs) if member(x)), len(xs)))
+
+    lo = walk(xs)
     if lo is None:
         raise EmptyCatalystSet("no two-level catalyst found at this resolution")
-    return CatalystInterval(lo, _first(member, xs[::-1]))
+    return CatalystInterval(lo, walk(xs[::-1]))
 
 
 def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
@@ -82,10 +86,11 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
 
     Feasibility is monotone in y: for 1/2 <= y <= y', (y', 1-y') majorizes
     (y, 1-y), and tensoring with b keeps majorization, so the feasible y form
-    an interval [y*, c1].  The scan still walks upward from 1/2 to the first
-    feasible grid point, as a check independent of that argument, and
+    an interval [y*, c1].  The scan's soundness rests on that argument, which
+    tests/test_oracle.py::test_gain_verdicts_are_monotone_in_y checks along
+    this grid: a binary search finds the first feasible grid point and _first
     bisects the boundary just below it; y* gives the most entangled feasible
-    returned state.  A binary search over the grid is ROADMAP item 4.
+    returned state.
 
     Only two-level returned states are scanned, so where returned_rank_bound
     is 3 or more the optimum may have more levels and no oracle applies.
@@ -98,7 +103,8 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
         return pair.joint_feasible(target, (y, 1 - y))
 
     steps = max(1, int(round((c1 - 0.5) / SCAN_RESOLUTION)))
-    y_star = _first(feasible, _affine_grid(0.5, c1, steps + 1))
+    ys = _affine_grid(0.5, c1, steps + 1)
+    y_star = _first(feasible, ys, bisect_left(ys, True, key=feasible))
     if y_star is None or y_star >= c1 - pair.policy.tol_strict:
         return GainResult(0.0, c, GRID_METHOD)
     g = (binary_entropy(y_star) - entropy(c)) / pair.entropy_drop

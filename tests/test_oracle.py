@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -162,10 +163,18 @@ def verdict_lists(rng):
     return lists
 
 
+def walk(member, xs):
+    """Index of the first point of xs that passes member, or len(xs): the
+    interval oracle's linear walk, which probes each point up to it."""
+    return next((i for i, x in enumerate(xs) if member(x)), len(xs))
+
+
 class TestScan:
-    """_first probes upward to the first member only, and the interval
-    oracle's hull runs it from each end; both, and the reference oracles'
-    scan_both_ends, must equal the full scan's ends on every verdict list."""
+    """Each oracle finds its first member's grid index and _first bisects the
+    boundary from it: the interval oracle walks upward to it, from each end
+    of its grid for its hull, and the gain oracle bisects its monotone grid
+    with bisect_left.  Both, and the reference oracles' scan_both_ends, must
+    equal the full scan's ends."""
 
     def test_matches_full_scan_and_skips_the_middle(self):
         rng = random.Random(6201)
@@ -185,12 +194,12 @@ class TestScan:
             assert scan_both_ends(member, xs) == want, verdicts  # the reference oracles' scan
             members = [i for i, v in enumerate(verdicts) if v]
             probed.clear()
-            lo = _first(member, xs)
+            lo = _first(member, xs, walk(member, xs))
             assert lo == (want and want[0]), verdicts
             assert probed == list(range(members[0] + 1 if members else len(xs))), verdicts
             if members:
                 first, last = members[0], members[-1]
-                assert (lo, _first(member, xs[::-1])) == want, verdicts
+                assert (lo, _first(member, xs[::-1], walk(member, xs[::-1]))) == want, verdicts
                 assert not [i for i in probed if first < i < last], verdicts
                 assert sorted(probed) == sorted([*range(first + 1), *range(last, len(xs))])
             kinds.add(min(len(members), 2) if len(members) < len(xs) else "all")
@@ -199,6 +208,37 @@ class TestScan:
             if members and members[-1] - members[0] >= len(members):
                 kinds.add("ends" if members == [0, len(xs) - 1] else "gap")
         assert kinds == {0, 1, 2, "all", "adjacent", "ends", "gap"}
+
+    def test_binary_search_on_monotone_lists(self):
+        """On prefix-False/suffix-True verdict lists of lengths 1 to 600, the
+        gain oracle's bisect_left finds the walk's index in at most
+        ceil(log2(n + 1)) grid probes, and _first from it gives the full
+        scan's first end."""
+        rng = random.Random(6202)
+        kinds = Counter()
+        for n in range(1, 601):
+            first = rng.choice((0, n - 1, n, rng.randrange(n + 1)))
+            xs = [0.5 + i / 1024 for i in range(n)]
+            at = {x: i >= first for i, x in enumerate(xs)}
+            probed = []
+
+            def member(x):
+                if x in at:
+                    probed.append(xs.index(x))
+                    return at[x]
+                return int(x * 2**20) % 3 == 0  # between grid points: any fixed verdict
+
+            want = reference_scan(member, xs)
+            probed.clear()
+            i = bisect_left(xs, True, key=member)
+            assert len(probed) <= math.ceil(math.log2(n + 1)), (n, first, probed)
+            assert i == walk(member, xs) == first, (n, first)
+            probed.clear()
+            assert _first(member, xs, i) == (want and want[0]), (n, first)
+            assert not probed, (n, first)  # the bisection probes only between grid points
+            kinds["none" if first == n else "all" if first == 0 else
+                  "last" if first == n - 1 else "step"] += 1
+        assert min(kinds.values()) >= 100 and len(kinds) == 4, kinds
 
 
 class TestIntervalGrid:
@@ -305,9 +345,9 @@ def spied_scans(monkeypatch):
     scans = []
     real = supercat.oracle._first
 
-    def spy(member, xs):
+    def spy(member, xs, i):
         scans.append((member, xs))
-        return real(member, xs)
+        return real(member, xs, i)
 
     monkeypatch.setattr(supercat.oracle, "_first", spy)
     return scans
@@ -386,3 +426,36 @@ def test_gain_verdicts_are_monotone_in_y(policy, spied_scans):
             assert all(verdicts[first:]), (pair, c)
             shapes["none" if first == len(ys) else "all" if first == 0 else "step"] += 1
     assert shapes["step"] >= 500, shapes
+
+
+#: Bundled pairs' loans whose only feasible grid point of the gain oracle is
+#: the last one, c1; the boundary is bisected below it, so the gain is small.
+LAST_POINT_LOANS = (("1", (0.6001, 0.3999)), ("4", (0.6003, 0.3997)))
+
+
+@pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+def test_gain_edge_indices_match_reference(policy, spied_scans):
+    """The gain oracle at the ends of its grid equals the reference scan: on
+    LAST_POINT_LOANS, and at each random pair's x_min, whose gain is 0 with
+    the last grid point or none feasible.  The first point, y = 1/2, never
+    passes: b (x) u majorizing a (x) c, which majorizes a (x) u for the
+    uniform u, would make b majorize a, but the pair is blocked."""
+    rng = random.Random(7121)
+    cases = [(example_pair(name, policy), make_schmidt(c, policy)) for name, c in LAST_POINT_LOANS]
+    for _ in range(60):
+        pair = random_nontrivial_pair(rng, policy)
+        cases.append((pair, two_level_loans(rng, pair)[0]))
+    edges = Counter()
+    for k, (pair, c) in enumerate(cases):
+        spied_scans.clear()
+        got = grid_gmax_rank2(pair, c)
+        assert got == reference_grid_gmax_rank2(pair, c), (pair, c)
+        feasible, ys = spied_scans[0]
+        i = walk(feasible, ys)
+        assert not feasible(ys[0]), (pair, c)
+        if k < len(LAST_POINT_LOANS):
+            assert i == len(ys) - 1 and 0 < got.gain < 0.01, (pair, c, got)
+        else:
+            assert i >= len(ys) - 1 and got.gain == 0, (pair, c, got)
+        edges["last" if i == len(ys) - 1 else "none"] += 1
+    assert edges["last"] >= 25, edges
