@@ -2,7 +2,7 @@
 
 These scanners know nothing about interval formulas or breakpoint algebra:
 on a grid of step SCAN_RESOLUTION, each finds the first point that passes
-catalyst membership (walking from each end: it need not be monotone in x) or
+catalyst membership (by _walk from each end: it need not be monotone in x) or
 joint feasibility (by binary search: it is monotone in y), and _first bisects
 the boundary before it to REFINE_TOL.  This module owns every grid scan over
 two-level vectors, to certify the fast paths; none scales past small systems.
@@ -44,6 +44,13 @@ def _first(member, xs, i):
     return x_true
 
 
+def _walk(member, xs):
+    """Index of the first point of xs that passes member, or len(xs), found
+    by probing each point in turn up to it: the interval oracle's search,
+    as catalyst membership need not be monotone in x."""
+    return next((i for i, x in enumerate(xs) if member(x)), len(xs))
+
+
 @cache
 def _interval_grid(exact: bool) -> tuple:
     """(xs, forms): grid_catalyst_interval's grid and the _member_form (q, C)
@@ -58,8 +65,8 @@ def _interval_grid(exact: bool) -> tuple:
 def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     """Scan two-level catalysts over x in [0.5, 1] and refine the boundaries.
 
-    Reports a hull: from each end of the grid, a linear walk to the first
-    member, which _first bisects against its failing neighbour; the points
+    Reports a hull: from each end of the grid, _walk to the first member,
+    which _first bisects against its failing neighbour; the points
     between are not probed.  Grid points reuse _interval_grid's forms, and a
     bisection midpoint builds its own from probe_two_level.  Raises
     EmptyCatalystSet when no grid point is a catalyst, as for a set narrower
@@ -72,13 +79,10 @@ def grid_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     def member(x: float) -> bool:
         return pair._member(forms.get(x) or _member_form(probe_two_level(x, policy), policy.exact))
 
-    def walk(xs):  # membership need not be monotone in x: no binary search
-        return _first(member, xs, next((i for i, x in enumerate(xs) if member(x)), len(xs)))
-
-    lo = walk(xs)
+    lo = _first(member, xs, _walk(member, xs))
     if lo is None:
         raise EmptyCatalystSet("no two-level catalyst found at this resolution")
-    return CatalystInterval(lo, walk(xs[::-1]))
+    return CatalystInterval(lo, _first(member, xs[::-1], _walk(member, xs[::-1])))
 
 
 def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:

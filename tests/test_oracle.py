@@ -21,7 +21,7 @@ from supercat.catalysis import (_affine_grid, _require_dim4_nontrivial, _require
                                 probe_two_level)
 from supercat.errors import CatalysisError, EmptyCatalystSet, NotACatalyst, PreconditionViolated
 from supercat.examples import example_pair
-from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION, _first, _interval_grid
+from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION, _first, _interval_grid, _walk
 from supercat.schmidt import _coerce_vector
 from supercat.supercatalysis import GRID_METHOD, GainResult
 
@@ -163,17 +163,11 @@ def verdict_lists(rng):
     return lists
 
 
-def walk(member, xs):
-    """Index of the first point of xs that passes member, or len(xs): the
-    interval oracle's linear walk, which probes each point up to it."""
-    return next((i for i, x in enumerate(xs) if member(x)), len(xs))
-
-
 class TestScan:
     """Each oracle finds its first member's grid index and _first bisects the
-    boundary from it: the interval oracle walks upward to it, from each end
-    of its grid for its hull, and the gain oracle bisects its monotone grid
-    with bisect_left.  Both, and the reference oracles' scan_both_ends, must
+    boundary from it: the interval oracle's _walk probes upward to it, from
+    each end of its grid for its hull, and the gain oracle bisects its
+    monotone grid with bisect_left.  Both, and the reference oracles' scan_both_ends, must
     equal the full scan's ends."""
 
     def test_matches_full_scan_and_skips_the_middle(self):
@@ -194,12 +188,12 @@ class TestScan:
             assert scan_both_ends(member, xs) == want, verdicts  # the reference oracles' scan
             members = [i for i, v in enumerate(verdicts) if v]
             probed.clear()
-            lo = _first(member, xs, walk(member, xs))
+            lo = _first(member, xs, _walk(member, xs))
             assert lo == (want and want[0]), verdicts
             assert probed == list(range(members[0] + 1 if members else len(xs))), verdicts
             if members:
                 first, last = members[0], members[-1]
-                assert (lo, _first(member, xs[::-1], walk(member, xs[::-1]))) == want, verdicts
+                assert (lo, _first(member, xs[::-1], _walk(member, xs[::-1]))) == want, verdicts
                 assert not [i for i in probed if first < i < last], verdicts
                 assert sorted(probed) == sorted([*range(first + 1), *range(last, len(xs))])
             kinds.add(min(len(members), 2) if len(members) < len(xs) else "all")
@@ -211,7 +205,7 @@ class TestScan:
 
     def test_binary_search_on_monotone_lists(self):
         """On prefix-False/suffix-True verdict lists of lengths 1 to 600, the
-        gain oracle's bisect_left finds the walk's index in at most
+        gain oracle's bisect_left finds _walk's index in at most
         ceil(log2(n + 1)) grid probes, and _first from it gives the full
         scan's first end."""
         rng = random.Random(6202)
@@ -232,7 +226,7 @@ class TestScan:
             probed.clear()
             i = bisect_left(xs, True, key=member)
             assert len(probed) <= math.ceil(math.log2(n + 1)), (n, first, probed)
-            assert i == walk(member, xs) == first, (n, first)
+            assert i == _walk(member, xs) == first, (n, first)
             probed.clear()
             assert _first(member, xs, i) == (want and want[0]), (n, first)
             assert not probed, (n, first)  # the bisection probes only between grid points
@@ -407,6 +401,68 @@ class TestOracleProbes:
                 verdicts["gain", want] += 1
         assert min(verdicts.values()) >= 1000 and len(verdicts) == 4, verdicts
 
+    def test_interval_probes_skip_the_middle(self, policy, monkeypatch):
+        """grid_catalyst_interval probes the grid points up to its first
+        member, then down from the top of the grid to its last member, and
+        no grid point between them: each probed once, in that order."""
+        xs, forms = _interval_grid(policy.exact)
+        index = {id(forms[x]): i for i, x in enumerate(xs)}  # grid forms stay alive
+        probed = []
+        real = CatalyticPair._member
+
+        def spy(self, form):
+            if id(form) in index:
+                probed.append(index[id(form)])
+            return real(self, form)
+
+        monkeypatch.setattr(CatalyticPair, "_member", spy)
+        rng = random.Random(7122)
+        kinds = Counter()
+        for _ in range(40):
+            pair = random_nontrivial_pair(rng, policy)
+            probed.clear()
+            outcome(grid_catalyst_interval, pair)
+            members = [i for i, x in enumerate(xs) if real(pair, forms[x])]
+            if members:
+                first, last = members[0], members[-1]
+                want = [*range(first + 1), *range(len(xs) - 1, last - 1, -1)]
+            else:
+                want = list(range(len(xs)))
+            assert probed == want, pair
+            kinds["gap" if members and last - first > 1 else "other"] += 1
+        assert kinds["gap"] >= 30, kinds
+
+    def test_gain_probes_few_grid_points(self, policy, spied_scans, monkeypatch):
+        """grid_gmax_rank2 probes at most ceil(log2(n + 1)) of its n grid
+        points: its binary search, whatever the first feasible index.  The
+        loan's own check in _require_loan, before the scan, is not counted."""
+        probed = []
+        real, require = CatalyticPair.joint_feasible, supercat.oracle._require_loan
+
+        def spy(self, target, d):
+            probed.append(float(d[0]))
+            return real(self, target, d)
+
+        def require_then_count(pair, c):
+            found = require(pair, c)
+            probed.clear()
+            return found
+
+        monkeypatch.setattr(CatalyticPair, "joint_feasible", spy)
+        monkeypatch.setattr(supercat.oracle, "_require_loan", require_then_count)
+        rng = random.Random(7123)
+        shapes = Counter()
+        for _ in range(30):
+            pair = random_nontrivial_pair(rng, policy)
+            for c in two_level_loans(rng, pair):
+                spied_scans.clear()
+                grid_gmax_rank2(pair, c)
+                _, ys = spied_scans[0]
+                on_grid = [y for y in probed if y in set(ys)]
+                assert len(on_grid) <= math.ceil(math.log2(len(ys) + 1)), (pair, c, len(ys))
+                shapes["long" if len(ys) > 20 else "short"] += 1
+        assert shapes["long"] >= 60, shapes
+
 
 @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
 def test_gain_verdicts_are_monotone_in_y(policy, spied_scans):
@@ -451,7 +507,7 @@ def test_gain_edge_indices_match_reference(policy, spied_scans):
         got = grid_gmax_rank2(pair, c)
         assert got == reference_grid_gmax_rank2(pair, c), (pair, c)
         feasible, ys = spied_scans[0]
-        i = walk(feasible, ys)
+        i = _walk(feasible, ys)
         assert not feasible(ys[0]), (pair, c)
         if k < len(LAST_POINT_LOANS):
             assert i == len(ys) - 1 and 0 < got.gain < 0.01, (pair, c, got)
