@@ -159,9 +159,8 @@ class CatalyticPair:
         (y, 1 - y), in any order, with no negative entry; the loan's own C is
         reused when d is c.  Exact mode reads any other d as integers D over
         its own denominator, and when that differs from c's multiplies each
-        side by the other's; float mode reads d itself.  The k = 1 test,
-        on B_1 max(D) before anything is sorted, comes first; then each prefix
-        sum of the sorted products B_i D_j is compared with the target's as
+        side by the other's; float mode reads d itself.  Each prefix sum of
+        the sorted products B_i D_j is compared with the target's as
         accumulate yields it, up to the first that fails.  Past a shorter
         b (x) d its last prefix sum repeats, as zero padding gives inside
         majorizes, and a shorter target needs none, as the sums of b (x) d
@@ -177,11 +176,7 @@ class CatalyticPair:
                 if qd != q:
                     sums_a = [s * qd for s in sums_a]
                     scaled_b = [x * q for x in scaled_b]
-        if sums_a[0] > scaled_b[0] * max(ints) + tol:
-            return False
-        # as _sorted_products builds them, without a call per probe
-        products = [x * y for y in ints for x in scaled_b]
-        products.sort(reverse=True)
+        products = _sorted_products(scaled_b, ints)
         for t, s in zip(sums_a, accumulate(products)):
             if t > s + tol:
                 return False
@@ -193,7 +188,7 @@ class CatalyticPair:
         majorizes(c, d) is, for target = joint_target(c) of a sorted loan c,
         whose largest coefficient c_1 it reads from the target.
 
-        It fails d on the k = 1 and k = 2 tests of joint_feasible and on the
+        It fails d on the first two prefix sums of joint_feasible and on the
         first partial sum of majorizes, each made as its owner makes it: the
         largest product of b (x) d is B_1 d_1 and, as products of
         non-negatives round monotonically, the second is
@@ -524,9 +519,16 @@ def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     target = pair.joint_target(c)
     if not pair.joint_feasible(target, c):
         raise NotACatalyst("the borrowed state is not a catalyst for this pair")
+    _require_entropy_drop(pair)
+    return c, target
+
+
+def _require_entropy_drop(pair: CatalyticPair) -> float:
+    """The pair's entropy drop, the denominator of every gain, if it is
+    above tol_strict."""
     if pair.entropy_drop <= pair.policy.tol_strict:
         raise ZeroDenominator(f"entropy drop {pair.entropy_drop} too small")
-    return c, target
+    return pair.entropy_drop
 
 
 def _require_blocked(pair: CatalyticPair):

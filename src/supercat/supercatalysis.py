@@ -38,11 +38,11 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
-                        _min_feasible_y, _require_interval, _require_loan, _y_star_pieces,
-                        is_catalyst, max_catalyst_entropy, probe_two_level,
-                        rank2_catalyst_interval, returned_rank_bound)
+                        _min_feasible_y, _require_entropy_drop, _require_interval,
+                        _require_loan, _y_star_pieces, is_catalyst, max_catalyst_entropy,
+                        probe_two_level, rank2_catalyst_interval, returned_rank_bound)
 from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
-                     PreconditionViolated, ZeroDenominator)
+                     PreconditionViolated)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
                       _coerce_vector, _constants, binary_entropy, entropy, kron, majorizes,
                       make_schmidt, nielsen_convertible, prefix_sums, schmidt_rank)
@@ -182,9 +182,7 @@ def _verdict_gain(pair: CatalyticPair, c: SchmidtVector, d: SchmidtVector,
     ) if not holds]
     if failures:
         raise InvalidConfiguration(failures)
-    drop = pair.entropy_drop
-    if drop <= pair.policy.tol_strict:
-        raise ZeroDenominator(f"entropy drop {drop} too small")
+    drop = _require_entropy_drop(pair)
     if not verdict.states_differ:
         return 0.0
     if _sorted_equal(kron(pair.a, c), kron(pair.b, d), pair.policy):

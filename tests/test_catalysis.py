@@ -408,9 +408,9 @@ class TestJointKernelProperties:
     """CatalyticPair.joint_target/joint_feasible and is_catalyst against kron
     and majorizes in both arithmetics: loans of rank 2 and 3 against
     returned states of rank 1 to 4, so the two sides differ in length,
-    returned states and pair vectors hand-built unsorted, so the float k = 1
-    test cannot rely on their order, and float returned states whose largest
-    product sits within an ulp of that test's threshold."""
+    returned states and pair vectors hand-built unsorted, so the float
+    comparison of the first prefix sums cannot rely on their order, and float
+    returned states whose largest product sits within an ulp of its threshold."""
 
     @staticmethod
     def _simplex(rng, r, policy):
@@ -455,9 +455,9 @@ class TestJointKernelProperties:
 
     def test_largest_product_within_an_ulp_of_the_threshold(self):
         # d is one smaller entry, then len(a) len(c) copies of d1, so max(d)
-        # is not d[0] and every later prefix sum has room: the k = 1 test,
-        # a1 c1 <= b1 d1 + tol_eq, decides alone as b1 d1 is stepped across
-        # a1 c1 - tol_eq one ulp at a time
+        # is not d[0] and every later prefix sum has room: the comparison of
+        # the first prefix sums, a1 c1 <= b1 d1 + tol_eq, decides alone as
+        # b1 d1 is stepped across a1 c1 - tol_eq one ulp at a time
         rng = random.Random(6032)
         tol = FLOAT_POLICY.tol_eq
         verdicts = Counter()
@@ -581,9 +581,10 @@ class TestJointLead:
             assert pair.joint_lead(pair.joint_target(c))(c[0], c[1]), (pair, c)
 
     def test_second_sum_within_an_ulp_of_its_threshold(self):
-        # d1 = c1 passes the k = 1 test and the c1 test; d2 is stepped one ulp
-        # at a time across the d2 where b1 d1 + b1 d2 + tol_eq meets the
-        # target's second prefix sum, in the range where b1 d2 >= b2 d1
+        # d1 = c1 passes the first prefix sum's test and the c1 test; d2 is
+        # stepped one ulp at a time across the d2 where b1 d1 + b1 d2 + tol_eq
+        # meets the target's second prefix sum, in the range where
+        # b1 d2 >= b2 d1
         rng = random.Random(6043)
         tol = FLOAT_POLICY.tol_eq
         verdicts = Counter()

@@ -1,22 +1,27 @@
-"""Golden digests of the gain-sweep CSV and summary on the four bundled pairs,
-of the combined summary of examples, and of the oracles' printed numbers.
+"""Golden digests of every output whose bytes must not change: the gain-sweep
+CSV and summary on the four bundled pairs, the examples output tree with its
+stdout, and the stdout of catalyst-range --verify, of gain-sweep --c --verify
+and of loans at returned-rank cap 3 and 4.
 
-The CSV and the summary are the reproducible outputs of a sweep, so every
-speed-up must keep their bytes.  The CSV digests were recorded before the
-sweep's per-pair caches and per-sweep memo existed, the summary digests
-before the summary's points were written from the CSV's row text, and the
-oracle digests before the oracles' probes stopped building a vector per
-probe, and the cap >= 3 loan digests before the returned-state grid skipped
-rows on their two leading coefficients; any drift in a single printed float
-fails here.
+This module is the one list of reproducibility cases.  CI runs it under
+PYTHONHASHSEED=1 and 2, so no printed byte may depend on the iteration order
+of a set or dict, and examples runs through python -m supercat.cli.  Most
+digests were recorded before the caches, memos and probe rewrites they now
+guard, so every speed-up must keep these bytes; any drift in a single printed
+float fails here.
 """
 
 import hashlib
 import io
-from contextlib import redirect_stderr, redirect_stdout
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import supercat
 from supercat.cli import main
 from supercat.examples import EXAMPLE_PAIRS
 
@@ -46,6 +51,11 @@ EXAMPLES_GOLDEN = {
     "plain": "a10c1cca72d7c74a0fe2c968c75656390fa3f4cc6cc02ff36011517d3f45ec0b",
     "verify": "1bc6916d1c07c94ce6215cee19f66b1634816f924f39f6d3acd76a287dad9d39",
 }
+# every file under its relative --out-dir, which the manifests record, then stdout
+EXAMPLES_TREE_GOLDEN = {
+    "plain": "2cc3757c70d73ad7ed8667e0e0aa4d5b3413d299e9d5fae2c7caaf9fb392cd47",
+    "verify": "edb50a0afb680c1e54e53d09ec584358576321b4456fb21147759dd1e9475919",
+}
 # stdout of catalyst-range --verify, whose "oracle" block holds the interval
 # oracle's bisected ends
 RANGE_GOLDEN = {
@@ -58,10 +68,24 @@ RANGE_GOLDEN = {
     ("exact", "3"): "760afe547c34379bdc42de6c9f43a23a188d5c07668c466d23d364f4e1d7b5c4",
     ("exact", "4"): "c468ce69f3cce753a68c3313cb4411b1dbe11c2bd2c88b2bb2d3600ce24701a0",
 }
-# stdout of gain-sweep --c 0.625,0.375 --verify on pair 1, which prints oracle_gain
+# stdout of gain-sweep --c --verify, which prints the gain oracle's oracle_gain,
+# by (mode, pair, c): a two-level loan of each bundled pair, and loans of pairs 1
+# and 4 whose only feasible grid point is the last one
 LOAN_GOLDEN = {
-    "float": "3e9400358ee0a488bc6e714ebc27140dedb2697e9ae1f6d3bc36408a10f0aff0",
-    "exact": "38aa0b22a628c41ed0c978c88e6e7643431e98433dac8e9456c9da5e29cb5ecd",
+    ("float", "1", "0.625,0.375"): "3e9400358ee0a488bc6e714ebc27140dedb2697e9ae1f6d3bc36408a10f0aff0",
+    ("float", "1", "0.61,0.39"): "d5c690bad437236ae6653ee7ec598ed31bbf5e6d728a3d4beb054515a1a1e00a",
+    ("float", "2", "0.6,0.4"): "d449f45d4250467ab1fd29697dc1aa5bb31a88c6b342271e7d115d0f841f177c",
+    ("float", "3", "0.6,0.4"): "47facaaace1c6af1e3b04c7404ce3298134f8356d4b481027ae93b939d1c0c37",
+    ("float", "4", "0.65,0.35"): "2e8d11dd1598a1cacab8d41729c025865f71a1498610d31e691afb37f0783ffc",
+    ("float", "1", "0.6001,0.3999"): "b243bdbbca194c90b752391300e65570716bc1fd3375e3765541b7b2a92defb3",
+    ("float", "4", "0.6003,0.3997"): "7bf894666e9a371bf95f4c27eb5fb3ac9a9ba7197aef89d92a4bd9f4961580ea",
+    ("exact", "1", "0.625,0.375"): "38aa0b22a628c41ed0c978c88e6e7643431e98433dac8e9456c9da5e29cb5ecd",
+    ("exact", "1", "0.61,0.39"): "a0f9c910b0c1edd466c0be13b5ef5d5bc6213a3ed15b71c2dce2a0fe2277aa0e",
+    ("exact", "2", "0.6,0.4"): "4e42f3f814f6516efd676c818b20c55d62a8ff46d98b2834f212abb6c60b1b11",
+    ("exact", "3", "0.6,0.4"): "d25b820167314dc123d6874eec1b1252ae11e4da17fb8b6685d0571f5dbc6d0f",
+    ("exact", "4", "0.65,0.35"): "a0215496e4c2f47730d74fe96aa0f9284a5b35c0f9285cbe81c47c4824f4ffd1",
+    ("exact", "1", "0.6001,0.3999"): "93682000de926e6a25974e8f664ac77ff602d37b0507ffae339bf4662bdae5de",
+    ("exact", "4", "0.6003,0.3997"): "5d586ac02d72e961e25e91e02359a9ee1de565dbd585d8264bd262f772a146ca",
 }
 # stdout of gain-sweep --c for loans whose returned-rank cap is 3 or 4, so the
 # returned state comes from the grid search and its hill-climb: a rank-3 loan
@@ -113,11 +137,16 @@ def test_sweep_summary_digest(mode, name, tmp_path):
 
 @pytest.mark.parametrize("flag", sorted(EXAMPLES_GOLDEN))
 def test_examples_summary_digest(flag, tmp_path):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = main(["examples", "--out-dir", str(tmp_path),
-                     *(["--verify"] if flag == "verify" else [])])
-    assert code == 0
-    assert _sha256((tmp_path / "examples.summary.json").read_bytes()) == EXAMPLES_GOLDEN[flag]
+    # through the module's entry point, under the hash seed this process has
+    env = {**os.environ, "PYTHONPATH": str(Path(supercat.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "supercat.cli", "examples", "--out-dir", "out",
+                           *(["--verify"] if flag == "verify" else [])],
+                          cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120)
+    out = tmp_path / "out"
+    assert _sha256((out / "examples.summary.json").read_bytes()) == EXAMPLES_GOLDEN[flag]
+    tree = b"".join(p.relative_to(out).as_posix().encode() + b"\0" + p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file())
+    assert _sha256(tree + proc.stdout) == EXAMPLES_TREE_GOLDEN[flag]
 
 
 def _stdout(argv) -> str:
@@ -136,13 +165,14 @@ def test_catalyst_range_verify_digest(mode, name):
     assert _sha256(stdout.encode()) == RANGE_GOLDEN[mode, name]
 
 
-@pytest.mark.parametrize("mode", sorted(LOAN_GOLDEN))
-def test_loan_verify_digest(mode):
-    a, b = EXAMPLE_PAIRS["1"]
-    stdout = _stdout(["gain-sweep", "--a", ",".join(a), "--b", ",".join(b), "--c", "0.625,0.375",
+@pytest.mark.parametrize("mode,name,c", sorted(LOAN_GOLDEN))
+def test_loan_verify_digest(mode, name, c):
+    a, b = EXAMPLE_PAIRS[name]
+    stdout = _stdout(["gain-sweep", "--a", ",".join(a), "--b", ",".join(b), "--c", c,
                       "--verify", *(["--exact"] if mode == "exact" else [])])
-    assert '"oracle_gain": 0.07442316637776933' in stdout
-    assert _sha256(stdout.encode()) == LOAN_GOLDEN[mode]
+    assert '"oracle_agrees": true' in stdout
+    assert c != "0.625,0.375" or '"oracle_gain": 0.07442316637776933' in stdout
+    assert _sha256(stdout.encode()) == LOAN_GOLDEN[mode, name, c]
 
 
 @pytest.mark.parametrize("mode,case", sorted(HIGH_CAP_GOLDEN))
