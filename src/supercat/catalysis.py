@@ -25,7 +25,6 @@ builds the row's vector; no skipped row could pass its full test.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from array import array
@@ -37,7 +36,7 @@ from typing import Optional
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated, ZeroDenominator
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector,
-                      _coerce, _coerce_vector, _constants, binary_entropy, entropy,
+                      _coerce, _coerce_vector, _constants, _member_form, binary_entropy, entropy,
                       nielsen_convertible, prefix_sums, schmidt_rank)
 
 #: Effort of the rank >= 3 catalyst-entropy search: steps of the ordered
@@ -61,18 +60,19 @@ class CatalyticPair:
     The pair owns the joint-transfer test a (x) c -> b (x) d that every
     catalyst and gain question reduces to (joint_target, joint_feasible),
     and the membership test d = c of a loan (_member), which is_catalyst,
-    the E_r search and the interval oracle share.  Each is one body for both
-    arithmetics, over the cached _sides (A, B, tol) and a vector's
-    _member_form (q, C): prefix sums of the sorted products, those of
-    a (x) c built once per loan, compared with tol slack.  Float mode reads
-    the coefficients themselves with q = D = 1 and tol = tol_eq, so each
-    verdict equals majorizes(kron(b, d), kron(a, c)) bit for bit.  Exact
-    mode reads integers over the lcm D of a's and b's denominators and the
-    lcm q of the vector's, with tol = 0.  A loan's membership takes its form
-    as given, so a caller that tables forms builds each once.  joint_lead
-    makes the joint test's first two prefix sums, and majorizes' first, on
-    a returned state's two leading coefficients alone, so the returned-state
-    grid can reject most rows before it builds them.
+    the E_r search and the interval oracle share.  joint_lead makes the
+    joint test's first two prefix sums, and majorizes' first, on a returned
+    state's two leading coefficients alone, so the returned-state grid can
+    reject most rows before it builds them.  Every joint question, joint_lead
+    included, is one body for both arithmetics, over the cached _sides
+    (A, B, tol) and a vector's _member_form (q, C): prefix sums of the sorted
+    products, those of a (x) c built once per loan, compared with tol slack.
+    Float mode reads the coefficients themselves with q = D = 1 and
+    tol = tol_eq, so each verdict equals majorizes(kron(b, d), kron(a, c))
+    bit for bit.  Exact mode reads integers over the lcm D of a's and b's
+    denominators and the lcm q of the vector's, with tol = 0.  A loan's
+    membership takes its form as given, so a caller that tables forms builds
+    each once.
     """
 
     a: SchmidtVector
@@ -194,31 +194,20 @@ class CatalyticPair:
         non-negatives round monotonically, the second is
         max(B_2 d_1, B_1 d_2), so every float comparison is the owner's bit
         for bit.  In exact mode the target's sums T_k are over D q and B over
-        D, so B is scaled by q, and each test is multiplied through by the
-        denominators of d_1 and d_2 (and of c_1), so it runs on integers.
+        D, so B is scaled by q; with tol = 0 every comparison is exact.
         The pair must be blocked, so of dimension at least 2.
         """
         q, sums_a, c = target[:3]
         scaled_b, tol = self._sides[1:]
         t1, t2 = sums_a[:2]
         b1, b2 = scaled_b[0] * q, scaled_b[1] * q
-        if not self.policy.exact:
-            top = c[0] + tol
+        top = c[0] + tol
 
-            def lead(d1, d2) -> bool:
-                p1 = b1 * d1
-                return not (t1 > p1 + tol or t2 > p1 + max(b2 * d1, b1 * d2) + tol) and d1 <= top
+        def lead(d1, d2) -> bool:
+            p1 = b1 * d1
+            return not (t1 > p1 + tol or t2 > p1 + max(b2 * d1, b1 * d2) + tol) and d1 <= top
 
-            return lead
-        top_n, top_d = c[0].numerator, c[0].denominator
-
-        def lead_exact(d1, d2) -> bool:
-            n1, m1, n2, m2 = d1.numerator, d1.denominator, d2.numerator, d2.denominator
-            p1 = b1 * n1  # B_1 d_1 times m1
-            return (not (t1 * m1 > p1 or t2 * m1 * m2 > p1 * m2 + max(b2 * n1 * m2, b1 * n2 * m1))
-                    and n1 * top_d <= top_n * m1)
-
-        return lead_exact
+        return lead
 
     def _member(self, form) -> bool:
         """Is the loan c a catalyst, for form = _member_form(c)?
@@ -244,16 +233,6 @@ def _sorted_products(u, v) -> list:
     products = [x * y for y in v for x in u]
     products.sort(reverse=True)
     return products
-
-
-def _member_form(c, exact: bool) -> tuple:
-    """(q, C): c as every joint test reads it.  Exact mode: the integers
-    C_j = c_j q over the lcm q of c's denominators (the probe x = p/q is
-    (p, q - p)).  Float mode: (1, c)."""
-    if not exact:
-        return 1, c
-    q = math.lcm(*(x.denominator for x in c))
-    return q, [x.numerator * (q // x.denominator) for x in c]
 
 
 def _breakpoint_segments(b_coeffs, exact: bool) -> tuple:

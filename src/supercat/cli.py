@@ -273,10 +273,8 @@ def cmd_examples(args) -> int:
         print(f"example {name}: tilde_gmax={summary['tilde_gmax']:.6f} "
               f"argmax_x={summary['argmax_x']:.6f} argmax_kind={summary['argmax_kind']} "
               f"interior_optimum={summary['interior_optimum']}", file=sys.stderr)
-    # _dump_json of {name: summary}: each summary's text, one level deeper
-    _write(out_dir / "examples.summary.json", "{\n" + ",\n".join(
-        f"  {json.dumps(name)}: " + texts[name].rstrip("\n").replace("\n", "\n  ")
-        for name in sorted(texts)) + "\n}\n")
+    _write(out_dir / "examples.summary.json",
+           _dump_json({name: json.loads(text) for name, text in texts.items()}))
     sys.stdout.write(_dump_json({"out_dir": str(out_dir), "examples": sorted(texts)}))
     return status
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 
-from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _member_form,
-                        _require_dim4_nontrivial, _require_loan, probe_two_level)
+from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _require_dim4_nontrivial,
+                        _require_loan, probe_two_level)
 from .errors import EmptyCatalystSet
-from .schmidt import EXACT_POLICY, FLOAT_POLICY, SchmidtVector, _coerce, binary_entropy, entropy
+from .schmidt import (EXACT_POLICY, FLOAT_POLICY, SchmidtVector, _coerce, _member_form,
+                      binary_entropy, entropy)
 from .supercatalysis import GRID_METHOD, GainResult
 
 #: Grid step of every scan over two-level vectors (x, 1-x).

@@ -82,9 +82,13 @@ EXACT_POLICY = ComparisonPolicy(mode="exact")
 class SchmidtVector(tuple):
     """Non-increasing probability vector of squared Schmidt coefficients.
 
-    A tuple of coefficients, all floats or all Fractions.  Instances are
-    built by make_schmidt (which validates, sorts, clamps and renormalizes)
-    or kron; SchmidtVector(iterable) keeps any order, which readers re-sort.
+    The invariant: a non-empty tuple of coefficients, all floats or all
+    Fractions, non-increasing and non-negative, summing to 1 (up to len(v)
+    ulps of 1 for floats, exactly for Fractions).  make_schmidt (which validates,
+    sorts, clamps and renormalizes) and kron build such vectors.
+    SchmidtVector(iterable) checks nothing and keeps any order, which the
+    joint tests accept; a pair's questions pass any vector that breaks the
+    invariant to make_schmidt (_coerce_vector).
     """
 
     __slots__ = ()
@@ -176,10 +180,27 @@ def _brief(x) -> str:
 
 
 def _coerce_vector(v: SchmidtVector, policy: ComparisonPolicy) -> SchmidtVector:
-    """v in the policy's arithmetic and order, kept as given if already so (an O(n) check)."""
-    if v and v.exact == policy.exact and v[-1] >= 0 and list(v) == sorted(v, reverse=True):
-        return v
+    """v in the policy's arithmetic and order: kept as given if it holds
+    SchmidtVector's invariant (an O(n) check, on _member_form's integers in
+    exact mode), else passed to make_schmidt.  A kept float total is 1 up to
+    rounding: a loan off by 1e-10 fails the joint test's last prefix sum."""
+    exact, kind = policy.exact, (Fraction if policy.exact else float)
+    if isinstance(v, SchmidtVector) and v and all(type(x) is kind for x in v):
+        q, ints = _member_form(v, exact)
+        if (ints[-1] >= 0 and list(ints) == sorted(ints, reverse=True)
+                and (sum(ints) == q if exact else abs(math.fsum(v) - 1) <= len(v) * math.ulp(1))):
+            return v
     return make_schmidt(v, policy)
+
+
+def _member_form(c, exact: bool) -> tuple:
+    """(q, C): c as every joint test reads it.  Exact mode: the integers
+    C_j = c_j q over the lcm q of c's denominators (the probe x = p/q is
+    (p, q - p)).  Float mode: (1, c)."""
+    if not exact:
+        return 1, c
+    q = math.lcm(*(x.denominator for x in c))
+    return q, [x.numerator * (q // x.denominator) for x in c]
 
 
 def _total(entries: Sequence[Real]):

@@ -4,7 +4,6 @@ import math
 import random
 import subprocess
 import sys
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -167,8 +166,10 @@ class TestScan:
     """Each oracle finds its first member's grid index and _first bisects the
     boundary from it: the interval oracle's _walk probes upward to it, from
     each end of its grid for its hull, and the gain oracle bisects its
-    monotone grid with bisect_left.  Both, and the reference oracles' scan_both_ends, must
-    equal the full scan's ends."""
+    monotone grid with bisect_left (TestOracleProbes and
+    test_gain_edge_indices_match_reference check it on real pairs).  _walk
+    then _first, and the reference oracles' scan_both_ends, must equal the
+    full scan's ends."""
 
     def test_matches_full_scan_and_skips_the_middle(self):
         rng = random.Random(6201)
@@ -202,37 +203,6 @@ class TestScan:
             if members and members[-1] - members[0] >= len(members):
                 kinds.add("ends" if members == [0, len(xs) - 1] else "gap")
         assert kinds == {0, 1, 2, "all", "adjacent", "ends", "gap"}
-
-    def test_binary_search_on_monotone_lists(self):
-        """On prefix-False/suffix-True verdict lists of lengths 1 to 600, the
-        gain oracle's bisect_left finds _walk's index in at most
-        ceil(log2(n + 1)) grid probes, and _first from it gives the full
-        scan's first end."""
-        rng = random.Random(6202)
-        kinds = Counter()
-        for n in range(1, 601):
-            first = rng.choice((0, n - 1, n, rng.randrange(n + 1)))
-            xs = [0.5 + i / 1024 for i in range(n)]
-            at = {x: i >= first for i, x in enumerate(xs)}
-            probed = []
-
-            def member(x):
-                if x in at:
-                    probed.append(xs.index(x))
-                    return at[x]
-                return int(x * 2**20) % 3 == 0  # between grid points: any fixed verdict
-
-            want = reference_scan(member, xs)
-            probed.clear()
-            i = bisect_left(xs, True, key=member)
-            assert len(probed) <= math.ceil(math.log2(n + 1)), (n, first, probed)
-            assert i == _walk(member, xs) == first, (n, first)
-            probed.clear()
-            assert _first(member, xs, i) == (want and want[0]), (n, first)
-            assert not probed, (n, first)  # the bisection probes only between grid points
-            kinds["none" if first == n else "all" if first == 0 else
-                  "last" if first == n - 1 else "step"] += 1
-        assert min(kinds.values()) >= 100 and len(kinds) == 4, kinds
 
 
 class TestIntervalGrid:

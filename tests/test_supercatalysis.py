@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import supercat.schmidt
 import supercat.supercatalysis
@@ -23,7 +25,7 @@ from supercat.cli import main
 from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon,
                              NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
 from supercat.examples import example_pair
-from supercat.schmidt import _constants
+from supercat.schmidt import NORM_TOL, _coerce, _constants
 from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _solve_loan,
                                      _stationary_points)
 
@@ -361,6 +363,47 @@ class TestLoanArithmetic:
         a, b = pairs["1"].a, pairs["1"].b
         verdict = check_supercatalytic(a, b, vec(0.625, 0.375), vec(0.6, 0.4), EXACT_POLICY)
         assert verdict.ok and not verdict.consistency_error
+
+
+#: Catalyst loans of the bundled pairs, the last of rank 3 (returned-rank cap 4).
+COERCED_LOANS = (("1", "0.625,0.375"), ("2", "0.6,0.4"), ("4", "0.65,0.35"),
+                 ("1", "1/2,3/10,1/5"))
+
+
+class TestLoanCoercion:
+    """A loan is taken as given only if it holds SchmidtVector's invariant in
+    the pair's arithmetic; any other vector goes through make_schmidt."""
+
+    @given(st.sampled_from(COERCED_LOANS), st.booleans(), st.permutations(range(3)),
+           st.sampled_from(("1", "2", "1/2", "1.0000000001", "0.9999999999", "1.000001")),
+           st.sampled_from((None, 0, 1)))
+    @example(COERCED_LOANS[0], False, (0, 1, 2), "2", None)  # gained 0.0, bound 4.75
+    @example(COERCED_LOANS[1], True, (0, 1, 2), "1", 1)  # raised AttributeError
+    @example(COERCED_LOANS[0], False, (1, 0, 2), "1.0000000001", None)  # kept, gained 0.0
+    @example(COERCED_LOANS[3], True, (2, 0, 1), "0.9999999999", 0)
+    @settings(max_examples=120)
+    def test_scaled_mixed_or_permuted_loan(self, loan, exact, order, scale, other_type):
+        """Scaled, mixed-type and permuted loans give the normalized loan's
+        gain and bound, or NotNormalized when the scale is past NORM_TOL;
+        never another exception or a bound above 1.  A float total within
+        NORM_TOL but not 1 up to rounding is renormalized, not kept."""
+        policy = EXACT_POLICY if exact else FLOAT_POLICY
+        pair, c = example_pair(loan[0], policy), make_schmidt(loan[1].split(","), policy)
+        entries = [x * _coerce(scale, policy) for x in c]
+        if other_type is not None:  # one entry in the other arithmetic
+            entries[other_type] = (float if exact else Fraction)(entries[other_type])
+        v = SchmidtVector([entries[i] for i in order if i < len(entries)])
+        want = gmax_given_c(pair, c), bound_gmax(pair, c)
+        try:
+            got = gmax_given_c(pair, v), bound_gmax(pair, v)
+        except NotNormalized:
+            assert abs(Fraction(scale) - 1) > NORM_TOL
+            return
+        assert abs(Fraction(scale) - 1) <= NORM_TOL
+        assert got[1] <= 1.0 and math.isclose(got[1], want[1], abs_tol=1e-9)
+        assert math.isclose(got[0].gain, want[0].gain, abs_tol=1e-9)
+        if exact:
+            assert got[0].returned_state == want[0].returned_state
 
 
 class TestBoundGmax:
