@@ -28,16 +28,15 @@ from __future__ import annotations
 import operator
 import random
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated, ZeroDenominator
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector,
-                      _coerce, _coerce_vector, _constants, _member_form, binary_entropy, entropy,
-                      nielsen_convertible, prefix_sums, schmidt_rank)
+                      _coerce, _coerce_vector, _constants, _frozen, _member_form, _pad_to_match,
+                      binary_entropy, entropy, nielsen_convertible, prefix_sums, schmidt_rank)
 
 #: Effort of the rank >= 3 catalyst-entropy search: steps of the ordered
 #: simplex grid, then seeded random samples.
@@ -46,7 +45,6 @@ RANDOM_SAMPLES = 2000
 SEARCH_SEED = 0
 
 
-@dataclass(frozen=True)
 class CatalyticPair:
     """An ordered pair of main-system vectors, zero-padded to equal dimension.
 
@@ -73,17 +71,27 @@ class CatalyticPair:
     denominators and the lcm q of the vector's, with tol = 0.  A loan's
     membership takes its form as given, so a caller that tables forms builds
     each once.
+
+    A pair is an immutable value, equal and hashed by (a, b, policy): assigning
+    an attribute raises AttributeError, and the cached facts go to its __dict__.
     """
 
-    a: SchmidtVector
-    b: SchmidtVector
-    policy: ComparisonPolicy = FLOAT_POLICY
+    def __init__(self, a: SchmidtVector, b: SchmidtVector, policy: ComparisonPolicy = FLOAT_POLICY):
+        a, b = _pad_to_match(_coerce_vector(a, policy), _coerce_vector(b, policy))
+        vars(self).update(a=a, b=b, policy=policy)
 
-    def __post_init__(self):
-        a, b = _coerce_vector(self.a, self.policy), _coerce_vector(self.b, self.policy)
-        n = max(len(a), len(b))
-        object.__setattr__(self, "a", a.padded(n))
-        object.__setattr__(self, "b", b.padded(n))
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.a, self.b, self.policy) == (other.a, other.b, other.policy)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.policy))
+
+    def __repr__(self):
+        return f"CatalyticPair(a={self.a!r}, b={self.b!r}, policy={self.policy!r})"
+
+    __setattr__ = __delattr__ = _frozen
 
     @cached_property
     def nontrivial(self) -> bool:
@@ -461,8 +469,7 @@ def _cell_pieces(pieces: list, x0: Real, x1: Real, sums_a: tuple, seg_b: tuple, 
         x0 = x_next
 
 
-@dataclass(frozen=True)
-class CatalystInterval:
+class CatalystInterval(NamedTuple):
     """The x-range [x_min, x_max] of two-level catalysts (x, 1-x), empty if x_min > x_max."""
 
     x_min: Real
@@ -612,8 +619,7 @@ def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
     return (pair.rank_a * schmidt_rank(c, pair.policy)) // pair.rank_b
 
 
-@dataclass(frozen=True)
-class CatalystEntropySearch:
+class CatalystEntropySearch(NamedTuple):
     """Maximal catalyst entropy of bounded rank, with its certificate.
 
     exact is True for rank 2, where the value is the binary entropy of the

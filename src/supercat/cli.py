@@ -25,8 +25,8 @@ from .errors import (CatalysisError, DomainError, EmptyCatalystSet, IndexOutOfRa
                      NegativeEntry, NotNormalized)
 from .examples import EXAMPLE_PAIRS, example_pair
 from .oracle import grid_catalyst_interval, grid_gmax_rank2
-from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, SchmidtVector, entropy,
-                      make_schmidt, prefix_sums)
+from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, SchmidtVector,
+                      _pad_to_match, entropy, make_schmidt, prefix_sums)
 from .supercatalysis import (GRID_METHOD, _solve_loan, epsilon_family, tilde_gmax_sweep,
                              verify_epsilon_family)
 
@@ -89,8 +89,7 @@ def cmd_convert_check(args) -> int:
     policy = _policy_of(args)
     a = parse_vector(args.a, policy)
     b = parse_vector(args.b, policy)
-    n = max(len(a), len(b))
-    fa, fb = prefix_sums(a.padded(n)), prefix_sums(b.padded(n))
+    fa, fb = map(prefix_sums, _pad_to_match(a, b))
     rows = [{"k": k, "partial_sum_a": float(sa), "partial_sum_b": float(sb),
              "ok": policy.leq(sa, sb)} for k, (sa, sb) in enumerate(zip(fa, fb), start=1)]
     violated = [row["k"] for row in rows if not row["ok"]]

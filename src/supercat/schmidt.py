@@ -15,7 +15,6 @@ without ambiguity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from itertools import accumulate
@@ -29,7 +28,10 @@ Real = Union[int, float, Fraction]
 NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):  # __setattr__ and __delattr__ of an immutable class
+    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+
 class ComparisonPolicy:
     """How numeric comparisons are decided.
 
@@ -39,17 +41,33 @@ class ComparisonPolicy:
                  every probe, and takes no part in equality, hash or repr.
     tol_eq:      slack allowed when testing non-strict inequalities/equality.
     tol_strict:  margin required before an inequality counts as strict.
+
+    A policy is an immutable value, equal and hashed by mode alone.
     """
 
-    mode: str = "float"
-    exact: bool = field(init=False, compare=False, repr=False)
+    __slots__ = ("mode", "exact")
     tol_eq: ClassVar[float] = 1e-12
     tol_strict: ClassVar[float] = 1e-9
 
-    def __post_init__(self):
-        if self.mode not in ("float", "exact"):
-            raise ValueError(f"unknown comparison mode {self.mode!r}")
-        object.__setattr__(self, "exact", self.mode == "exact")
+    def __init__(self, mode: str = "float"):
+        if mode not in ("float", "exact"):
+            raise ValueError(f"unknown comparison mode {mode!r}")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "exact", mode == "exact")
+
+    def __eq__(self, other):
+        return self.mode == other.mode if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.mode,))
+
+    def __repr__(self):
+        return f"ComparisonPolicy(mode={self.mode!r})"
+
+    def __reduce__(self):
+        return ComparisonPolicy, (self.mode,)
+
+    __setattr__ = __delattr__ = _frozen
 
     def leq(self, x: Real, y: Real) -> bool:
         """x <= y, up to tol_eq slack in float mode."""

@@ -34,8 +34,8 @@ gain and its bound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
                         _min_feasible_y, _require_entropy_drop, _require_interval,
@@ -44,15 +44,14 @@ from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_can
 from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
                      PreconditionViolated)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
-                      _coerce_vector, _constants, binary_entropy, entropy, kron, majorizes,
-                      make_schmidt, nielsen_convertible, prefix_sums, schmidt_rank)
+                      _coerce_vector, _constants, _pad_to_match, binary_entropy, entropy, kron,
+                      majorizes, make_schmidt, nielsen_convertible, prefix_sums, schmidt_rank)
 
 EXACT_METHOD = "exact-piecewise-linear"
 GRID_METHOD = "grid-approximate"
 
 
-@dataclass(frozen=True)
-class GainResult:
+class GainResult(NamedTuple):
     """A gain value together with the returned state that certifies it."""
 
     gain: float
@@ -60,8 +59,7 @@ class GainResult:
     method: str
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One borrowed state of a sweep: parameter, the loan (x, 1-x) in the
     pair's arithmetic, its entropy, the gain and its bound."""
 
@@ -72,8 +70,7 @@ class SweepPoint:
     bound: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """A full sweep over the two-level catalyst range.
 
     argmax_c is the loan (argmax_x, 1 - argmax_x) in the pair's arithmetic,
@@ -103,8 +100,7 @@ class SweepResult:
                    for g in (self.gmax_at_x_min, self.gmax_at_x_max))
 
 
-@dataclass(frozen=True)
-class SupercatalysisVerdict:
+class SupercatalysisVerdict(NamedTuple):
     """Per-condition report for a candidate supercatalytic quadruple."""
 
     base_blocked: bool
@@ -127,9 +123,7 @@ class SupercatalysisVerdict:
 
 
 def _sorted_equal(u: SchmidtVector, v: SchmidtVector, policy: ComparisonPolicy) -> bool:
-    n = max(len(u), len(v))
-    u, v = u.padded(n), v.padded(n)
-    return all(policy.eq(x, y) for x, y in zip(u, v))
+    return all(policy.eq(x, y) for x, y in zip(*_pad_to_match(u, v)))
 
 
 def gain(a: SchmidtVector, b: SchmidtVector, c: SchmidtVector, d: SchmidtVector,
@@ -467,8 +461,7 @@ def trivial_swap_construction(pair: CatalyticPair, c: SchmidtVector):
     return borrowed, returned
 
 
-@dataclass(frozen=True)
-class EpsilonFamily:
+class EpsilonFamily(NamedTuple):
     """Four-vector family tracing supercatalytic gain arbitrarily close to 1."""
 
     eps: Real
@@ -478,8 +471,7 @@ class EpsilonFamily:
     d: SchmidtVector
 
 
-@dataclass(frozen=True)
-class EpsilonFamilyReport:
+class EpsilonFamilyReport(NamedTuple):
     """Verifier output for one family member."""
 
     eps: float
@@ -500,7 +492,7 @@ class EpsilonFamilyReport:
                 and self.returned_reaches_borrowed and self.states_differ)
 
     def to_json_value(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:

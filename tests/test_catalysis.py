@@ -1,7 +1,8 @@
 """Catalyst membership, the closed-form interval, extreme catalysts, E_r."""
 
-import dataclasses
+import copy
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -203,7 +204,7 @@ class TestRank2Interval:
 
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_nonempty_derived_from_the_ends(self, policy):
-        assert [f.name for f in dataclasses.fields(CatalystInterval)] == ["x_min", "x_max"]
+        assert CatalystInterval._fields == ("x_min", "x_max")
         _, half, one = _constants(policy.exact)
         x = _coerce(0.6, policy)
         point, empty = CatalystInterval(x, x), CatalystInterval(one, half)
@@ -1124,3 +1125,57 @@ class TestOrderGuarantee:
             for i in range(len(args)):
                 shuffled = args[:i] + (permuted(args[i]),) + args[i + 1:]
                 assert call(*shuffled) == want, (name, i)
+
+
+PAIR_REPRS = {
+    "float": "CatalyticPair(a=(0.4, 0.4, 0.1, 0.1), b=(0.5, 0.25, 0.25, 0.0), "
+             "policy=ComparisonPolicy(mode='float'))",
+    "exact": "CatalyticPair(a=(Fraction(2, 5), Fraction(2, 5), Fraction(1, 10), Fraction(1, 10)), "
+             "b=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(0, 1)), "
+             "policy=ComparisonPolicy(mode='exact'))",
+}
+
+
+@pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+class TestPairValueSemantics:
+    """A CatalyticPair is an immutable value, equal and hashed by (a, b, policy)."""
+
+    def test_equal_inputs_give_equal_pairs(self, policy):
+        pair, twin = example_pair("1", policy), example_pair("1", policy)
+        assert pair is not twin and pair == twin and hash(pair) == hash(twin)
+        assert len({pair, twin}) == 1
+        assert pair != example_pair("2", policy)
+        other = EXACT_POLICY if policy is FLOAT_POLICY else FLOAT_POLICY
+        assert pair != example_pair("1", other)
+        # equal coefficients, other policy: the policy alone tells the pairs apart
+        halves = [CatalyticPair(make_schmidt(["1/2", "1/2"], p), make_schmidt(["1"], p), p)
+                  for p in (policy, other)]
+        assert (halves[0].a, halves[0].b) == (halves[1].a, halves[1].b)
+        assert halves[0] != halves[1]
+        assert pair != (pair.a, pair.b, pair.policy)
+        # unsorted and unpadded inputs give the pair of the sorted, padded ones
+        b = SchmidtVector(pair.b[2::-1])
+        assert CatalyticPair(SchmidtVector(pair.a[::-1]), b, policy) == pair
+
+    def test_repr(self, policy):
+        assert repr(example_pair("1", policy)) == PAIR_REPRS[policy.mode]
+
+    def test_assignment_raises_and_cached_facts_fill(self, policy):
+        pair = example_pair("1", policy)
+        for name in ("a", "b", "policy"):
+            with pytest.raises(AttributeError):
+                setattr(pair, name, pair.b)
+            with pytest.raises(AttributeError):
+                delattr(pair, name)
+        with pytest.raises(AttributeError):
+            pair.nontrivial = False
+        assert "nontrivial" not in vars(pair)
+        assert pair.nontrivial and (pair.rank_a, pair.rank_b) == (4, 3)
+        assert vars(pair)["nontrivial"] is True and vars(pair)["rank_a"] == 4
+        assert pair == example_pair("1", policy)  # cached facts take no part
+
+    def test_copy_and_pickle_keep_the_value(self, policy):
+        pair = example_pair("1", policy)
+        assert pair.nontrivial
+        for twin in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+            assert twin == pair and twin.policy.exact is policy.exact and twin.nontrivial

@@ -5,7 +5,6 @@ import math
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -137,7 +136,7 @@ class TestCatalystRange:
 
         def shifted(pair):
             found = grid(pair)
-            return replace(found, x_min=found.x_min + 1e-3)
+            return found._replace(x_min=found.x_min + 1e-3)
 
         monkeypatch.setattr(supercat.cli, "grid_catalyst_interval", shifted)
         code, out, err = run(capsys, "catalyst-range", "--a", A1, "--b", B1, "--verify")
@@ -302,7 +301,7 @@ class TestGainSweep:
 
         def shifted(pair, c):
             found = grid(pair, c)
-            return replace(found, gain=found.gain + 0.01)
+            return found._replace(gain=found.gain + 0.01)
 
         monkeypatch.setattr(supercat.cli, "grid_gmax_rank2", shifted)
         code, out, _ = run(capsys, "gain-sweep", "--a", A1, "--b", B1, "--points", "5",
@@ -411,8 +410,8 @@ class TestSweepText:
         # repr writes nan where json writes NaN, so the two files would disagree
         sweep = tilde_gmax_sweep(example_pair("1"), n_points=5)
         points = list(sweep.points)
-        points[2] = replace(points[2], bound=value)
-        broken = replace(sweep, points=tuple(points))
+        points[2] = points[2]._replace(bound=value)
+        broken = sweep._replace(points=tuple(points))
         with pytest.raises(DomainError, match="non-finite"):
             _sweep_rows(broken)
         monkeypatch.setattr(supercat.cli, "tilde_gmax_sweep", lambda pair, n_points: broken)

@@ -1,7 +1,7 @@
 """Golden digests of every output whose bytes must not change: the gain-sweep
 CSV and summary on the four bundled pairs, the examples output tree with its
-stdout, and the stdout of catalyst-range --verify, of gain-sweep --c --verify
-and of loans at returned-rank cap 3 and 4.
+stdout, and the stdout of catalyst-range --verify, of gain-sweep --c --verify,
+of loans at returned-rank cap 3 and 4, of epsilon-family and of convert-check.
 
 This module is the one list of reproducibility cases.  CI runs it under
 PYTHONHASHSEED=1 and 2, so no printed byte may depend on the iteration order
@@ -104,6 +104,17 @@ HIGH_CAP_GOLDEN = {
     ("exact", "cap3-two-level"): "667f6c79d7de5dd8aa073b2592d4c5b3ab4f853c0c2530a76177ddf872cb02d1",
     ("exact", "cap4"): "d82c33739eac977c1511eec13ea416eb1f0b23d4d7fc6c258260933a13e6be9c",
 }
+# stdout of epsilon-family --eps 1/100,1/10000, the verifier's reports
+EPSILON_GOLDEN = {
+    "float": "3cfce94bdebf11f15d04b8d9188b4dbadbbabe917bcaf8afd7917f8450cf11bc",
+    "exact": "024f2d95337100d9392a30d170b4cd160be753fdea9587fa180d90d3e7f477e9",
+}
+# stdout of convert-check on bundled pair 1, blocked at k = 2; the partial sums
+# print as floats, so both arithmetics give the same bytes
+CONVERT_GOLDEN = {
+    "float": "d6c87d217cefd51e0ddeb8f6b7025d8ac3d2aec1c54153cc5db31d1dd99fc2f5",
+    "exact": "d6c87d217cefd51e0ddeb8f6b7025d8ac3d2aec1c54153cc5db31d1dd99fc2f5",
+}
 MODE_ARGS = {"float": ["--points", "200"], "exact": ["--exact", "--points", "50"]}
 
 
@@ -182,3 +193,20 @@ def test_high_cap_loan_digest(mode, case):
                       *(["--exact"] if mode == "exact" else [])])
     assert '"method": "grid-approximate"' in stdout
     assert _sha256(stdout.encode()) == HIGH_CAP_GOLDEN[mode, case]
+
+
+@pytest.mark.parametrize("mode", sorted(EPSILON_GOLDEN))
+def test_epsilon_family_digest(mode):
+    stdout = _stdout(["epsilon-family", "--eps", "1/100,1/10000",
+                      *(["--exact"] if mode == "exact" else [])])
+    assert stdout.count('"ok": true') == 2
+    assert _sha256(stdout.encode()) == EPSILON_GOLDEN[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(CONVERT_GOLDEN))
+def test_convert_check_digest(mode):
+    a, b = EXAMPLE_PAIRS["1"]
+    stdout = _stdout(["convert-check", "--a", ",".join(a), "--b", ",".join(b),
+                      *(["--exact"] if mode == "exact" else [])])
+    assert '"violated_at": [\n    2\n  ]' in stdout
+    assert _sha256(stdout.encode()) == CONVERT_GOLDEN[mode]

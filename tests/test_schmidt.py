@@ -1,6 +1,8 @@
 """Vector construction, partial sums, majorization, composition, entropies."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -155,6 +157,22 @@ class TestComparisonPolicy:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ComparisonPolicy("fuzzy")
+
+
+class TestPolicyValue:
+    def test_no_instance_dict_and_no_deletion(self):
+        assert not hasattr(EXACT_POLICY, "__dict__")
+        with pytest.raises(AttributeError):
+            del EXACT_POLICY.mode
+        with pytest.raises(AttributeError):
+            FLOAT_POLICY.tol_eq = 0.0
+        assert FLOAT_POLICY.tol_eq == ComparisonPolicy.tol_eq == 1e-12
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_copy_and_pickle_keep_the_value(self, policy):
+        for twin in (copy.copy(policy), copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))):
+            assert twin == policy and hash(twin) == hash(policy)
+            assert (twin.mode, twin.exact) == (policy.mode, policy.exact)
 
 
 class TestPartialSum:

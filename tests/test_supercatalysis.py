@@ -925,7 +925,7 @@ class TestEpsilonFamily:
         # gain's), made five majorizes calls and ran a (x) c -> b (x) d twice
         fam = epsilon_family(Fraction(1, 100), policy)
         counts = count_joint_calls(monkeypatch)
-        for cls, name in ((CatalyticPair, "__post_init__"), (CatalyticPair, "_member"),
+        for cls, name in ((CatalyticPair, "__init__"), (CatalyticPair, "_member"),
                           (supercat.schmidt, "majorizes")):
             original = getattr(cls, name)
 
@@ -938,7 +938,7 @@ class TestEpsilonFamily:
         assert report.ok
         # a (x) c -> b (x) d and c's membership on the one joint target, d's
         # membership, then a -> b and d -> c
-        assert counts == {"__post_init__": 1, "joint_target": 1, "joint_feasible": 2,
+        assert counts == {"__init__": 1, "joint_target": 1, "joint_feasible": 2,
                           "_member": 1, "majorizes": 2}
 
     def test_exact_construction_rejects_irrational_root(self):
@@ -971,3 +971,54 @@ class TestGainRangeProperty:
             result = gmax_given_c(pair, c)
             if result.gain > 0:
                 assert 0.0 <= gain(pair.a, pair.b, c, result.returned_state) <= 1.0
+
+
+# EpsilonFamilyReport.to_json_value() at eps = 1/100, as dataclasses.asdict built it
+EPSILON_REPORT_JSON = {
+    "float": {"eps": 0.01, "base_blocked": True, "f2_strictly_greater": True,
+              "joint_feasible": True, "returned_reaches_borrowed": True, "states_differ": True,
+              "gain": 0.9684152243906305, "x_min": 0.5049999999999999,
+              "x_max": 0.9897979797979798, "predicted_x_min": 0.505,
+              "predicted_x_max": 0.9897979797979798, "ok": True},
+    "exact": {"eps": 0.01, "base_blocked": True, "f2_strictly_greater": True,
+              "joint_feasible": True, "returned_reaches_borrowed": True, "states_differ": True,
+              "gain": 0.9684152243906305, "x_min": 0.505, "x_max": 0.9897979797979798,
+              "predicted_x_min": 0.505, "predicted_x_max": 0.9897979797979798, "ok": True},
+}
+
+
+@pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+class TestRecordsAreNamedTuples:
+    """Every result record is an immutable named tuple."""
+
+    @staticmethod
+    def records(policy):
+        pair = example_pair("1", policy)
+        c = probe_two_level("0.61", policy)
+        sweep = tilde_gmax_sweep(pair, n_points=3)
+        fam = epsilon_family(Fraction(1, 100), policy)
+        return [rank2_catalyst_interval(pair), max_catalyst_entropy(pair, 2),
+                gmax_given_c(pair, c), sweep.points[1], sweep,
+                check_supercatalytic(fam.a, fam.b, fam.c, fam.d, policy), fam,
+                verify_epsilon_family(fam, policy)]
+
+    def test_fields_are_read_only_and_replace_keeps_the_type(self, policy):
+        records = self.records(policy)
+        assert [type(r).__name__ for r in records] == [
+            "CatalystInterval", "CatalystEntropySearch", "GainResult", "SweepPoint",
+            "SweepResult", "SupercatalysisVerdict", "EpsilonFamily", "EpsilonFamilyReport"]
+        for record in records:
+            first = record._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(record, first, record[0])
+            assert not hasattr(record, "__dict__")
+            same = record._replace(**{first: record[0]})
+            assert type(same) is type(record) and same == record
+            assert record == tuple(record) and tuple(record._asdict()) == record._fields
+
+    def test_epsilon_report_json_unchanged(self, policy):
+        report = verify_epsilon_family(epsilon_family(Fraction(1, 100), policy), policy)
+        value = report.to_json_value()
+        assert value == EPSILON_REPORT_JSON[policy.mode]
+        assert list(value) == list(EPSILON_REPORT_JSON[policy.mode])
+        assert all(type(value[k]) is type(v) for k, v in EPSILON_REPORT_JSON[policy.mode].items())
