@@ -318,8 +318,8 @@ def _two_level_pieces(pair: CatalyticPair) -> tuple:
     return tuple(pieces)
 
 
-def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
-    """Smallest y in [1/2, hi] with every prefix sum of b (x) (y, 1-y) at
+def _min_feasible_y(pair: CatalyticPair, target) -> Optional[Real]:
+    """Smallest y in [1/2, c1] with every prefix sum of b (x) (y, 1-y) at
     least the corresponding one of a (x) c, for target = pair.joint_target(c).
 
     Between consecutive breakpoints (y values where b_i * y == b_j * (1-y))
@@ -327,9 +327,10 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
     linear function of y.  Its slope is never negative: for y >= 1/2 every
     b_i (1-y) among the k largest products has its partner b_i y there too.
     So every constraint only bounds y from below, and the feasible y form
-    the single interval [y*, hi].  The pair caches the breakpoints and each
+    the single interval [y*, c1].  The pair caches the breakpoints and each
     segment's prefix sums; segments are visited left to right, the last one
-    clipped at hi, and the first segment with a feasible point yields y*.
+    clipped at c1 (read from the target), and the first segment with a
+    feasible point yields y*.
 
     In float mode, constraints that are constant in y are compared with
     tol_eq slack so exact ties survive rounding; sloped constraints are
@@ -338,14 +339,14 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
     constraints on the pair's integers (_min_feasible_y_scaled).
     """
     if pair.policy.exact:
-        return _min_feasible_y_scaled(pair, target, hi)
-    sums_a, tol = target[1], pair.policy.tol_eq
+        return _min_feasible_y_scaled(pair, target)
+    sums_a, c1, tol = target[1], target[2][0], pair.policy.tol_eq
 
     for seg_lo, seg_hi, sums in pair._segments:
-        if not seg_lo < hi:
+        if not seg_lo < c1:
             break
-        if not seg_hi < hi:
-            seg_hi = hi
+        if not seg_hi < c1:
+            seg_hi = c1
         mid = (seg_lo + seg_hi) / 2
         y = seg_lo
         for k, (coef_const, slope) in enumerate(sums):
@@ -363,7 +364,7 @@ def _min_feasible_y(pair: CatalyticPair, target, hi: Real) -> Optional[Real]:
     return None
 
 
-def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple, hi: Fraction) -> Optional[Fraction]:
+def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple) -> Optional[Fraction]:
     """_min_feasible_y in exact mode, on integers.
 
     target is (q, T, c, C) with T_k over D q, and the segment coefficients are
@@ -372,8 +373,8 @@ def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple, hi: Fraction) -> 
     coef_const q >= T_k.  Every y is kept as a numerator and denominator and
     compared by cross-multiplying; only y* itself becomes a Fraction.
     """
-    q, sums_a = target[:2]
-    hn, hd = hi.numerator, hi.denominator
+    q, sums_a, c = target[:3]
+    hn, hd = c[0].numerator, c[0].denominator
     for seg_lo, seg_hi, sums in pair._segments:
         yn, yd = seg_lo.numerator, seg_lo.denominator
         if not yn * hd < hn * yd:
@@ -497,8 +498,8 @@ def is_catalyst(pair: CatalyticPair, c: SchmidtVector) -> bool:
 def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     """Preconditions of every gain computation for the borrowed state c.
 
-    Returns c in the pair's arithmetic and its joint target
-    (CatalyticPair.joint_target), which every gain computation needs again.
+    Returns the loan as every gain path reads it: (c, target, rank_cap, ent_c),
+    c in the pair's arithmetic, its joint target, returned_rank_bound and entropy.
     """
     _require_blocked(pair)  # a separable loan catalyzes only a pair that needs none
     c = _coerce_vector(c, pair.policy)
@@ -506,7 +507,7 @@ def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     if not pair.joint_feasible(target, c):
         raise NotACatalyst("the borrowed state is not a catalyst for this pair")
     _require_entropy_drop(pair)
-    return c, target
+    return c, target, returned_rank_bound(pair, c), entropy(c)
 
 
 def _require_entropy_drop(pair: CatalyticPair) -> float:

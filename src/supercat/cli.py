@@ -6,8 +6,9 @@ outputs (gain-sweep without --c, and examples) are written next to a manifest
 of the command, inputs, comparison policy and sweep settings, so reruns are
 byte-identical; any other --out file holds exactly the JSON printed on stdout.
 
-Exit codes: 0 on success, 1 on malformed input, 2 on precondition violations
-(including oracle disagreement under --verify).
+Exit codes: 0 on success, 1 on malformed input or an unwritable output path,
+2 on precondition violations (oracle disagreement under --verify included)
+and on usage errors, which argparse reports.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def _write(path: Path, text: str):
 
 def _emit(args, payload: dict):
     text = _dump_json(payload)
-    sys.stdout.write(text)
-    if getattr(args, "out", None):
+    if args.out:
         _write(Path(args.out), text)
+    sys.stdout.write(text)
 
 
 def _policy_of(args) -> ComparisonPolicy:
@@ -114,7 +115,7 @@ def cmd_catalyst_range(args) -> int:
             if interval.nonempty:  # a set the grid cannot see, such as a single point
                 raise
             grid = None  # both sides find the set empty
-        agree = grid is None or (grid["nonempty"] == interval.nonempty and all(
+        agree = grid is None or (interval.nonempty and all(
             abs(payload[k] - grid[k]) <= ORACLE_INTERVAL_TOL for k in ("x_min", "x_max")))
         payload["oracle"], payload["oracle_agrees"] = grid, agree
     _emit(args, payload)
@@ -124,11 +125,11 @@ def cmd_catalyst_range(args) -> int:
     return 0
 
 
-def _sweep_summary(pair: CatalyticPair, sweep, points: int) -> dict:
+def _sweep_summary(pair: CatalyticPair, sweep) -> dict:
     return {
         "x_min": float(sweep.interval.x_min),
         "x_max": float(sweep.interval.x_max),
-        "n_points": points,
+        "n_points": len(sweep.points),
         "tilde_gmax": sweep.tilde_gmax,
         "argmax_x": sweep.argmax_x,
         "argmax_kind": sweep.argmax_kind,
@@ -184,7 +185,7 @@ def _run_sweep_files(pair: CatalyticPair, points: int, out_csv: Path, command: s
     summary without its points, its encoded text and the exit status."""
     sweep = tilde_gmax_sweep(pair, n_points=points)
     rows = _sweep_rows(sweep)
-    summary = _sweep_summary(pair, sweep, points)
+    summary = _sweep_summary(pair, sweep)
     status = 0
     if verify:
         mismatches = _verify_sweep(pair, sweep)
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MalformedInput, NegativeEntry, NotNormalized, IndexOutOfRange) as exc:
+    except (MalformedInput, NegativeEntry, NotNormalized, IndexOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CatalysisError as exc:

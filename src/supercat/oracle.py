@@ -22,8 +22,8 @@ from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _require_
                         _require_loan, probe_two_level)
 from .errors import EmptyCatalystSet
 from .schmidt import (EXACT_POLICY, FLOAT_POLICY, SchmidtVector, _coerce, _member_form,
-                      binary_entropy, entropy)
-from .supercatalysis import GRID_METHOD, GainResult
+                      binary_entropy)
+from .supercatalysis import GRID_METHOD, GainResult, _gain_value
 
 #: Grid step of every scan over two-level vectors (x, 1-x).
 SCAN_RESOLUTION = 1e-3
@@ -100,7 +100,7 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     Only two-level returned states are scanned, so where returned_rank_bound
     is 3 or more the optimum may have more levels and no oracle applies.
     """
-    c, target = _require_loan(pair, c)
+    c, target, _, ent_c = _require_loan(pair, c)
     c1 = float(c[0])
 
     def feasible(y: float) -> bool:
@@ -112,6 +112,5 @@ def grid_gmax_rank2(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     y_star = _first(feasible, ys, bisect_left(ys, True, key=feasible))
     if y_star is None or y_star >= c1 - pair.policy.tol_strict:
         return GainResult(0.0, c, GRID_METHOD)
-    g = (binary_entropy(y_star) - entropy(c)) / pair.entropy_drop
-    return GainResult(min(max(g, 0.0), 1.0), probe_two_level(y_star, pair.policy),
-                      GRID_METHOD)
+    return GainResult(_gain_value(pair, binary_entropy(y_star), ent_c),
+                      probe_two_level(y_star, pair.policy), GRID_METHOD)

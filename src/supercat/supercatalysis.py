@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
                         _min_feasible_y, _require_entropy_drop, _require_interval,
                         _require_loan, _y_star_pieces, is_catalyst, max_catalyst_entropy,
-                        probe_two_level, rank2_catalyst_interval, returned_rank_bound)
+                        probe_two_level, rank2_catalyst_interval)
 from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
                      PreconditionViolated)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
@@ -176,33 +176,35 @@ def _verdict_gain(pair: CatalyticPair, c: SchmidtVector, d: SchmidtVector,
     ) if not holds]
     if failures:
         raise InvalidConfiguration(failures)
-    drop = _require_entropy_drop(pair)
+    _require_entropy_drop(pair)
     if not verdict.states_differ:
         return 0.0
     if _sorted_equal(kron(pair.a, c), kron(pair.b, d), pair.policy):
         return 1.0
-    g = (entropy(d) - entropy(c)) / drop
-    return min(max(g, 0.0), 1.0)
+    return _gain_value(pair, entropy(d), entropy(c))
+
+
+def _gain_value(pair: CatalyticPair, ent_d: float, ent_c: float) -> float:
+    """Every reported gain: (ent_d - ent_c) / (E(a) - E(b)), clamped to [0, 1]."""
+    return min(max((ent_d - ent_c) / pair.entropy_drop, 0.0), 1.0)
 
 
 def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target, ent_c: float) -> GainResult:
     """Exact best gain when the returned state is forced to two levels;
     target is pair.joint_target(c) and ent_c is entropy(c)."""
     policy = pair.policy
-    c1 = c[0]
-    y = _min_feasible_y(pair, target, c1)
-    if y is None or not policy.strictly_greater(c1, y):
+    y = _min_feasible_y(pair, target)
+    if y is None or not policy.strictly_greater(c[0], y):
         return GainResult(0.0, c, EXACT_METHOD)
-
-    g = (binary_entropy(y) - ent_c) / pair.entropy_drop
-    return GainResult(min(max(g, 0.0), 1.0), probe_two_level(y, policy), EXACT_METHOD)
+    return GainResult(_gain_value(pair, binary_entropy(y), ent_c), probe_two_level(y, policy),
+                      EXACT_METHOD)
 
 
 def _ordered_descending(t) -> bool:
     return all(t[i] >= t[i + 1] for i in range(len(t) - 1)) and t[-1] >= 0
 
 
-def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int, target,
+def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int,
                     ent_c: float) -> GainResult:
     """Approximate best gain over returned states of rank <= rank_cap;
     target is pair.joint_target(c) and ent_c is entropy(c).
@@ -258,8 +260,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, rank_cap: int, target
             step /= 2
     if best_ent <= ent_c + policy.tol_eq:
         return GainResult(0.0, c, GRID_METHOD)
-    g = (best_ent - ent_c) / pair.entropy_drop
-    return GainResult(min(max(g, 0.0), 1.0), best_d, GRID_METHOD)
+    return GainResult(_gain_value(pair, best_ent, ent_c), best_d, GRID_METHOD)
 
 
 def gmax_given_c(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
@@ -272,8 +273,8 @@ def gmax_given_c(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     search.  When no returned state beats c the result is plain catalysis:
     gain 0 with d = c.
     """
-    c, target = _require_loan(pair, c)
-    return _gain_at_cap(pair, c, target, returned_rank_bound(pair, c), entropy(c))
+    c, target, rank_cap, ent_c = _require_loan(pair, c)
+    return _gain_at_cap(pair, c, target, rank_cap, ent_c)
 
 
 def _gain_at_cap(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int,
@@ -281,7 +282,7 @@ def _gain_at_cap(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int,
     """gmax_given_c for a checked loan c, its returned-rank cap and its entropy."""
     if rank_cap <= 2:
         return _exact_rank2_gain(pair, c, target, ent_c)
-    return _grid_rank_gain(pair, c, rank_cap, target, ent_c)
+    return _grid_rank_gain(pair, c, target, rank_cap, ent_c)
 
 
 def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
@@ -299,15 +300,13 @@ def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
 
 
 def _solve_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
-    """(gmax_given_c result, raw bound, certified) for the borrowed state c, with
-    the loan checked and its returned-rank cap and entropy computed once.
+    """(gmax_given_c result, raw bound, certified) for the loan c, checked once.
 
     The raw bound is _gain_bound's, not yet floored at the gain: sweeps report
     it so, and their bound_violations count checks it; bound_gmax and
     gain-sweep --c report max(bound, gain).
     """
-    c, target = _require_loan(pair, c)
-    rank_cap, ent_c = returned_rank_bound(pair, c), entropy(c)
+    c, target, rank_cap, ent_c = _require_loan(pair, c)
     return (_gain_at_cap(pair, c, target, rank_cap, ent_c),
             *_gain_bound(pair, rank_cap, ent_c))
 

@@ -1015,7 +1015,7 @@ class TestTwoLevelSet:
 
         def y_star(x):
             c = probe_two_level(x, EXACT_POLICY)
-            return _min_feasible_y(pair, pair.joint_target(c), c[0])
+            return _min_feasible_y(pair, pair.joint_target(c))
 
         for _ in range(60):
             pair = random_high_rank_pair(rng, EXACT_POLICY)

@@ -393,7 +393,7 @@ class TestSweepText:
         for i in range(24):
             pair = random_nontrivial_pair(rng, policy, min_width=1e-3)
             sweep = tilde_gmax_sweep(pair, n_points=rng.randint(2, 30))
-            summary = _sweep_summary(pair, sweep, len(sweep.points))
+            summary = _sweep_summary(pair, sweep)
             if i % 3 == 1:  # as under --verify with no mismatch
                 summary["oracle_mismatches"] = []
             elif i % 3 == 2:  # and with some
@@ -528,6 +528,29 @@ class TestExamples:
         assert all(("oracle_mismatches" in s) == verify for s in each.values())
         assert (tmp_path / "examples.summary.json").read_text() == \
             json.dumps(each, indent=2, sort_keys=True) + "\n"
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 1 with a message, before
+    anything is printed on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["convert-check", "--a", A1, "--b", B1, "--out"],
+        ["catalyst-range", "--a", A1, "--b", B1, "--out"],
+        ["gain-sweep", "--a", A1, "--b", B1, "--c", "0.6,0.4", "--out"],
+        ["gain-sweep", "--a", A1, "--b", B1, "--points", "5", "--out"],
+        ["epsilon-family", "--eps", "0.01", "--out"],
+    ], ids=["convert-check", "catalyst-range", "loan", "sweep", "epsilon-family"])
+    def test_out_is_a_directory(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    def test_examples_out_dir_is_a_file(self, capsys, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, out, err = run(capsys, "examples", "--out-dir", str(path), "--points", "5")
+        assert (code, out, err.startswith("error: ")) == (1, "", True)
 
 
 class TestParserBuiltOnce:

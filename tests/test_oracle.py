@@ -268,7 +268,7 @@ def reference_grid_catalyst_interval(pair):
 
 def reference_grid_gmax_rank2(pair, c):
     """grid_gmax_rank2 as it was when every probe built a SchmidtVector."""
-    c, target = _require_loan(pair, c)
+    c, target, _, _ = _require_loan(pair, c)
     c1 = float(c[0])
 
     def feasible(y):

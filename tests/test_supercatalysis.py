@@ -563,7 +563,7 @@ class TestMinFeasibleY:
                 c = probe_two_level(x, policy)
                 targets = prefix_sums(kron(pair.a, c))[:2 * len(pair.b)]
                 want = reference_min_feasible_y(b, targets, half, c[0], policy)
-                assert _min_feasible_y(pair, pair.joint_target(c), c[0]) == want, (pair, x)
+                assert _min_feasible_y(pair, pair.joint_target(c)) == want, (pair, x)
                 clipped += any(c[0] == hi for _, hi, _ in pair._segments)
         assert clipped > 0
 
@@ -780,7 +780,7 @@ class TestSweepMaximum:
             for x0, x1, al, be in pieces:
                 for x in (x0, (x0 + x1) / 2, x1):
                     c = probe_two_level(x, policy)
-                    y = _min_feasible_y(pair, pair.joint_target(c), c[0])
+                    y = _min_feasible_y(pair, pair.joint_target(c))
                     if policy.exact:
                         assert al * x + be == y
                     else:  # None: rounding put y* just above x, a zero-gain point
@@ -796,6 +796,25 @@ class TestSweepMaximum:
             x0, _, al, be = _y_star_pieces(pair, x_min, x_min)[0]
             assert x0 == x_min and al * x_min + be == x_min
             assert gmax_given_c(pair, most_entangled_rank2_catalyst(pair)).gain == 0.0
+
+
+class TestFloatExactAgreement:
+    def test_sweeps_agree_on_random_pairs(self):
+        """A rational pair swept in exact mode and its float copy swept in
+        float mode report the same sweep, point by point, to 1e-12."""
+        rng = random.Random(16)
+        for _ in range(100):
+            pair = random_nontrivial_pair(rng, EXACT_POLICY, min_width=1e-4)
+            copy = CatalyticPair(make_schmidt([float(v) for v in pair.a], FLOAT_POLICY),
+                                 make_schmidt([float(v) for v in pair.b], FLOAT_POLICY))
+            exact, flt = tilde_gmax_sweep(pair, n_points=30), tilde_gmax_sweep(copy, n_points=30)
+            for p, q in zip(exact.points, flt.points, strict=True):
+                assert p.gmax == pytest.approx(q.gmax, rel=0, abs=1e-12), (pair, p.x)
+                assert abs(p.bound - q.bound) <= 1e-12 * max(1.0, abs(p.bound)), (pair, p.x)
+            for end, float_end in zip(exact.interval, flt.interval):
+                assert float(end) == pytest.approx(float_end, rel=0, abs=1e-12), pair
+            assert exact.tilde_gmax == pytest.approx(flt.tilde_gmax, rel=0, abs=1e-12), pair
+            assert exact.argmax_kind == flt.argmax_kind, pair
 
 
 class TestRankReduceReturned:
