@@ -503,11 +503,17 @@ def _require_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     """
     _require_blocked(pair)  # a separable loan catalyzes only a pair that needs none
     c = _coerce_vector(c, pair.policy)
+    target, ent_c = _require_member(pair, c)
+    _require_entropy_drop(pair)
+    return c, target, returned_rank_bound(pair, c), ent_c
+
+
+def _require_member(pair: CatalyticPair, c: SchmidtVector) -> tuple:
+    """(target, ent_c) of a catalyst c in the pair's arithmetic: _require_loan's per-loan part."""
     target = pair.joint_target(c)
     if not pair.joint_feasible(target, c):
         raise NotACatalyst("the borrowed state is not a catalyst for this pair")
-    _require_entropy_drop(pair)
-    return c, target, returned_rank_bound(pair, c), entropy(c)
+    return target, entropy(c)
 
 
 def _require_entropy_drop(pair: CatalyticPair) -> float:

@@ -26,9 +26,9 @@ linear and nondecreasing in x, on the cells of a's breakpoint segments in x
 and b's in y (catalysis._y_star_pieces).  The sweep maximum is found exactly
 from those pieces: on each, the gain peaks at a piece end or at a stationary
 point, and each candidate that could beat the sampled maximum is certified
-by gmax_given_c (about one per sweep).  Each sampled loan is solved once, by
-_solve_loan: one loan check, returned-rank cap and entropy serve both its
-gain and its bound.
+by gmax_given_c (about one per sweep).  A sweep checks the pair and fetches
+the returned-rank cap and its E_r search once; each sampled loan pays only
+for its membership test (catalysis._require_member), solve and bound.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
-                        _min_feasible_y, _require_entropy_drop, _require_interval,
-                        _require_loan, _y_star_pieces, is_catalyst, max_catalyst_entropy,
-                        probe_two_level, rank2_catalyst_interval)
+from .catalysis import (CatalyticPair, CatalystEntropySearch, CatalystInterval, _affine_grid,
+                        _best_candidate, _min_feasible_y, _require_entropy_drop,
+                        _require_interval, _require_loan, _require_member, _y_star_pieces,
+                        is_catalyst, max_catalyst_entropy, probe_two_level,
+                        rank2_catalyst_interval, returned_rank_bound)
 from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
                      PreconditionViolated)
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
@@ -308,17 +309,21 @@ def _solve_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
     """
     c, target, rank_cap, ent_c = _require_loan(pair, c)
     return (_gain_at_cap(pair, c, target, rank_cap, ent_c),
-            *_gain_bound(pair, rank_cap, ent_c))
+            *_gain_bound(pair, _cap_search(pair, rank_cap), ent_c))
 
 
-def _gain_bound(pair: CatalyticPair, rank_cap: int, ent_c: float) -> tuple:
-    """(bound, certified) for a loan of entropy ent_c and returned-rank cap
-    rank_cap, clamped to 1 where uncertified; (0.0, False) when the search
-    finds no member, so that only the gain stands."""
+def _cap_search(pair: CatalyticPair, rank_cap: int) -> CatalystEntropySearch:
+    """max_catalyst_entropy(pair, rank_cap), or an uncertified -inf where it finds
+    no member, so that _gain_bound gives (0.0, False) and only the gain stands."""
     try:
-        search = max_catalyst_entropy(pair, rank_cap)
+        return max_catalyst_entropy(pair, rank_cap)
     except EmptyCatalystSet:
-        return 0.0, False
+        return CatalystEntropySearch(-math.inf, None, False)
+
+
+def _gain_bound(pair: CatalyticPair, search: CatalystEntropySearch, ent_c: float) -> tuple:
+    """(bound, certified) for a loan of entropy ent_c, from the _cap_search
+    of its returned-rank cap, clamped to 1 where uncertified."""
     top = max(search.value, ent_c)  # c itself is a catalyst of admissible rank
     bound = (top - ent_c) / pair.entropy_drop
     return (bound if search.exact else min(bound, 1.0)), search.exact
@@ -379,31 +384,35 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     """Sweep the whole two-level catalyst range and maximize the gain.
 
     Samples n_points values of x uniformly over [x_min, x_max] (endpoints
-    included) and computes the exact best gain and its upper bound at each,
-    both from one _solve_loan pass.  The maximum over the whole range comes
-    from the linear pieces of y*(x) (_sweep_candidates): the candidates are
-    ranked by their closed-form gain and each one that could beat the best
-    value so far is certified by gmax_given_c, solved again where it is also
-    a sample (rarely: no memo is kept).  So tilde_gmax is the best certified
-    or sampled gain; in exact mode its argmax is a rational kink or endpoint,
-    or a float stationary point that one exact solve re-checks.  argmax_kind
-    says which; "sample" would mean a sampled point beat every candidate,
-    which only rounding can cause.  The envelope value (bound at the least
-    entangled catalyst) is the matching upper bound when it is attained.
+    included) and computes the exact best gain and its upper bound at each, as
+    _solve_loan does but with the pair's checks, returned-rank cap and E_r
+    search made once.  The maximum over the whole range comes from the linear
+    pieces of y*(x) (_sweep_candidates): the candidates are ranked by their
+    closed-form gain and each one that could beat the best value so far is
+    certified by gmax_given_c, solved again where it is also a sample (rarely:
+    no memo is kept).  So tilde_gmax is the best certified or sampled gain; in
+    exact mode its argmax is a rational kink or endpoint, or a float stationary
+    point that one exact solve re-checks.  argmax_kind says which; "sample"
+    would mean a sampled point beat every candidate, which only rounding can
+    cause.  The envelope value (bound at the least entangled catalyst) is the
+    matching upper bound when it is attained.
     """
     if n_points < 2:
         raise PreconditionViolated("a sweep needs at least two points")
-    interval, policy = _require_interval(pair), pair.policy
+    interval, policy, drop = _require_interval(pair), pair.policy, _require_entropy_drop(pair)
     xs = _affine_grid(interval.x_min, interval.x_max, n_points)
+    loans = [probe_two_level(x, policy) for x in xs]
+    rank_cap = returned_rank_bound(pair, loans[-1])  # each loan has rank 2: x_max < 1 - b2
+    search = _cap_search(pair, rank_cap)
     points = []
-    for x in xs:
-        c = probe_two_level(x, policy)
-        result, bound, _ = _solve_loan(pair, c)
-        points.append(SweepPoint(float(x), c, binary_entropy(x), result.gain, bound))
+    for x, c in zip(xs, loans):
+        target, ent_c = _require_member(pair, c)
+        gmax = _gain_at_cap(pair, c, target, rank_cap, ent_c).gain
+        points.append(SweepPoint(float(x), c, binary_entropy(x), gmax,
+                                 _gain_bound(pair, search, ent_c)[0]))
 
-    values = [p.gmax for p in points]
-    i_best = max(range(len(values)), key=values.__getitem__)
-    best_x, best_v = xs[i_best], values[i_best]
+    i_best = max(range(n_points), key=lambda i: points[i].gmax)
+    best_x, best_v = xs[i_best], points[i_best].gmax
 
     cands = _sweep_candidates(pair, xs[0], xs[-1])
     for x, (predicted, _) in sorted(cands.items(), key=lambda kv: kv[1][0], reverse=True):
@@ -413,7 +422,7 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
         if g > best_v:
             best_v, best_x = g, x
 
-    envelope = (binary_entropy(interval.x_min) - binary_entropy(interval.x_max)) / pair.entropy_drop
+    envelope = (binary_entropy(interval.x_min) - binary_entropy(interval.x_max)) / drop
     return SweepResult(points=tuple(points), tilde_gmax=best_v, argmax_x=float(best_x),
                        argmax_c=probe_two_level(best_x, policy),
                        argmax_kind=cands[best_x][1] if best_x in cands else "sample",

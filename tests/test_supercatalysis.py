@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import supercat.catalysis
 import supercat.schmidt
 import supercat.supercatalysis
-from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector, binary_entropy,
-                      bound_gmax, check_supercatalytic, entropy, epsilon_family, gain,
-                      gmax_given_c, grid_gmax_rank2, is_catalyst, kron,
+from supercat import (CatalyticPair, CatalystInterval, EXACT_POLICY, FLOAT_POLICY, SchmidtVector,
+                      binary_entropy, bound_gmax, check_supercatalytic, entropy, epsilon_family,
+                      gain, gmax_given_c, grid_gmax_rank2, is_catalyst, kron,
                       least_entangled_rank2_catalyst, majorizes, make_schmidt,
                       max_catalyst_entropy, most_entangled_rank2_catalyst, nielsen_convertible,
                       prefix_sums, rank2_catalyst_interval, rank_reduce_returned,
@@ -668,8 +669,8 @@ class TestSweep:
     def test_each_x_evaluated_once_with_one_loan_check(self, monkeypatch):
         counts = count_joint_calls(monkeypatch)
         evaluated = []
-        # the samples are solved by _solve_loan, the certified candidates by gmax_given_c
-        for name in ("_solve_loan", "gmax_given_c"):
+        # each sample's loan check is _require_member, each certified candidate's gmax_given_c
+        for name in ("_require_member", "gmax_given_c"):
             original = getattr(supercat.supercatalysis, name)
 
             def solve(pair, c, _fn=original):
@@ -687,6 +688,84 @@ class TestSweep:
         assert distinct <= 201  # the samples and one certified kink, 47/76
         assert counts["joint_target"] == distinct
         assert counts["joint_feasible"] == distinct
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_pair_work_once_per_sweep(self, monkeypatch, policy):
+        """The cap, the E_r search and the entropy-drop check run once per
+        sweep, not per sample; a certified candidate's gmax_given_c may run
+        each once more."""
+        counted = ("returned_rank_bound", "max_catalyst_entropy", "_require_entropy_drop")
+        counts = Counter()
+        for module in (supercat.catalysis, supercat.supercatalysis):
+            for name in counted + ("gmax_given_c",):
+                if hasattr(module, name):
+                    def wrapped(*args, _name=name, _fn=getattr(module, name)):
+                        counts[_name] += 1
+                        return _fn(*args)
+
+                    monkeypatch.setattr(module, name, wrapped)
+        rng = random.Random(27)
+        pairs = [example_pair(name, policy) for name in "1234"]
+        pairs += [random_nontrivial_pair(rng, policy, min_width=1e-4) for _ in range(4)]
+        for pair in pairs:
+            counts.clear()
+            sweep = tilde_gmax_sweep(pair, n_points=200)
+            assert len(sweep.points) == 200
+            certified = counts.pop("gmax_given_c", 0)
+            assert certified <= 2, pair
+            assert all(counts[name] <= 1 + certified for name in counted), (pair, counts)
+            assert counts["max_catalyst_entropy"] >= 1, pair
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_points_equal_single_loan_solves(self, policy):
+        """Each sweep point's gain and raw bound are, bit for bit, those of
+        _solve_loan on its loan: the sweep's once-per-pair checks, cap and
+        E_r search change no value."""
+        rng = random.Random(28)
+        pairs = [example_pair(name, policy) for name in "1234"]
+        pairs += [random_nontrivial_pair(rng, policy) for _ in range(100)]
+        for pair in pairs:
+            for p in tilde_gmax_sweep(pair, n_points=30).points:
+                result, bound, _ = _solve_loan(pair, p.c)
+                assert (p.gmax, p.bound) == (result.gain, bound), (pair, p.x)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_every_sample_is_tested_for_membership(self, policy):
+        """An interval widened past x_max, as a wrong closed form would give,
+        makes the sweep raise NotACatalyst at the first sample outside it."""
+        pair = example_pair("1", policy)
+        interval = rank2_catalyst_interval(pair)
+        widen = Fraction(1, 100) if policy.exact else 0.01
+        vars(pair)["_interval"] = CatalystInterval(interval.x_min, interval.x_max + widen)
+        with pytest.raises(NotACatalyst, match="^the borrowed state is not a catalyst"):
+            tilde_gmax_sweep(pair, n_points=30)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_loan_error_precedence(self, policy, capsys):
+        """A loan that is not a catalyst raises NotACatalyst before the entropy
+        drop is read; a catalyst loan on a pair whose drop is at most
+        tol_strict raises ZeroDenominator; a pair needing no catalyst raises
+        PreconditionViolated first.  The functions and the CLI agree."""
+        not_member = "the borrowed state is not a catalyst for this pair"
+        tiny_a, tiny_b = "0.49999999999,0.250000000015,0.249999999985,1e-11", "0.5,0.25,0.25,0"
+        tiny = CatalyticPair(*(make_schmidt(t.split(","), policy) for t in (tiny_a, tiny_b)),
+                             policy)
+        tiny_drop = f"entropy drop {tiny.entropy_drop} too small"
+        cases = [("0.4,0.4,0.1,0.1", "0.5,0.25,0.25,0", "0.9,0.1", NotACatalyst, not_member),
+                 (tiny_a, tiny_b, "0.9,0.1", NotACatalyst, not_member),
+                 (tiny_a, tiny_b, "0.6,0.4", ZeroDenominator, tiny_drop),
+                 ("0.4,0.4,0.1,0.1", "0.5,0.3,0.2,0", "0.9,0.1", PreconditionViolated,
+                  "the transformation already succeeds without a catalyst")]
+        for a, b, c, error, message in cases:
+            pair = CatalyticPair(make_schmidt(a.split(","), policy),
+                                 make_schmidt(b.split(","), policy), policy)
+            for fn in (gmax_given_c, bound_gmax):
+                with pytest.raises(error) as caught:
+                    fn(pair, make_schmidt(c.split(","), policy))
+                assert str(caught.value) == message, (fn, a, c)
+            argv = ["gain-sweep", "--a", a, "--b", b, "--c", c] + ["--exact"] * policy.exact
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def zoom_sweep_maximum(pair, n_points):
