@@ -18,16 +18,23 @@ in supercatalysis) do not depend on the pair.  Each search builds its table
 once per process per (rank, grid steps, arithmetic), on first use, sorted by
 decreasing entropy, and stops at its first member.  The result is that of
 the full scan: the highest-entropy member, ties going to the candidate
-listed first.  The returned-state grid skips a row that
-CatalyticPair.joint_lead fails on its two leading coefficients before it
-builds the row's vector; no skipped row could pass its full test.
+listed first.  Both searches start at the first row at or below
+_entropy_ceiling(pair, r), found by bisection: prefix 2r of the joint test
+alone caps the entropy of every catalyst of rank <= r (and so of every
+feasible returned state), up to tol_strict for float slack and rounding in
+either arithmetic, so every row above it would fail its test.  The
+returned-state grid skips a row that CatalyticPair.joint_lead fails on its
+two leading coefficients before it builds the row's vector; no skipped row
+could pass its full test.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -663,7 +670,10 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
     ranks the catalyst set has no known characterization, so the value is a
     deterministic grid-plus-random lower bound, flagged approximate: the most
     entropic catalyst among the two-level one at x_min, the ordered simplex
-    grid and RANDOM_SAMPLES seeded points, found by _best_candidate.
+    grid and RANDOM_SAMPLES seeded points, found by _best_candidate.  The
+    scan starts below _entropy_ceiling(pair, r), a certified upper bound on
+    the true maximum from prefix 2r of the joint test, since no candidate
+    above it is a catalyst; the value is the full scan's.
     """
     if r < 1:
         raise PreconditionViolated("catalyst rank bound must be at least 1")
@@ -681,12 +691,69 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
 
     exact = pair.policy.exact  # the table's rows are ordered and in the pair's arithmetic
     found = _best_candidate(r, SIMPLEX_STEPS, RANDOM_SAMPLES, pair.policy, best_val,
+                            _entropy_ceiling(pair, r),
                             lambda v: pair._member(_member_form(v, exact)))
     if found is not None:
         best_val, best_cert = found
     if best_cert is None:
         raise EmptyCatalystSet(f"no catalyst of rank <= {r} found within the search budget")
     return CatalystEntropySearch(best_val, best_cert, False)
+
+
+@lru_cache(maxsize=8)
+def _order_ideals(rows: int, r: int) -> tuple:
+    """The order ideals of size 2r of the rows x r grid, as their r column
+    heights: the partitions of 2r into at most r parts, none above rows,
+    zero-padded to r parts.  Built on first use."""
+    return tuple(parts for parts in _ordered_simplex_grid(r, 2 * r) if parts[0] <= rows)
+
+
+def _entropy_ceiling(pair: CatalyticPair, r: int) -> float:
+    """A certified upper bound, in bits, on the entropy of every catalyst of
+    Schmidt rank <= r of the blocked pair, from prefix 2r of its joint test.
+
+    For a sorted catalyst c of r entries, prefix 2r of a (x) c is at least
+    t = a_1 + a_2, the sum of a_1 c_j and a_2 c_j.  Prefix 2r of b (x) c is
+    the largest sum of w_j c_j over the order ideals of size 2r of the grid
+    of b's non-zero rows and c's r columns, where w_j sums b over column j of
+    the ideal.  So some ideal has sum_j w_j c_j >= t, and then by the Gibbs
+    inequality H(c) <= log2 sum_j 2^(mu w_j) - mu t for every mu >= 0.  A few
+    Newton steps on mu, each clamped at 0, give each ideal's value with no
+    root bracket: log2 r where the uniform state reaches t, and -inf for an
+    ideal with w_1 < t.  The ceiling is the largest over the ideals, with t
+    lowered and the result raised by tol_strict, which covers the tol_eq
+    slack of the float tests and the rounding of either arithmetic.
+
+    The bound holds for a feasible returned state d of rank <= r too: d -> c
+    makes c's prefix r at least d's, which is 1, so prefix 2r of a (x) c is
+    at least t, and b (x) d majorizes a (x) c.
+    """
+    tol = ComparisonPolicy.tol_strict
+    t = float(pair.a[0]) + float(pair.a[1]) - tol
+    heads = (0.0, *accumulate(x for x in map(float, pair.b) if x > 0))
+    ln_r = math.log(r)
+    ceiling = -math.inf
+    for heights in _order_ideals(len(heads) - 1, r):
+        top = heads[heights[0]]
+        slack = top - t  # the derivative of the bound in mu, mu -> infinity
+        if slack < 0:
+            continue
+        gaps = [top - heads[h] for h in heights]
+        if sum(gaps) <= r * slack:  # the uniform state reaches t
+            return math.log2(r) + tol
+        # the bound in nats is mu slack + ln sum_j exp(-mu gap_j)
+        mu, bound, weights = 0.0, ln_r, [1.0] * r
+        for _ in range(3):
+            z = sum(weights)
+            mean = sum(map(operator.mul, gaps, weights)) / z
+            var = sum(g * g * e for g, e in zip(gaps, weights)) / z - mean * mean
+            if var <= 0:
+                break
+            mu = max(mu - (slack - mean) / var, 0.0)
+            weights = [math.exp(-mu * g) for g in gaps]
+            bound = min(bound, mu * slack + math.log(sum(weights)))
+        ceiling = max(ceiling, bound / math.log(2))
+    return ceiling + tol
 
 
 @lru_cache(maxsize=8)
@@ -724,21 +791,24 @@ def _candidate_table(r: int, steps: int, samples: int, exact: bool) -> tuple:
 
 
 def _best_candidate(r: int, steps: int, samples: int, policy: ComparisonPolicy, floor: float,
-                    member, lead=None):
+                    ceiling: float, member, lead=None):
     """(entropy, vector) of the first candidate of _candidate_table(r, steps,
-    samples) above floor that passes member, or None.
+    samples) in (floor, ceiling] that passes member, or None.
 
     The table is sorted by decreasing entropy, so this is the highest-entropy
     member above floor, ties going to the candidate listed first: exactly
     what a full scan in list order keeping only strict improvements returns.
-    Each vector is built only when it is tested.  lead, if given, is a test
-    lead(d1, d2) on a row's two leading coefficients that is False only
-    where member is (CatalyticPair.joint_lead for the returned-state grid);
-    a row it fails is skipped before it is sliced, so the result is the
-    same.
+    ceiling is _entropy_ceiling(pair, r), above which no candidate passes
+    member, so the scan starts at the first entry at or below it, found by
+    bisection, and the result is the same.  Each vector is built only when
+    it is tested.  lead, if given, is a test lead(d1, d2) on a row's two
+    leading coefficients that is False only where member is
+    (CatalyticPair.joint_lead for the returned-state grid); a row it fails
+    is skipped before it is sliced, so the result is the same.
     """
     ents, coefs = _candidate_table(r, steps, samples, policy.exact)
-    for i, ent in enumerate(ents):
+    for i in range(bisect_left(ents, -ceiling, key=operator.neg), len(ents)):
+        ent = ents[i]
         if ent <= floor:
             break
         if lead is not None and not lead(coefs[i * r], coefs[i * r + 1]):

@@ -17,9 +17,13 @@ it on the pair's breakpoint tables).  Higher returned ranks fall back to a
 simplex grid search and are flagged approximate.  The grid does not depend
 on the pair: it is built once per process per (rank, steps, arithmetic) and
 scanned in decreasing entropy, stopping at the first feasible state, which
-is the state the full scan picks.  A row whose two leading coefficients
-already fail the joint test or d -> c is skipped before its vector is built
-(CatalyticPair.joint_lead).  A hill-climb then starts from the state found.
+is the state the full scan picks.  The scan starts below
+catalysis._entropy_ceiling at the cap: a feasible returned state is itself a
+catalyst of rank <= cap (a (x) d -> a (x) c -> b (x) d), so prefix 2r of the
+joint test caps its entropy and no row above the ceiling is feasible.  A row
+whose two leading coefficients already fail the joint test or d -> c is
+skipped before its vector is built (CatalyticPair.joint_lead).  A hill-climb
+then starts from the state found.
 
 Over the loans (x, 1-x) of a sweep, that optimum y*(x) is itself piecewise
 linear and nondecreasing in x, on the cells of a's breakpoint segments in x
@@ -38,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .catalysis import (CatalyticPair, CatalystEntropySearch, CatalystInterval, _affine_grid,
-                        _best_candidate, _min_feasible_y, _require_entropy_drop,
+                        _best_candidate, _entropy_ceiling, _min_feasible_y, _require_entropy_drop,
                         _require_interval, _require_loan, _require_member, _y_star_pieces,
                         is_catalyst, max_catalyst_entropy, probe_two_level,
                         rank2_catalyst_interval, returned_rank_bound)
@@ -213,10 +217,12 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int
     The most entropic of c, the exact rank-2 optimum for a two-level c, and
     the feasible states of the simplex grid (catalysis._best_candidate)
     seeds a hill-climb.  A grid row d is feasible when b (x) d majorizes
-    a (x) c and c majorizes d.  The scan skips, unbuilt, each row that fails
-    the joint test's first two prefix sums or d1 <= c1, as the full test
-    makes them (CatalyticPair.joint_lead); such a row fails its full test
-    too, so the result is the full scan's.
+    a (x) c and c majorizes d.  Such a d is a catalyst of rank <= rank_cap,
+    so the scan starts at the first row at or below
+    catalysis._entropy_ceiling(pair, rank_cap), and skips, unbuilt, each row
+    that fails the joint test's first two prefix sums or d1 <= c1, as the
+    full test makes them (CatalyticPair.joint_lead); the rows passed over
+    fail their full test too, so the result is the full scan's.
     """
     policy = pair.policy
 
@@ -231,8 +237,8 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int
             best_ent, best_d = ent, seed.returned_state
 
     grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
-    found = _best_candidate(rank_cap, grid_steps, 0, policy, best_ent, feasible,
-                            pair.joint_lead(target))
+    found = _best_candidate(rank_cap, grid_steps, 0, policy, best_ent,
+                            _entropy_ceiling(pair, rank_cap), feasible, pair.joint_lead(target))
     if found is not None:
         best_ent, best_d = found
 

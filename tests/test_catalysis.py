@@ -20,12 +20,12 @@ from supercat import (CatalystInterval, CatalyticPair, EXACT_POLICY, FLOAT_POLIC
                       necessary_conditions_4d, nielsen_convertible, prefix_sums,
                       rank2_catalyst_interval, returned_rank_bound, tilde_gmax_sweep)
 from supercat.catalysis import (RANDOM_SAMPLES, SEARCH_SEED, SIMPLEX_STEPS, _candidate_table,
-                                _min_feasible_y, _ordered_simplex_grid, _y_star_pieces,
-                                probe_two_level)
+                                _entropy_ceiling, _min_feasible_y, _ordered_simplex_grid,
+                                _y_star_pieces, probe_two_level)
 from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION
-from supercat.schmidt import _coerce, _constants
+from supercat.schmidt import _coerce, _constants, _member_form
 
 from conftest import (random_blocked_pair_with_empty_interval, random_catalyst,
                       random_nontrivial_pair, random_rational_sorted_simplex,
@@ -803,6 +803,77 @@ class TestCandidateTables:
         out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
                              capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.split() == ["0"]
+
+    @pytest.mark.parametrize("policy,ranks,n_pairs", [(FLOAT_POLICY, (3, 4, 5), 60),
+                                                      (EXACT_POLICY, (3, 4), 16)],
+                             ids=["float", "exact"])
+    def test_ceiling_skips_no_catalyst(self, policy, ranks, n_pairs):
+        """No candidate of a table above _entropy_ceiling is a catalyst, and
+        the E_r certificates and the cap >= 3 returned states of the
+        TestGridRankGain cases lie at or below the ceiling of their rank.
+        Every candidate in the band just above the ceiling is tested, and
+        every stride-th one beyond it."""
+        band, stride = 200, 20
+        rng = random.Random(6071)
+        cases = [random_blocked_pair(rng, policy) for _ in range(n_pairs)]
+        cases += [CatalyticPair(SEED_WINS_AT_RANK_3.a, SEED_WINS_AT_RANK_3.b, policy),
+                  text_pair(SEED_WINS_ABOVE_RANK_4, policy)]
+        skips = Counter()
+        for pair in cases:
+            for r in ranks:
+                ceiling = _entropy_ceiling(pair, r)
+                ents, coefs = _candidate_table(r, SIMPLEX_STEPS, RANDOM_SAMPLES, policy.exact)
+                above = sum(ent > ceiling for ent in ents)
+                assert all(ent > ceiling for ent in ents[:above])  # the table is sorted
+                far = max(above - band, 0)
+                for i in [*range(far, above), *range(0, far, stride)]:
+                    v = SchmidtVector(coefs[i * r:i * r + r])
+                    assert not pair._member(_member_form(v, policy.exact)), (pair, v)
+                    skips["tested"] += 1
+                skips["skipped"] += above
+                skips["bites"] += above > 0
+        # the ceiling skips candidates for most pairs, several times more than are tested
+        assert skips["bites"] > len(cases) * len(ranks) / 2, skips
+        assert skips["skipped"] > 5 * skips["tested"] > 25_000, skips
+
+        for pair, c in grid_rank_gain_cases(policy):
+            cap = returned_rank_bound(pair, c)
+            ceiling = _entropy_ceiling(pair, cap)
+            assert entropy(max_catalyst_entropy(pair, cap).certificate) <= ceiling, (pair, c)
+            assert entropy(gmax_given_c(pair, c).returned_state) <= ceiling, (pair, c)
+
+
+def random_blocked_pair(rng, policy):
+    """A blocked pair of main dimension 3 to 6; b has one level fewer in a
+    third of the draws, so the pair pads it with a zero."""
+    simplex = random_rational_sorted_simplex if policy.exact else random_sorted_simplex
+    while True:
+        n = rng.randrange(3, 7)
+        a, b = simplex(rng, n), simplex(rng, n - (rng.random() < 1 / 3))
+        pair = CatalyticPair(make_schmidt(a, policy), make_schmidt(b, policy), policy)
+        if pair.nontrivial:
+            return pair
+
+
+def grid_rank_gain_cases(policy) -> list:
+    """The (pair, loan) cases of TestGridRankGain in the policy's arithmetic,
+    drawn as its tests draw them: at returned-rank cap 3 or 4 each."""
+    if policy.exact:
+        rng = random.Random(6053)
+        loan = make_schmidt(("1/2", "3/10", "1/5"), EXACT_POLICY)
+        cases = [(example_pair(name, EXACT_POLICY), loan) for name in "14"]
+        cases += [(example_pair(name, EXACT_POLICY), None) for name in "1234"]
+        cases += [(random_nontrivial_pair(rng, EXACT_POLICY), None) for _ in range(20)]
+        return [(pair, c or random_catalyst(rng, pair)) for pair, c in cases]
+    rng = random.Random(6051)
+    pairs = [example_pair(name) for name in "1234" for _ in range(15)]
+    pairs += [random_nontrivial_pair(rng, min_width=0.02) for _ in range(60)]
+    cases = [(pair, random_catalyst(rng, pair)) for pair in pairs]
+    pair = CatalyticPair(vec(0.5, 0.35, 0.05, 0.05, 0.05), vec(0.6, 0.2, 0.2))
+    cases += [(pair, probe_two_level(x, FLOAT_POLICY)) for x in (0.63, 0.64, 0.646, 0.65, 0.66)]
+    cases.append((CatalyticPair(vec(0.55, 0.27, 0.13, 0.05), vec(0.62, 0.19, 0.17, 0.02)),
+                  vec(0.65, 0.3, 0.05)))
+    return cases
 
 
 class TestReturnedRankBound:

@@ -32,6 +32,7 @@ from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain,
 
 from conftest import (random_catalyst, random_nontrivial_pair, random_rational_sorted_simplex,
                       random_sorted_simplex)
+from test_golden import HIGH_CAP_LOANS
 
 TIGHT_GAIN = 0.07442316637776933  # first bundled pair: (h(0.6)-h(0.625))/(E(a)-E(b))
 
@@ -335,6 +336,30 @@ class TestGridRankGain:
         result = gmax_given_c(pair, c)
         assert counts == Counter(joint_target=1, joint_feasible=282)
         assert result == GainResult(0.4482289311147481, vec(0.59, 0.355, 0.055), GRID_METHOD)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_entropy_ceiling_cuts_the_searches_of_the_golden_loans(self, policy, monkeypatch):
+        """bound_gmax on the golden cap-3, cap-3 two-level and cap-4 loans:
+        the E_r search ran 124, 619 and 177 membership tests in both
+        arithmetics before it started below catalysis._entropy_ceiling, and
+        5, 1 and 1 after; the returned-state grid, whose lead test already
+        rejects the rows above the ceiling, keeps its 282, 420 and 235 joint
+        tests."""
+        counts = count_joint_calls(monkeypatch)
+        member = CatalyticPair._member
+
+        def counted(self, form):
+            counts["_member"] += 1
+            return member(self, form)
+
+        monkeypatch.setattr(CatalyticPair, "_member", counted)
+        want = {"cap3": (5, 282), "cap3-two-level": (1, 420), "cap4": (1, 235)}
+        for name, (a, b, c) in HIGH_CAP_LOANS.items():
+            pair = CatalyticPair(*(make_schmidt(t.split(","), policy) for t in (a, b)), policy)
+            counts.clear()
+            bound_gmax(pair, make_schmidt(c.split(","), policy))
+            assert counts == Counter(joint_target=1, joint_feasible=want[name][1],
+                                     _member=want[name][0]), name
 
     def test_no_returned_state_beats_the_loan(self):
         # a loan that is its own best returned state at cap 3: the search and
