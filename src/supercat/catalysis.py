@@ -9,9 +9,10 @@ breakpoint tables are read only here: by the two-level set, by the best
 two-level returned state y* of a two-level loan (_min_feasible_y) and by the
 linear pieces of y*(x) (_y_star_pieces), from which supercatalysis computes
 gains.  In float mode all three count a constraint as sloped only when its
-slope exceeds tol_eq, and give a constant one tol_eq slack.  For higher
-catalyst ranks only search-based lower bounds on the maximal catalyst entropy
-are available.  Grid scans of two-level vectors live in oracle.
+slope exceeds tol_eq, and give a constant one tol_eq slack.  Above rank 2
+the maximal catalyst entropy E_r has a certified ceiling, which every gain
+bound reads, and a search lower bound for library callers.  Grid scans of
+two-level vectors live in oracle.
 
 The candidates of the rank >= 3 searches (E_r here, the returned-state grid
 in supercatalysis) do not depend on the pair.  Each search builds its table
@@ -673,7 +674,8 @@ def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
     grid and RANDOM_SAMPLES seeded points, found by _best_candidate.  The
     scan starts below _entropy_ceiling(pair, r), a certified upper bound on
     the true maximum from prefix 2r of the joint test, since no candidate
-    above it is a catalyst; the value is the full scan's.
+    above it is a catalyst; the value is the full scan's.  No gain bound
+    reads this search: they read the ceiling.
     """
     if r < 1:
         raise PreconditionViolated("catalyst rank bound must be at least 1")
@@ -710,11 +712,13 @@ def _order_ideals(rows: int, r: int) -> tuple:
 
 def _entropy_ceiling(pair: CatalyticPair, r: int) -> float:
     """A certified upper bound, in bits, on the entropy of every catalyst of
-    Schmidt rank <= r of the blocked pair, from prefix 2r of its joint test.
+    Schmidt rank <= r of the blocked pair: the entropy every gain bound reads.
 
-    For a sorted catalyst c of r entries, prefix 2r of a (x) c is at least
-    t = a_1 + a_2, the sum of a_1 c_j and a_2 c_j.  Prefix 2r of b (x) c is
-    the largest sum of w_j c_j over the order ideals of size 2r of the grid
+    At r = 2 it is E_2 itself, exact, where a two-level catalyst exists
+    (_lowest_two_level).  Elsewhere it comes from prefix 2r of the joint
+    test.  For a sorted catalyst c of r entries, prefix 2r of a (x) c is at
+    least t = a_1 + a_2, the sum of a_1 c_j and a_2 c_j.  Prefix 2r of b (x) c
+    is the largest sum of w_j c_j over the order ideals of size 2r of the grid
     of b's non-zero rows and c's r columns, where w_j sums b over column j of
     the ideal.  So some ideal has sum_j w_j c_j >= t, and then by the Gibbs
     inequality H(c) <= log2 sum_j 2^(mu w_j) - mu t for every mu >= 0.  A few
@@ -728,6 +732,8 @@ def _entropy_ceiling(pair: CatalyticPair, r: int) -> float:
     makes c's prefix r at least d's, which is 1, so prefix 2r of a (x) c is
     at least t, and b (x) d majorizes a (x) c.
     """
+    if r == 2 and pair._lowest_two_level:
+        return pair._lowest_two_level[0]
     tol = ComparisonPolicy.tol_strict
     t = float(pair.a[0]) + float(pair.a[1]) - tol
     heads = (0.0, *accumulate(x for x in map(float, pair.b) if x > 0))
@@ -767,10 +773,11 @@ def _candidate_table(r: int, steps: int, samples: int, exact: bool) -> tuple:
     order, and each candidate's r coefficients flat in the same order, in an
     array('d') in float mode and a tuple of Fractions in exact mode.  Built
     on first use and shared, so callers only read it; the process keeps the
-    eight tables used last (the four of caps 3 and 4 in each arithmetic),
-    so a large-rank search does not pin its table for the process's life.
-    Packed, the four float tables of ranks 3 and 4 take about 0.4 MB; held
-    as SchmidtVectors they would take about 2.2 MB more.
+    eight tables used last, so a large-rank search does not pin its table
+    for the process's life.  A command builds only returned-state grids, with
+    no samples; the E_r tables are max_catalyst_entropy's alone.  Packed, the
+    four float tables of ranks 3 and 4 take about 0.4 MB; held as
+    SchmidtVectors they would take about 2.2 MB more.
     """
     if exact:
         rows = [tuple(Fraction(k, steps) for k in parts)

@@ -211,12 +211,11 @@ def cmd_gain_sweep(args) -> int:
 
     if args.c:
         c = parse_vector(args.c, policy)
-        result, bound, certified = _solve_loan(pair, c)
+        result, bound = _solve_loan(pair, c)
         payload = {
             "c": c.to_json_value(),
             "gain": result.gain,
-            "bound": max(bound, result.gain),
-            "bound_certified": certified,
+            "bound": bound,
             "returned_state": result.returned_state.to_json_value(),
             "method": result.method,
         }

@@ -30,9 +30,11 @@ linear and nondecreasing in x, on the cells of a's breakpoint segments in x
 and b's in y (catalysis._y_star_pieces).  The sweep maximum is found exactly
 from those pieces: on each, the gain peaks at a piece end or at a stationary
 point, and each candidate that could beat the sampled maximum is certified
-by gmax_given_c (about one per sweep).  A sweep checks the pair and fetches
-the returned-rank cap and its E_r search once; each sampled loan pays only
-for its membership test (catalysis._require_member), solve and bound.
+by a sample's solve (about one per sweep).  A sweep checks the pair and
+fetches the returned-rank cap and its catalysis._entropy_ceiling once; each
+loan pays only for its membership test (catalysis._require_member), solve
+and bound.  That ceiling, the exact E_2 at cap 2 and certified above it,
+caps every gain bound.
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .catalysis import (CatalyticPair, CatalystEntropySearch, CatalystInterval, _affine_grid,
-                        _best_candidate, _entropy_ceiling, _min_feasible_y, _require_entropy_drop,
+from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
+                        _entropy_ceiling, _min_feasible_y, _require_entropy_drop,
                         _require_interval, _require_loan, _require_member, _y_star_pieces,
-                        is_catalyst, max_catalyst_entropy, probe_two_level,
-                        rank2_catalyst_interval, returned_rank_bound)
-from .errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon, NotACatalyst,
-                     PreconditionViolated)
+                        is_catalyst, probe_two_level, rank2_catalyst_interval,
+                        returned_rank_bound)
+from .errors import InvalidConfiguration, InvalidEpsilon, NotACatalyst, PreconditionViolated
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
                       _coerce_vector, _constants, _pad_to_match, binary_entropy, entropy, kron,
                       majorizes, make_schmidt, nielsen_convertible, prefix_sums, schmidt_rank)
@@ -293,46 +294,32 @@ def _gain_at_cap(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int,
 
 
 def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
-    """Upper bound on the gain for borrowed state c.
+    """Certified upper bound on the gain for borrowed state c, in [gain, 1].
 
-    The returned state is confined to catalysts of rank at most the
-    multiplicativity bound, so its entropy cannot exceed the maximal catalyst
-    entropy E_r of that rank, nor fall below that of gmax_given_c's returned
-    state d, a catalyst too: a (x) d -> a (x) c -> b (x) d.  The bound is
-    certified at rank cap 2, where E_2 is exact for pairs of every rank; for
-    larger caps E_r is a search lower bound, so the value is clamped to 1.
+    A returned state d is a catalyst (a (x) d -> a (x) c -> b (x) d) of rank
+    at most the multiplicativity bound, so its entropy cannot exceed
+    catalysis._entropy_ceiling at that rank: the exact E_2 at rank cap 2, a
+    certified bound on E_r above it.  The value is _solve_loan's.
     """
-    result, bound, _ = _solve_loan(pair, c)
-    return max(bound, result.gain)
+    return _solve_loan(pair, c)[1]
 
 
 def _solve_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
-    """(gmax_given_c result, raw bound, certified) for the loan c, checked once.
-
-    The raw bound is _gain_bound's, not yet floored at the gain: sweeps report
-    it so, and their bound_violations count checks it; bound_gmax and
-    gain-sweep --c report max(bound, gain).
-    """
+    """(gmax_given_c result, bound) for the loan c, checked once.  The bound,
+    which bound_gmax and gain-sweep --c report, is the gain of a returned state
+    at the entropy ceiling of the loan's cap, clamped as every gain is, and
+    floored at the gain."""
     c, target, rank_cap, ent_c = _require_loan(pair, c)
-    return (_gain_at_cap(pair, c, target, rank_cap, ent_c),
-            *_gain_bound(pair, _cap_search(pair, rank_cap), ent_c))
+    result = _gain_at_cap(pair, c, target, rank_cap, ent_c)
+    ceiling = _entropy_ceiling(pair, rank_cap)
+    return result, max(_gain_value(pair, ceiling, ent_c), result.gain)
 
 
-def _cap_search(pair: CatalyticPair, rank_cap: int) -> CatalystEntropySearch:
-    """max_catalyst_entropy(pair, rank_cap), or an uncertified -inf where it finds
-    no member, so that _gain_bound gives (0.0, False) and only the gain stands."""
-    try:
-        return max_catalyst_entropy(pair, rank_cap)
-    except EmptyCatalystSet:
-        return CatalystEntropySearch(-math.inf, None, False)
-
-
-def _gain_bound(pair: CatalyticPair, search: CatalystEntropySearch, ent_c: float) -> tuple:
-    """(bound, certified) for a loan of entropy ent_c, from the _cap_search
-    of its returned-rank cap, clamped to 1 where uncertified."""
-    top = max(search.value, ent_c)  # c itself is a catalyst of admissible rank
-    bound = (top - ent_c) / pair.entropy_drop
-    return (bound if search.exact else min(bound, 1.0)), search.exact
+def _gain_bound(pair: CatalyticPair, ceiling: float, ent_c: float) -> float:
+    """A sweep point's raw bound: the gain of a returned state at the entropy
+    ceiling of the cap, at least the loan's own entropy, neither clamped to 1
+    nor floored at the gain."""
+    return (max(ceiling, ent_c) - ent_c) / pair.entropy_drop
 
 
 def _stationary_points(x0: float, x1: float, al: float, be: float):
@@ -390,18 +377,19 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     """Sweep the whole two-level catalyst range and maximize the gain.
 
     Samples n_points values of x uniformly over [x_min, x_max] (endpoints
-    included) and computes the exact best gain and its upper bound at each, as
-    _solve_loan does but with the pair's checks, returned-rank cap and E_r
-    search made once.  The maximum over the whole range comes from the linear
-    pieces of y*(x) (_sweep_candidates): the candidates are ranked by their
-    closed-form gain and each one that could beat the best value so far is
-    certified by gmax_given_c, solved again where it is also a sample (rarely:
-    no memo is kept).  So tilde_gmax is the best certified or sampled gain; in
-    exact mode its argmax is a rational kink or endpoint, or a float stationary
-    point that one exact solve re-checks.  argmax_kind says which; "sample"
-    would mean a sampled point beat every candidate, which only rounding can
-    cause.  The envelope value (bound at the least entangled catalyst) is the
-    matching upper bound when it is attained.
+    included) and computes the exact best gain and its raw upper bound
+    (_gain_bound) at each, with the pair's checks, returned-rank cap and
+    entropy ceiling made once.  The maximum over the whole range comes from
+    the linear pieces of y*(x) (_sweep_candidates): the candidates are ranked
+    by their closed-form gain and each one that could beat the best value so
+    far is certified by the samples' membership test and solve, again where
+    it is also a sample (rarely: no memo is kept).  So tilde_gmax is the best
+    certified or sampled gain; in exact mode its argmax is a rational kink or
+    endpoint, or a float stationary point that one exact solve re-checks.
+    argmax_kind says which; "sample" would mean a sampled point beat every
+    candidate, which only rounding can cause.  The envelope value (bound at
+    the least entangled catalyst) is the matching upper bound when it is
+    attained.
     """
     if n_points < 2:
         raise PreconditionViolated("a sweep needs at least two points")
@@ -409,13 +397,13 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     xs = _affine_grid(interval.x_min, interval.x_max, n_points)
     loans = [probe_two_level(x, policy) for x in xs]
     rank_cap = returned_rank_bound(pair, loans[-1])  # each loan has rank 2: x_max < 1 - b2
-    search = _cap_search(pair, rank_cap)
+    ceiling = _entropy_ceiling(pair, rank_cap)
     points = []
     for x, c in zip(xs, loans):
         target, ent_c = _require_member(pair, c)
         gmax = _gain_at_cap(pair, c, target, rank_cap, ent_c).gain
         points.append(SweepPoint(float(x), c, binary_entropy(x), gmax,
-                                 _gain_bound(pair, search, ent_c)[0]))
+                                 _gain_bound(pair, ceiling, ent_c)))
 
     i_best = max(range(n_points), key=lambda i: points[i].gmax)
     best_x, best_v = xs[i_best], points[i_best].gmax
@@ -424,7 +412,9 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     for x, (predicted, _) in sorted(cands.items(), key=lambda kv: kv[1][0], reverse=True):
         if predicted <= best_v:
             break
-        g = gmax_given_c(pair, probe_two_level(x, policy)).gain
+        c = probe_two_level(x, policy)
+        target, ent_c = _require_member(pair, c)
+        g = _gain_at_cap(pair, c, target, rank_cap, ent_c).gain
         if g > best_v:
             best_v, best_x = g, x
 
@@ -548,11 +538,13 @@ def epsilon_family(eps: Real, policy: ComparisonPolicy = FLOAT_POLICY) -> Epsilo
 
 def verify_epsilon_family(family: EpsilonFamily,
                           policy: ComparisonPolicy = FLOAT_POLICY) -> EpsilonFamilyReport:
-    """Check every supercatalysis condition for a family member and report."""
+    """Check every supercatalysis condition for a family member and report;
+    a member that float slack unblocks gets the empty interval [1, 1/2]."""
     pair, c, d, verdict = _assess(family.a, family.b, family.c, family.d, policy)
     fa, fb = prefix_sums(pair.a), prefix_sums(pair.b)
     g = _verdict_gain(pair, c, d, verdict) if verdict.ok else 0.0
-    interval = rank2_catalyst_interval(pair)
+    interval = (rank2_catalyst_interval(pair) if verdict.base_blocked
+                else CatalystInterval(1.0, 0.5))
     e = family.eps
     return EpsilonFamilyReport(
         eps=float(e),

@@ -12,12 +12,15 @@ import pytest
 
 from supercat import (EXACT_POLICY, FLOAT_POLICY, NotNormalized, SchmidtVector, binary_entropy,
                       entropy, epsilon_family, kron, majorizes, make_schmidt, tilde_gmax_sweep)
+import supercat.catalysis
 import supercat.cli
+import supercat.supercatalysis
 from supercat.cli import _summary_text, _sweep_rows, _sweep_summary, build_parser, main
 from supercat.errors import DomainError
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 
 from conftest import random_nontrivial_pair
+from test_golden import HIGH_CAP_LOANS
 
 A1 = "0.4,0.4,0.1,0.1"
 B1 = "0.5,0.25,0.25,0"
@@ -181,25 +184,30 @@ class TestGainSweep:
         assert payload["oracle_agrees"] is True
         assert payload["gain"] <= payload["bound"] + 1e-12
 
-    def test_uncertified_bound_clamped_and_labelled(self, capsys):
-        # returned-rank cap 4, so the bound rests on a search lower bound
+    def test_cap4_bound_clamped_to_one(self, capsys):
+        # returned-rank cap 4: the bound reads the certified entropy ceiling,
+        # and no key labels it, since every printed bound is certified
         code, out, _ = run(capsys, "gain-sweep", "--a", A1, "--b", B1, "--c", "0.5,0.3,0.2")
         assert code == 0
         payload = json.loads(out)
-        assert payload["bound_certified"] is False
-        assert payload["gain"] <= payload["bound"] <= 1.0
+        assert "bound_certified" not in payload
+        assert payload["gain"] == pytest.approx(0.9346, abs=1e-4)
+        assert payload["bound"] == 1.0
 
-    def test_certified_rank2_bound_keeps_its_value(self, capsys):
+    def test_rank2_bound_clamped_to_one(self, capsys):
+        # small entropy drop: (E_2 - H(c)) / drop is 2.547, which printed
+        # until the loan bound took the clamp of every gain
         code, out, _ = run(capsys, "gain-sweep", "--a", "0.65,0.19,0.11,0.05",
                            "--b", "0.68,0.15,0.13,0.04", "--c", "0.75,0.25")
         assert code == 0
         payload = json.loads(out)
-        assert payload["bound_certified"] is True
-        assert payload["bound"] == pytest.approx(2.547363408710921, abs=1e-9)
+        assert (payload["gain"], payload["bound"], payload["method"]) == (
+            0.0, 1.0, "exact-piecewise-linear")
 
     def test_loan_without_search_member_exits_0(self, capsys):
         # no candidate of the rank-3 search is a catalyst: this exited 2 with
-        # "no catalyst of rank <= 3 found within the search budget"
+        # "no catalyst of rank <= 3 found within the search budget", then
+        # printed the gain as its bound; the entropy ceiling gives a bound
         code, out, _ = run(capsys, "gain-sweep",
                            "--a", "0.519773417811575,0.39161841841918565,0.07540497933614343,"
                            "0.013203184433095871",
@@ -208,8 +216,8 @@ class TestGainSweep:
                            "--c", "0.5591722900586402,0.289844528287162,0.15098318165419777")
         assert code == 0
         payload = json.loads(out)
-        assert payload["bound_certified"] is False
-        assert payload["bound"] == payload["gain"] == pytest.approx(0.0416, abs=1e-4)
+        assert payload["gain"] == pytest.approx(0.0416, abs=1e-4)
+        assert payload["bound"] == pytest.approx(0.2838, abs=1e-4)
 
     def test_loan_that_is_its_own_best_return(self, capsys):
         # returned-rank cap 3, and no returned state is more entropic than the
@@ -225,11 +233,12 @@ class TestGainSweep:
         payload = json.loads(out)
         assert (payload["gain"], payload["method"]) == (0.0, "grid-approximate")
         assert payload["returned_state"] == payload["c"] == [float(x) for x in c.split(",")]
-        assert payload["bound_certified"] is False
+        assert payload["bound"] == pytest.approx(0.8634, abs=1e-4)
 
     def test_uncertified_bound_not_below_gain(self, capsys):
         # the rank-3 search's E_3 sat below the returned state's entropy: the
-        # bound printed was 0.3024240418117655
+        # bound from it was 0.3024240418117655, then floored at the gain; the
+        # certified entropy ceiling gives a bound above the gain unfloored
         code, out, _ = run(capsys, "gain-sweep",
                            "--a", "0.4669699987776219,0.3343634347666882,0.10693694042086266,"
                            "0.09172962603482726",
@@ -239,7 +248,7 @@ class TestGainSweep:
         assert code == 0
         payload = json.loads(out)
         assert payload["gain"] == 0.3124271268520502
-        assert payload["bound"] == payload["gain"] and payload["bound_certified"] is False
+        assert payload["bound"] == pytest.approx(0.31286, abs=1e-5)
 
     def test_single_point_set_above_rank4_certified(self, capsys):
         # the only two-level catalyst is (4/7, 3/7), between the steps of the
@@ -249,7 +258,6 @@ class TestGainSweep:
                            "--b", "111/200,29/200,27/200,27/200,3/100", "--c", "4/7,3/7")
         assert code == 0
         payload = json.loads(out)
-        assert payload["bound_certified"] is True
         assert payload["gain"] == payload["bound"] == 0.0
 
     def test_two_piece_set_bound_from_exact_x_min(self, capsys):
@@ -261,7 +269,6 @@ class TestGainSweep:
         payload = json.loads(out)
         drop = entropy(make_schmidt(a.split(","))) - entropy(make_schmidt(b.split(",")))
         want = (binary_entropy(8 / 13) - binary_entropy(0.625)) / drop
-        assert payload["bound_certified"] is True
         assert payload["bound"] == pytest.approx(want, abs=1e-14)
 
     def test_sweep_files(self, capsys, tmp_path):
@@ -333,6 +340,34 @@ class TestGainSweep:
         assert payload["oracle_agrees"] is None
         assert payload["oracle_gain"] is None
         assert "no oracle applies" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+    @pytest.mark.parametrize("loan", [*HIGH_CAP_LOANS, "rank8"])
+    def test_loan_runs_no_entropy_search(self, capsys, monkeypatch, mode, loan):
+        """A loan at cap >= 3 reads its bound from the entropy ceiling: it
+        runs no E_r search and asks for no sampled candidate table.  The
+        rank-8 loan (cap 10) spent 6.0 of 6.1 s, profiled, building the
+        196k-row E_10 table for a bound that then printed 1.0."""
+        tables = []
+        table = supercat.catalysis._candidate_table
+
+        def recorded(r, steps, samples, exact):
+            tables.append((r, steps, samples))
+            return table(r, steps, samples, exact)
+
+        def no_search(*args):
+            raise AssertionError("max_catalyst_entropy ran")
+
+        monkeypatch.setattr(supercat.catalysis, "_candidate_table", recorded)
+        for module in (supercat.catalysis, supercat.supercatalysis, supercat.cli):
+            if hasattr(module, "max_catalyst_entropy"):
+                monkeypatch.setattr(module, "max_catalyst_entropy", no_search)
+        a, b, c = HIGH_CAP_LOANS.get(loan, (A1, B1, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"))
+        code, out, _ = run(capsys, "gain-sweep", *mode, "--a", a, "--b", b, "--c", c)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gain"] <= payload["bound"] <= 1.0
+        assert tables and all(samples == 0 for _, _, samples in tables), tables
 
     @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
     @pytest.mark.parametrize("c", ["1", "0.6,0.4"], ids=["separable", "two-level"])
@@ -440,6 +475,20 @@ class TestEpsilonFamily:
         assert code == 0 and len(json.loads(out)["reports"]) == 2
         assert path.read_bytes() == out.encode()
         assert sorted(tmp_path.rglob("*")) == [path.parent, path]  # no manifest
+
+    def test_member_unblocked_by_float_slack_is_reported(self, capsys):
+        # at eps = 1e-6 the float test finds a -> b convertible: the whole
+        # list exited 2 with "the transformation already succeeds without a
+        # catalyst", losing the 1/100 report too; exact 1/1000000 passes
+        code, out, err = run(capsys, "epsilon-family", "--eps", "1/100,1e-6")
+        assert (code, err) == (0, "")
+        first, second = json.loads(out)["reports"]
+        assert first == json.loads(run(capsys, "epsilon-family", "--eps", "1/100")[1])["reports"][0]
+        assert (second["base_blocked"], second["ok"], second["gain"]) == (False, False, 0.0)
+        assert (second["x_min"], second["x_max"]) == (1.0, 0.5)
+        code, out, _ = run(capsys, "epsilon-family", "--eps", "1/1000000", "--exact")
+        report = json.loads(out)["reports"][0]
+        assert code == 0 and report["ok"] and report["gain"] > 0.99999
 
     def test_invalid_epsilon_exits_2(self, capsys):
         code, _, err = run(capsys, "epsilon-family", "--eps", "0.3")

@@ -72,20 +72,20 @@ RANGE_GOLDEN = {
 # by (mode, pair, c): a two-level loan of each bundled pair, and loans of pairs 1
 # and 4 whose only feasible grid point is the last one
 LOAN_GOLDEN = {
-    ("float", "1", "0.625,0.375"): "3e9400358ee0a488bc6e714ebc27140dedb2697e9ae1f6d3bc36408a10f0aff0",
-    ("float", "1", "0.61,0.39"): "d5c690bad437236ae6653ee7ec598ed31bbf5e6d728a3d4beb054515a1a1e00a",
-    ("float", "2", "0.6,0.4"): "d449f45d4250467ab1fd29697dc1aa5bb31a88c6b342271e7d115d0f841f177c",
-    ("float", "3", "0.6,0.4"): "47facaaace1c6af1e3b04c7404ce3298134f8356d4b481027ae93b939d1c0c37",
-    ("float", "4", "0.65,0.35"): "2e8d11dd1598a1cacab8d41729c025865f71a1498610d31e691afb37f0783ffc",
-    ("float", "1", "0.6001,0.3999"): "b243bdbbca194c90b752391300e65570716bc1fd3375e3765541b7b2a92defb3",
-    ("float", "4", "0.6003,0.3997"): "7bf894666e9a371bf95f4c27eb5fb3ac9a9ba7197aef89d92a4bd9f4961580ea",
-    ("exact", "1", "0.625,0.375"): "38aa0b22a628c41ed0c978c88e6e7643431e98433dac8e9456c9da5e29cb5ecd",
-    ("exact", "1", "0.61,0.39"): "a0f9c910b0c1edd466c0be13b5ef5d5bc6213a3ed15b71c2dce2a0fe2277aa0e",
-    ("exact", "2", "0.6,0.4"): "4e42f3f814f6516efd676c818b20c55d62a8ff46d98b2834f212abb6c60b1b11",
-    ("exact", "3", "0.6,0.4"): "d25b820167314dc123d6874eec1b1252ae11e4da17fb8b6685d0571f5dbc6d0f",
-    ("exact", "4", "0.65,0.35"): "a0215496e4c2f47730d74fe96aa0f9284a5b35c0f9285cbe81c47c4824f4ffd1",
-    ("exact", "1", "0.6001,0.3999"): "93682000de926e6a25974e8f664ac77ff602d37b0507ffae339bf4662bdae5de",
-    ("exact", "4", "0.6003,0.3997"): "5d586ac02d72e961e25e91e02359a9ee1de565dbd585d8264bd262f772a146ca",
+    ("float", "1", "0.625,0.375"): "9e8958381876b76214cd895efd0335deba2aa23a21c694764fdff1abcff9ebca",
+    ("float", "1", "0.61,0.39"): "8a33eda5a3056f53d5b9c5b587ed197598576cbf882e8743a975f7c09b83ee3b",
+    ("float", "2", "0.6,0.4"): "ed0a26eaa91ae79b2d2e61ee25f757a788983706192e56fd82f1a077364fe943",
+    ("float", "3", "0.6,0.4"): "642fdbfc61d95f4e1945996c1cdd07929ed1e6b782c2a71e105bafdf0cfa2047",
+    ("float", "4", "0.65,0.35"): "21e64aee93241862819c0dd78e785966d07d4839368d375bc5df0f5853391e8b",
+    ("float", "1", "0.6001,0.3999"): "345157d0454d55a2f1944e1586cb99c65a60d76db7bf271906672d8b07431b6e",
+    ("float", "4", "0.6003,0.3997"): "07369433d09f71eec0a0bc6474254e42f64fb9bc74bc33b03193e34d77cff317",
+    ("exact", "1", "0.625,0.375"): "9397c29b5992ff926275ad09239f78eb535577cc90b887053edafab44e3d8c12",
+    ("exact", "1", "0.61,0.39"): "61386538dba775c7ddc754dc5c77cb3d5bc4bd02e8d801cf7e7631d8ad7b00b8",
+    ("exact", "2", "0.6,0.4"): "45580b4406cd4e37a8d0f48bb2de74462159a6e128c986eede407aedc2034170",
+    ("exact", "3", "0.6,0.4"): "be805cf04a30438c3d37d2a329127bb6f7553628db6a2d8e57ae5c18cbf8a652",
+    ("exact", "4", "0.65,0.35"): "9a8620d22aff58aa5c1e2268548aad7a0871aab3ec4f7a1d1271a23063ebd638",
+    ("exact", "1", "0.6001,0.3999"): "ed4dccc68b11ad05936fdb585395ea34eda9cad16148d1d40f10a5ab07e221c9",
+    ("exact", "4", "0.6003,0.3997"): "d860cfa6b2b03f0170f1925886143f1918c24f123c7165ccd7a7dd683270e176",
 }
 # stdout of gain-sweep --c for loans whose returned-rank cap is 3 or 4, so the
 # returned state comes from the grid search and its hill-climb: a rank-3 loan
@@ -97,12 +97,12 @@ HIGH_CAP_LOANS = {
     "cap4": (",".join(EXAMPLE_PAIRS["1"][0]), ",".join(EXAMPLE_PAIRS["1"][1]), "1/2,3/10,1/5"),
 }
 HIGH_CAP_GOLDEN = {
-    ("float", "cap3"): "b1ea2ad88372fc5cbe54e215ee20f477fece70e027f002b35ea3040d7df2b0c2",
-    ("float", "cap3-two-level"): "f79680d95f28e416d0bfce7f2da3fcdbd1335565f25ecf3b458a70109f28223b",
-    ("float", "cap4"): "feb0d900ebf6a0f9c5b5cd83c9690ec9013268bc2d5cb63638dc35c2948c1149",
-    ("exact", "cap3"): "6187dbf1665edc10dbc18fe308af4ed9525b452e909eeee2c0ebf06b1a84f5df",
-    ("exact", "cap3-two-level"): "667f6c79d7de5dd8aa073b2592d4c5b3ab4f853c0c2530a76177ddf872cb02d1",
-    ("exact", "cap4"): "d82c33739eac977c1511eec13ea416eb1f0b23d4d7fc6c258260933a13e6be9c",
+    ("float", "cap3"): "c16fe236c43677f59376a48e53bed98572d0790b33f55c60452d23218a007f94",
+    ("float", "cap3-two-level"): "707c3c382d4ae7bea58e6b6e45425d14f5b27cc47308dd2772289ab4a37b5e26",
+    ("float", "cap4"): "637eaed823d0ae67c3b3dad607036b5c333bf5effe7f38aebfce33f1d323d1f2",
+    ("exact", "cap3"): "01e93caf3371da4fa0f763b08d09b531047935e4b8e312578de1c6285c6ad45f",
+    ("exact", "cap3-two-level"): "b8a99e4192cc80052ad501a15c35506c44e2ee9d90c30c7d2699eed3d0a240d4",
+    ("exact", "cap4"): "f3910d67e522fe92fbf6a39017ee15dc6b74896e8f6671f7f06ba440f8e906eb",
 }
 # stdout of epsilon-family --eps 1/100,1/10000, the verifier's reports
 EPSILON_GOLDEN = {

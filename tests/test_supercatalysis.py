@@ -20,21 +20,26 @@ from supercat import (CatalyticPair, CatalystInterval, EXACT_POLICY, FLOAT_POLIC
                       prefix_sums, rank2_catalyst_interval, rank_reduce_returned,
                       returned_rank_bound, schmidt_rank, tilde_gmax_sweep,
                       trivial_swap_construction, verify_epsilon_family)
-from supercat.catalysis import (_affine_grid, _min_feasible_y, _ordered_simplex_grid,
-                                _y_star_pieces, probe_two_level)
+from supercat.catalysis import (_affine_grid, _entropy_ceiling, _min_feasible_y,
+                                _ordered_simplex_grid, _y_star_pieces, probe_two_level)
 from supercat.cli import main
 from supercat.errors import (EmptyCatalystSet, InvalidConfiguration, InvalidEpsilon,
                              NotACatalyst, NotNormalized, PreconditionViolated, ZeroDenominator)
 from supercat.examples import example_pair
 from supercat.schmidt import NORM_TOL, _coerce, _constants
-from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _solve_loan,
-                                     _stationary_points)
+from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain, _gain_bound,
+                                     _gain_value, _solve_loan, _stationary_points)
 
 from conftest import (random_catalyst, random_nontrivial_pair, random_rational_sorted_simplex,
                       random_sorted_simplex)
 from test_golden import HIGH_CAP_LOANS
 
 TIGHT_GAIN = 0.07442316637776933  # first bundled pair: (h(0.6)-h(0.625))/(E(a)-E(b))
+#: Benchmark loan r046 of the seed-0 loan-highrank pool, as (a, b, c): the
+#: E_3 search bounded its gain by 0.1377, below the gain 0.1468.
+LOAN_R046 = ("0.400901850182073,0.38232000472224104,0.13065773583367868,0.08612040926200726",
+             "0.5003256815093553,0.2749199213517377,0.200482784385545,0.024271612753361982",
+             "0.4467899133208806,0.2931263178786323,0.2600837688004871")
 
 
 def vec(*xs):
@@ -341,10 +346,10 @@ class TestGridRankGain:
     def test_entropy_ceiling_cuts_the_searches_of_the_golden_loans(self, policy, monkeypatch):
         """bound_gmax on the golden cap-3, cap-3 two-level and cap-4 loans:
         the E_r search ran 124, 619 and 177 membership tests in both
-        arithmetics before it started below catalysis._entropy_ceiling, and
-        5, 1 and 1 after; the returned-state grid, whose lead test already
-        rejects the rows above the ceiling, keeps its 282, 420 and 235 joint
-        tests."""
+        arithmetics before it started below catalysis._entropy_ceiling, 5, 1
+        and 1 after, and none since the bound reads the ceiling itself; the
+        returned-state grid, whose lead test already rejects the rows above
+        the ceiling, keeps its 282, 420 and 235 joint tests."""
         counts = count_joint_calls(monkeypatch)
         member = CatalyticPair._member
 
@@ -353,7 +358,7 @@ class TestGridRankGain:
             return member(self, form)
 
         monkeypatch.setattr(CatalyticPair, "_member", counted)
-        want = {"cap3": (5, 282), "cap3-two-level": (1, 420), "cap4": (1, 235)}
+        want = {"cap3": (0, 282), "cap3-two-level": (0, 420), "cap4": (0, 235)}
         for name, (a, b, c) in HIGH_CAP_LOANS.items():
             pair = CatalyticPair(*(make_schmidt(t.split(","), policy) for t in (a, b)), policy)
             counts.clear()
@@ -453,15 +458,38 @@ class TestBoundGmax:
         assert bound > 0.4
         assert gmax_given_c(pair, c).gain == 0.0
 
-    def test_uncertified_bound_clamped_to_one(self, pairs):
-        # returned-rank cap 4: E_4 is a search lower bound, and the unclamped
-        # value (2.19) exceeded the trivial bound 1
+    def test_cap4_bound_clamped_to_one(self, pairs):
+        # returned-rank cap 4: the value from the entropy ceiling (2.19)
+        # exceeds the trivial bound 1, so the clamp of every gain applies
         pair, c = pairs["1"], vec(0.5, 0.3, 0.2)
         assert returned_rank_bound(pair, c) == 4
-        _, bound, certified = _solve_loan(pair, c)
-        assert certified is False
-        assert gmax_given_c(pair, c).gain <= bound <= 1.0
-        assert bound_gmax(pair, c) == bound
+        assert _gain_bound(pair, _entropy_ceiling(pair, 4), entropy(c)) > 2.18
+        result, bound = _solve_loan(pair, c)
+        assert result.gain < bound == bound_gmax(pair, c) == 1.0
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_unfloored_bound_never_below_gain_at_caps_3_and_4(self, policy):
+        """The bound from the entropy ceiling, before _solve_loan floors it at
+        the gain, is at least the gain, so the floor never acts.  The bound
+        from the E_r search sat below the gain on 35 of the 400 benchmark
+        loans at seeds 0 and 1; the first of them leads the cases."""
+        rng = random.Random(6061)
+        pair = CatalyticPair(*(make_schmidt(t.split(","), policy) for t in LOAN_R046[:2]), policy)
+        cases = [(pair, make_schmidt(LOAN_R046[2].split(","), policy))]
+        cases += [(example_pair(name, policy), None) for name in "1234" for _ in range(15)]
+        cases += [(random_nontrivial_pair(rng, policy, min_width=0.02), None) for _ in range(60)]
+        caps = Counter()
+        for pair, c in cases:
+            c = c or random_catalyst(rng, pair)
+            cap = returned_rank_bound(pair, c)
+            result, bound = _solve_loan(pair, c)
+            unfloored = _gain_value(pair, _entropy_ceiling(pair, cap), entropy(c))
+            assert unfloored == bound >= result.gain, (pair, c)
+            caps[cap] += 1
+        assert caps[3] >= 50 and caps[4] >= 50, caps
+        pair, c = cases[0]
+        search = (max_catalyst_entropy(pair, 3).value - entropy(c)) / pair.entropy_drop
+        assert search < gmax_given_c(pair, c).gain - 0.009
 
     def test_bound_never_below_gain_at_caps_3_and_4(self, pairs):
         # the loan c and the returned state d are catalysts of rank <= cap,
@@ -487,22 +515,21 @@ class TestBoundGmax:
         assert returned_rank_bound(pair, c) == 3
         with pytest.raises(EmptyCatalystSet):
             max_catalyst_entropy(pair, 3)
-        result, bound, certified = _solve_loan(pair, c)
+        result, bound = _solve_loan(pair, c)
         assert result.gain == pytest.approx(0.0416, abs=1e-4)
         assert result == gmax_given_c(pair, c)
-        assert (bound, certified) == (0.0, False)
-        assert bound_gmax(pair, c) == result.gain
+        assert bound == bound_gmax(pair, c) == pytest.approx(0.2838, abs=1e-4)
 
-    def test_certified_rank2_bound_not_clamped(self):
-        # small entropy drop: the certified rank-2 bound is loose and above 1
+    def test_rank2_bound_clamped_to_one(self):
+        # small entropy drop: the rank-2 value from the exact E_2 is loose and
+        # above 1, and the loan bound takes the clamp of every gain
         pair = CatalyticPair(vec(0.65, 0.19, 0.11, 0.05), vec(0.68, 0.15, 0.13, 0.04))
         c = vec(0.75, 0.25)
         expected = (binary_entropy(4 / 7) - binary_entropy(0.75)) / pair.entropy_drop
-        _, bound, certified = _solve_loan(pair, c)
-        assert certified is True
-        assert bound == pytest.approx(expected, abs=1e-12)
-        assert bound > 2.5
-        assert bound_gmax(pair, c) == bound
+        assert _entropy_ceiling(pair, 2) == binary_entropy(rank2_catalyst_interval(pair).x_min)
+        raw = _gain_bound(pair, _entropy_ceiling(pair, 2), entropy(c))
+        assert raw == pytest.approx(expected, abs=1e-12) and raw > 2.5
+        assert _solve_loan(pair, c)[1] == bound_gmax(pair, c) == 1.0
 
     def test_one_loan_check_per_call(self, pairs, monkeypatch):
         # bound_gmax used to check the loan itself and again in gmax_given_c
@@ -716,10 +743,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_pair_work_once_per_sweep(self, monkeypatch, policy):
-        """The cap, the E_r search and the entropy-drop check run once per
-        sweep, not per sample; a certified candidate's gmax_given_c may run
-        each once more."""
-        counted = ("returned_rank_bound", "max_catalyst_entropy", "_require_entropy_drop")
+        """The cap, the entropy ceiling and the entropy-drop check run once
+        per sweep, not per sample nor per certified candidate, which takes
+        the samples' path, not gmax_given_c."""
+        counted = ("returned_rank_bound", "_entropy_ceiling", "_require_entropy_drop")
         counts = Counter()
         for module in (supercat.catalysis, supercat.supercatalysis):
             for name in counted + ("gmax_given_c",):
@@ -736,23 +763,21 @@ class TestSweep:
             counts.clear()
             sweep = tilde_gmax_sweep(pair, n_points=200)
             assert len(sweep.points) == 200
-            certified = counts.pop("gmax_given_c", 0)
-            assert certified <= 2, pair
-            assert all(counts[name] <= 1 + certified for name in counted), (pair, counts)
-            assert counts["max_catalyst_entropy"] >= 1, pair
+            assert counts == Counter(dict.fromkeys(counted, 1)), (pair, counts)
 
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_points_equal_single_loan_solves(self, policy):
-        """Each sweep point's gain and raw bound are, bit for bit, those of
-        _solve_loan on its loan: the sweep's once-per-pair checks, cap and
-        E_r search change no value."""
+        """Each sweep point's gain is, bit for bit, that of _solve_loan on its
+        loan, and its raw bound, clamped to 1 and floored at the gain, is
+        _solve_loan's bound: the sweep's once-per-pair checks, cap and
+        entropy ceiling change no value."""
         rng = random.Random(28)
         pairs = [example_pair(name, policy) for name in "1234"]
         pairs += [random_nontrivial_pair(rng, policy) for _ in range(100)]
         for pair in pairs:
             for p in tilde_gmax_sweep(pair, n_points=30).points:
-                result, bound, _ = _solve_loan(pair, p.c)
-                assert (p.gmax, p.bound) == (result.gain, bound), (pair, p.x)
+                result, bound = _solve_loan(pair, p.c)
+                assert (p.gmax, min(max(p.bound, p.gmax), 1.0)) == (result.gain, bound), (pair, p.x)
 
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_every_sample_is_tested_for_membership(self, policy):
