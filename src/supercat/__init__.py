@@ -4,10 +4,9 @@ LOCC convertibility, entanglement catalysis, and supercatalytic gain
 optimization for probability vectors of squared Schmidt coefficients.
 """
 
-from .catalysis import (CatalystEntropySearch, CatalystInterval, CatalyticPair, is_catalyst,
-                        least_entangled_rank2_catalyst, max_catalyst_entropy,
-                        most_entangled_rank2_catalyst, necessary_conditions_4d,
-                        rank2_catalyst_interval, returned_rank_bound)
+from .catalysis import (CatalystInterval, CatalyticPair, is_catalyst,
+                        least_entangled_rank2_catalyst, most_entangled_rank2_catalyst,
+                        necessary_conditions_4d, rank2_catalyst_interval, returned_rank_bound)
 from .errors import (CatalysisError, DomainError, EmptyCatalystSet, IndexOutOfRange,
                      InvalidConfiguration, InvalidEpsilon, NegativeEntry, NotACatalyst,
                      NotNormalized, PreconditionViolated, ZeroDenominator)
@@ -24,7 +23,7 @@ from .supercatalysis import (EpsilonFamily, EpsilonFamilyReport, GainResult, Sup
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalysisError", "CatalystEntropySearch", "CatalystInterval", "CatalyticPair",
+    "CatalysisError", "CatalystInterval", "CatalyticPair",
     "ComparisonPolicy", "DomainError", "EXACT_POLICY",
     "EmptyCatalystSet", "EpsilonFamily", "EpsilonFamilyReport", "FLOAT_POLICY", "GainResult",
     "IndexOutOfRange", "InvalidConfiguration", "InvalidEpsilon", "NORM_TOL", "NegativeEntry",
@@ -32,7 +31,7 @@ __all__ = [
     "SupercatalysisVerdict", "SweepPoint", "SweepResult", "ZeroDenominator",
     "binary_entropy", "bound_gmax", "check_supercatalytic", "entropy", "epsilon_family", "gain",
     "gmax_given_c", "grid_catalyst_interval", "grid_gmax_rank2", "is_catalyst", "kron",
-    "least_entangled_rank2_catalyst", "majorizes", "make_schmidt", "max_catalyst_entropy",
+    "least_entangled_rank2_catalyst", "majorizes", "make_schmidt",
     "most_entangled_rank2_catalyst", "necessary_conditions_4d", "nielsen_convertible",
     "partial_sum", "prefix_sums", "rank2_catalyst_interval", "rank_reduce_returned",
     "returned_rank_bound", "schmidt_rank", "split_partial_sum", "tilde_gmax_sweep",

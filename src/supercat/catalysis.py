@@ -3,37 +3,35 @@
 A catalyst for an LOCC-blocked transformation a -> b is an auxiliary vector c
 with b (x) c majorizing a (x) c.  The two-level catalysts (x, 1-x) of any
 pair are a union of closed pieces in x, solved exactly here; at main
-dimension at most 4 they are one interval with the paper's closed form, its
-endpoints the least and most entangled two-level catalysts.  The pair's
+dimension at most 4 they are one interval with the paper's closed form.  At
+every dimension the ends of the set are the least and most entangled
+two-level catalysts, and the low end gives the exact E_2.  The pair's
 breakpoint tables are read only here: by the two-level set, by the best
 two-level returned state y* of a two-level loan (_min_feasible_y) and by the
 linear pieces of y*(x) (_y_star_pieces), from which supercatalysis computes
 gains.  In float mode all three count a constraint as sloped only when its
 slope exceeds tol_eq, and give a constant one tol_eq slack.  Above rank 2
 the maximal catalyst entropy E_r has a certified ceiling, which every gain
-bound reads, and a search lower bound for library callers.  Grid scans of
-two-level vectors live in oracle.
+bound reads.  Grid scans of two-level vectors live in oracle.
 
-The candidates of the rank >= 3 searches (E_r here, the returned-state grid
-in supercatalysis) do not depend on the pair.  Each search builds its table
-once per process per (rank, grid steps, arithmetic), on first use, sorted by
-decreasing entropy, and stops at its first member.  The result is that of
-the full scan: the highest-entropy member, ties going to the candidate
-listed first.  Both searches start at the first row at or below
-_entropy_ceiling(pair, r), found by bisection: prefix 2r of the joint test
-alone caps the entropy of every catalyst of rank <= r (and so of every
-feasible returned state), up to tol_strict for float slack and rounding in
-either arithmetic, so every row above it would fail its test.  The
-returned-state grid skips a row that CatalyticPair.joint_lead fails on its
-two leading coefficients before it builds the row's vector; no skipped row
-could pass its full test.
+The one rank >= 3 search is the returned-state grid of supercatalysis.  Its
+candidates do not depend on the pair: it builds its table once per process
+per (rank, grid steps, arithmetic), on first use, sorted by decreasing
+entropy, and stops at its first member.  The result is that of the full
+scan: the highest-entropy member, ties going to the candidate listed first.
+The search starts at the first row at or below _entropy_ceiling(pair, r),
+found by bisection: prefix 2r of the joint test alone caps the entropy of
+every catalyst of rank <= r (and so of every feasible returned state), up
+to tol_strict for float slack and rounding in either arithmetic, so every
+row above it would fail its test.  It skips a row that
+CatalyticPair.joint_lead fails on its two leading coefficients before it
+builds the row's vector; no skipped row could pass its full test.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
@@ -42,15 +40,9 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .errors import EmptyCatalystSet, NotACatalyst, PreconditionViolated, ZeroDenominator
-from .schmidt import (EXACT_POLICY, FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector,
-                      _coerce, _coerce_vector, _constants, _frozen, _member_form, _pad_to_match,
+from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
+                      _coerce_vector, _constants, _frozen, _member_form, _pad_to_match,
                       binary_entropy, entropy, nielsen_convertible, prefix_sums, schmidt_rank)
-
-#: Effort of the rank >= 3 catalyst-entropy search: steps of the ordered
-#: simplex grid, then seeded random samples.
-SIMPLEX_STEPS = 60
-RANDOM_SAMPLES = 2000
-SEARCH_SEED = 0
 
 
 class CatalyticPair:
@@ -61,12 +53,13 @@ class CatalyticPair:
     facts every question about the pair needs are computed once and cached:
     nontrivial records whether the bare transformation a -> b is blocked,
     dim4 whether both Schmidt ranks are at most 4 (the closed form's domain),
-    and _two_level the exact set of two-level catalysts at any rank.
+    _two_level the exact set of two-level catalysts at any rank, and
+    _two_level_ends its two ends, which the extreme catalysts and E_2 read.
 
     The pair owns the joint-transfer test a (x) c -> b (x) d that every
     catalyst and gain question reduces to (joint_target, joint_feasible),
-    and the membership test d = c of a loan (_member), which is_catalyst,
-    the E_r search and the interval oracle share.  joint_lead makes the
+    and the membership test d = c of a loan (_member), which is_catalyst
+    and the interval oracle share.  joint_lead makes the
     joint test's first two prefix sums, and majorizes' first, on a returned
     state's two leading coefficients alone, so the returned-state grid can
     reject most rows before it builds them.  Every joint question, joint_lead
@@ -130,13 +123,12 @@ class CatalyticPair:
         return _two_level_pieces(self)
 
     @cached_property
-    def _lowest_two_level(self):
-        """(entropy, vector) of the lowest two-level catalyst or None; closed form at rank <= 4."""
+    def _two_level_ends(self) -> Optional[tuple]:
+        """(x_min, x_max) of the two-level catalysts, or None if there are
+        none: the closed form at rank <= 4, else the ends of _two_level."""
         if self.dim4:
-            x = self._interval.x_min if self._interval.nonempty else None
-        else:
-            x = self._two_level[0][0] if self._two_level else None
-        return None if x is None else (binary_entropy(x), probe_two_level(x, self.policy))
+            return tuple(self._interval) if self._interval.nonempty else None
+        return (self._two_level[0][0], self._two_level[-1][1]) if self._two_level else None
 
     @cached_property
     def _sides(self) -> tuple:
@@ -229,7 +221,7 @@ class CatalyticPair:
         """Is the loan c a catalyst, for form = _member_form(c)?
 
         c must be in the pair's arithmetic and order.  This is the membership
-        test of is_catalyst, the E_r search and the interval oracle's grid:
+        test of is_catalyst and the interval oracle's grid:
         the products A_i C_j and B_i C_j share the denominator D q and are
         equally many, so their sorted prefix sums, those of b (x) c plus tol,
         are compared as accumulate yields them, up to the first that fails,
@@ -615,14 +607,25 @@ def _affine_grid(lo: Real, hi: Real, n: int):
     return [lo + span * i / (n - 1) for i in range(n)]
 
 
+def _require_two_level_ends(pair: CatalyticPair) -> tuple:
+    """(x_min, x_max) of the blocked pair's two-level catalysts, which must exist."""
+    _require_blocked(pair)
+    if pair._two_level_ends is None:
+        raise EmptyCatalystSet("no two-level catalyst exists for this pair")
+    return pair._two_level_ends
+
+
 def least_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
-    """The two-level catalyst with the least entanglement: (x_max, 1-x_max)."""
-    return probe_two_level(_require_interval(pair).x_max, pair.policy)
+    """The two-level catalyst with the least entanglement, (x_max, 1-x_max),
+    at every main dimension: the high end of the two-level set."""
+    return probe_two_level(_require_two_level_ends(pair)[1], pair.policy)
 
 
 def most_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
-    """The two-level catalyst with the most entanglement: (x_min, 1-x_min)."""
-    return probe_two_level(_require_interval(pair).x_min, pair.policy)
+    """The two-level catalyst with the most entanglement, (x_min, 1-x_min),
+    at every main dimension: the low end of the two-level set, whose binary
+    entropy is the exact E_2 (_entropy_ceiling(pair, 2))."""
+    return probe_two_level(_require_two_level_ends(pair)[0], pair.policy)
 
 
 def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
@@ -632,19 +635,6 @@ def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
     LOCC, so floor(SR(a) * SR(c) / SR(b)) bounds the returned state's rank.
     """
     return (pair.rank_a * schmidt_rank(c, pair.policy)) // pair.rank_b
-
-
-class CatalystEntropySearch(NamedTuple):
-    """Maximal catalyst entropy of bounded rank, with its certificate.
-
-    exact is True for rank 2, where the value is the binary entropy of the
-    lowest two-level catalyst at every main dimension; for rank >= 3 the
-    value is a search-based lower bound on the true maximum.
-    """
-
-    value: float
-    certificate: SchmidtVector
-    exact: bool
 
 
 def _ordered_simplex_grid(r: int, steps: int):
@@ -662,46 +652,6 @@ def _ordered_simplex_grid(r: int, steps: int):
     yield from rec(steps, steps, ())
 
 
-def max_catalyst_entropy(pair: CatalyticPair, r: int) -> CatalystEntropySearch:
-    """Largest entanglement entropy over catalysts of Schmidt rank <= r.
-
-    For r = 2 the answer is exact for pairs of every rank: the binary entropy
-    of the lowest two-level catalyst x_min, cached on the pair
-    (_lowest_two_level).  For larger
-    ranks the catalyst set has no known characterization, so the value is a
-    deterministic grid-plus-random lower bound, flagged approximate: the most
-    entropic catalyst among the two-level one at x_min, the ordered simplex
-    grid and RANDOM_SAMPLES seeded points, found by _best_candidate.  The
-    scan starts below _entropy_ceiling(pair, r), a certified upper bound on
-    the true maximum from prefix 2r of the joint test, since no candidate
-    above it is a catalyst; the value is the full scan's.  No gain bound
-    reads this search: they read the ceiling.
-    """
-    if r < 1:
-        raise PreconditionViolated("catalyst rank bound must be at least 1")
-    _require_blocked(pair)
-    if r == 1:
-        # a separable catalyst changes nothing, so none exists for a
-        # nontrivial pair
-        raise EmptyCatalystSet("separable states never catalyze a blocked transformation")
-
-    best_val, best_cert = pair._lowest_two_level or (-1.0, None)  # a member at every r >= 2
-    if r == 2:
-        if best_cert is None:
-            raise EmptyCatalystSet("no two-level catalyst exists for this pair")
-        return CatalystEntropySearch(best_val, best_cert, True)
-
-    exact = pair.policy.exact  # the table's rows are ordered and in the pair's arithmetic
-    found = _best_candidate(r, SIMPLEX_STEPS, RANDOM_SAMPLES, pair.policy, best_val,
-                            _entropy_ceiling(pair, r),
-                            lambda v: pair._member(_member_form(v, exact)))
-    if found is not None:
-        best_val, best_cert = found
-    if best_cert is None:
-        raise EmptyCatalystSet(f"no catalyst of rank <= {r} found within the search budget")
-    return CatalystEntropySearch(best_val, best_cert, False)
-
-
 @lru_cache(maxsize=8)
 def _order_ideals(rows: int, r: int) -> tuple:
     """The order ideals of size 2r of the rows x r grid, as their r column
@@ -714,9 +664,9 @@ def _entropy_ceiling(pair: CatalyticPair, r: int) -> float:
     """A certified upper bound, in bits, on the entropy of every catalyst of
     Schmidt rank <= r of the blocked pair: the entropy every gain bound reads.
 
-    At r = 2 it is E_2 itself, exact, where a two-level catalyst exists
-    (_lowest_two_level).  Elsewhere it comes from prefix 2r of the joint
-    test.  For a sorted catalyst c of r entries, prefix 2r of a (x) c is at
+    At r = 2 it is E_2 itself, exact, where a two-level catalyst exists:
+    the binary entropy of the low end of its set (_two_level_ends).
+    Elsewhere it comes from prefix 2r of the joint test.  For a sorted catalyst c of r entries, prefix 2r of a (x) c is at
     least t = a_1 + a_2, the sum of a_1 c_j and a_2 c_j.  Prefix 2r of b (x) c
     is the largest sum of w_j c_j over the order ideals of size 2r of the grid
     of b's non-zero rows and c's r columns, where w_j sums b over column j of
@@ -732,8 +682,8 @@ def _entropy_ceiling(pair: CatalyticPair, r: int) -> float:
     makes c's prefix r at least d's, which is 1, so prefix 2r of a (x) c is
     at least t, and b (x) d majorizes a (x) c.
     """
-    if r == 2 and pair._lowest_two_level:
-        return pair._lowest_two_level[0]
+    if r == 2 and pair._two_level_ends:
+        return binary_entropy(pair._two_level_ends[0])
     tol = ComparisonPolicy.tol_strict
     t = float(pair.a[0]) + float(pair.a[1]) - tol
     heads = (0.0, *accumulate(x for x in map(float, pair.b) if x > 0))
@@ -763,62 +713,52 @@ def _entropy_ceiling(pair: CatalyticPair, r: int) -> float:
 
 
 @lru_cache(maxsize=8)
-def _candidate_table(r: int, steps: int, samples: int, exact: bool) -> tuple:
-    """The pair-independent candidates of a rank-r search, by decreasing entropy.
+def _candidate_table(r: int, steps: int, exact: bool) -> tuple:
+    """The pair-independent candidates of the rank-r returned-state grid,
+    the ordered simplex grid of the given steps, by decreasing entropy.
 
-    The candidates are the ordered simplex grid of the given steps, then
-    samples seeded random points (RANDOM_SAMPLES for E_r, none for the
-    returned-state grid).  Returns (entropies, coefficients): the entropies
-    in an array('d'), sorted stably so that equal entropies keep the list
-    order, and each candidate's r coefficients flat in the same order, in an
-    array('d') in float mode and a tuple of Fractions in exact mode.  Built
-    on first use and shared, so callers only read it; the process keeps the
-    eight tables used last, so a large-rank search does not pin its table
-    for the process's life.  A command builds only returned-state grids, with
-    no samples; the E_r tables are max_catalyst_entropy's alone.  Packed, the
-    four float tables of ranks 3 and 4 take about 0.4 MB; held as
-    SchmidtVectors they would take about 2.2 MB more.
+    Returns (entropies, coefficients): the entropies in an array('d'),
+    sorted stably so that equal entropies keep the grid's order, and each
+    candidate's r coefficients flat in the same order, in an array('d') in
+    float mode and a tuple of Fractions in exact mode.  Built on first use
+    and shared, so callers only read it; the process keeps the eight tables
+    used last, so a large-rank search does not pin its table for the
+    process's life.  Packed, the float tables of caps 3 and 4 take about
+    0.2 MB; held as SchmidtVectors they would take about 0.9 MB more.
     """
     if exact:
         rows = [tuple(Fraction(k, steps) for k in parts)
                 for parts in _ordered_simplex_grid(r, steps)]
     else:
         rows = [tuple(k / steps for k in parts) for parts in _ordered_simplex_grid(r, steps)]
-    rng = random.Random(SEARCH_SEED)
-    for _ in range(samples):
-        raw = sorted((rng.random() for _ in range(r)), reverse=True)
-        if exact:
-            raw = [_coerce(x, EXACT_POLICY) for x in raw]
-        total = sum(raw)
-        rows.append(tuple(x / total for x in raw))
     ents = [entropy(v) for v in rows]
     order = sorted(range(len(rows)), key=ents.__getitem__, reverse=True)
     coefs = (x for i in order for x in rows[i])
     return array("d", [ents[i] for i in order]), (tuple(coefs) if exact else array("d", coefs))
 
 
-def _best_candidate(r: int, steps: int, samples: int, policy: ComparisonPolicy, floor: float,
-                    ceiling: float, member, lead=None):
-    """(entropy, vector) of the first candidate of _candidate_table(r, steps,
-    samples) in (floor, ceiling] that passes member, or None.
+def _best_candidate(r: int, steps: int, policy: ComparisonPolicy, floor: float, ceiling: float,
+                    member, lead):
+    """(entropy, vector) of the first candidate of _candidate_table(r, steps)
+    in (floor, ceiling] that passes member, or None.
 
     The table is sorted by decreasing entropy, so this is the highest-entropy
     member above floor, ties going to the candidate listed first: exactly
-    what a full scan in list order keeping only strict improvements returns.
+    what a full scan in grid order keeping only strict improvements returns.
     ceiling is _entropy_ceiling(pair, r), above which no candidate passes
     member, so the scan starts at the first entry at or below it, found by
     bisection, and the result is the same.  Each vector is built only when
-    it is tested.  lead, if given, is a test lead(d1, d2) on a row's two
-    leading coefficients that is False only where member is
-    (CatalyticPair.joint_lead for the returned-state grid); a row it fails
-    is skipped before it is sliced, so the result is the same.
+    it is tested.  lead is a test lead(d1, d2) on a row's two leading
+    coefficients that is False only where member is
+    (CatalyticPair.joint_lead); a row it fails is skipped before it is
+    sliced, so the result is the same.
     """
-    ents, coefs = _candidate_table(r, steps, samples, policy.exact)
+    ents, coefs = _candidate_table(r, steps, policy.exact)
     for i in range(bisect_left(ents, -ceiling, key=operator.neg), len(ents)):
         ent = ents[i]
         if ent <= floor:
             break
-        if lead is not None and not lead(coefs[i * r], coefs[i * r + 1]):
+        if not lead(coefs[i * r], coefs[i * r + 1]):
             continue
         v = SchmidtVector(coefs[i * r:i * r + r])
         if member(v):

@@ -238,7 +238,7 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int
             best_ent, best_d = ent, seed.returned_state
 
     grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
-    found = _best_candidate(rank_cap, grid_steps, 0, policy, best_ent,
+    found = _best_candidate(rank_cap, grid_steps, policy, best_ent,
                             _entropy_ceiling(pair, rank_cap), feasible, pair.joint_lead(target))
     if found is not None:
         best_ent, best_d = found

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import pytest
 from hypothesis import settings
 
-from supercat import (CatalyticPair, ComparisonPolicy, FLOAT_POLICY, is_catalyst, make_schmidt,
+from supercat import (CatalyticPair, ComparisonPolicy, FLOAT_POLICY, SchmidtVector,
+                      binary_entropy, entropy, is_catalyst, make_schmidt,
                       necessary_conditions_4d, rank2_catalyst_interval)
+from supercat.catalysis import _ordered_simplex_grid, probe_two_level
 from supercat.errors import PreconditionViolated
 
 settings.register_profile("package", deadline=None, derandomize=True)
@@ -98,6 +101,48 @@ def random_blocked_pair_with_empty_interval(rng: random.Random,
             continue
         if not rank2_catalyst_interval(pair).nonempty:
             return pair
+
+
+@lru_cache(maxsize=None)
+def reference_search_candidates(r: int, exact: bool) -> tuple:
+    """(entropy, vector) of rank-r reference points, sorted stably by
+    decreasing entropy: the ordered simplex grid of 60 steps, then 2,000
+    random points of seed 0, read by the exact-mode rule in exact mode.
+    They test the entropy ceiling's soundness away from the returned-state
+    grid.  Built once per (r, exact)."""
+    steps = 60
+    if exact:
+        vectors = [SchmidtVector(Fraction(k, steps) for k in parts)
+                   for parts in _ordered_simplex_grid(r, steps)]
+    else:
+        vectors = [SchmidtVector(k / steps for k in parts)
+                   for parts in _ordered_simplex_grid(r, steps)]
+    rng = random.Random(0)
+    for _ in range(2000):
+        raw = sorted((rng.random() for _ in range(r)), reverse=True)
+        if exact:
+            raw = [Fraction(str(x)) for x in raw]
+        total = sum(raw)
+        vectors.append(SchmidtVector(x / total for x in raw))
+    return tuple(sorted(((entropy(v), v) for v in vectors), key=lambda t: t[0], reverse=True))
+
+
+def reference_max_catalyst_entropy(pair: CatalyticPair, r: int):
+    """(value, certificate): a lower bound on the largest entropy of a
+    catalyst of rank <= r, the most entropic catalyst among the low end of
+    the pair's exact two-level set and reference_search_candidates(r), ties
+    going to the two-level one and then to the point listed first.  None
+    for no catalyst."""
+    best = None
+    if pair._two_level:
+        x_min = pair._two_level[0][0]
+        best = binary_entropy(x_min), probe_two_level(x_min, pair.policy)
+    for ent, v in reference_search_candidates(r, pair.policy.exact):
+        if best and ent <= best[0]:
+            break
+        if is_catalyst(pair, v):
+            return ent, v
+    return best
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Catalyst membership, the closed-form interval, extreme catalysts, E_r."""
+"""Catalyst membership, the closed-form interval, extreme catalysts, E_r ceilings."""
 
 import copy
 import math
@@ -16,12 +16,11 @@ import supercat
 from supercat import (CatalystInterval, CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector,
                       binary_entropy, bound_gmax, entropy, gmax_given_c, is_catalyst, kron,
                       least_entangled_rank2_catalyst, majorizes, make_schmidt,
-                      max_catalyst_entropy, most_entangled_rank2_catalyst,
-                      necessary_conditions_4d, nielsen_convertible, prefix_sums,
-                      rank2_catalyst_interval, returned_rank_bound, tilde_gmax_sweep)
-from supercat.catalysis import (RANDOM_SAMPLES, SEARCH_SEED, SIMPLEX_STEPS, _candidate_table,
-                                _entropy_ceiling, _min_feasible_y, _ordered_simplex_grid,
-                                _y_star_pieces, probe_two_level)
+                      most_entangled_rank2_catalyst, necessary_conditions_4d,
+                      nielsen_convertible, prefix_sums, rank2_catalyst_interval,
+                      returned_rank_bound, tilde_gmax_sweep)
+from supercat.catalysis import (_candidate_table, _entropy_ceiling, _min_feasible_y,
+                                _ordered_simplex_grid, _y_star_pieces, probe_two_level)
 from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION
@@ -29,7 +28,8 @@ from supercat.schmidt import _coerce, _constants, _member_form
 
 from conftest import (random_blocked_pair_with_empty_interval, random_catalyst,
                       random_nontrivial_pair, random_rational_sorted_simplex,
-                      random_sorted_simplex)
+                      random_sorted_simplex, reference_max_catalyst_entropy,
+                      reference_search_candidates)
 
 
 def vec(*xs):
@@ -530,7 +530,7 @@ class TestJointLead:
         target = pair.joint_target(c)
         lead, sums_a = pair.joint_lead(target), prefix_sums(kron(pair.a, c))
         for r, steps in GRID_TABLES:
-            coefs = _candidate_table(r, steps, 0, pair.policy.exact)[1]
+            coefs = _candidate_table(r, steps, pair.policy.exact)[1]
             for i in range(0, len(coefs), r):
                 d1, d2 = coefs[i], coefs[i + 1]
                 k1, k2, top = want = reference_lead(pair, c, d1, d2, sums_a)
@@ -568,7 +568,7 @@ class TestJointLead:
     def test_tables_hold_equal_leads_and_zero_seconds(self, exact):
         # the rows the sound-on-every-row tests cover include d1 == d2 and d2 == 0
         for r, steps in GRID_TABLES:
-            coefs = _candidate_table(r, steps, 0, exact)[1]
+            coefs = _candidate_table(r, steps, exact)[1]
             leads = [(coefs[i], coefs[i + 1]) for i in range(0, len(coefs), r)]
             assert any(d1 == d2 for d1, d2 in leads) and any(d2 == 0 for _, d2 in leads)
 
@@ -625,110 +625,39 @@ class TestJointLead:
 
 
 class TestMaxCatalystEntropy:
+    """The exact E_2 at every main dimension: the most entangled two-level
+    catalyst, and its binary entropy, which _entropy_ceiling(pair, 2) is."""
+
     def test_rank2_closed_form(self, pairs):
         for name in ("1", "4"):
-            search = max_catalyst_entropy(pairs[name], 2)
-            assert search.exact
-            assert search.value == pytest.approx(binary_entropy(0.6), abs=1e-12)
-            assert search.certificate == pytest.approx((0.6, 0.4), abs=1e-12)
+            pair = pairs[name]
+            assert _entropy_ceiling(pair, 2) == pytest.approx(binary_entropy(0.6), abs=1e-12)
+            assert most_entangled_rank2_catalyst(pair) == pytest.approx((0.6, 0.4), abs=1e-12)
 
     def test_rank2_scan_beyond_rank4(self):
         # bundled pair 1 with its last level split: rank 5 -> 3, so no
-        # closed form applies and the two-level range is scanned
+        # closed form applies and the two-level set gives x_min
         pair = CatalyticPair(vec(0.4, 0.4, 0.1, 0.05, 0.05), vec(0.5, 0.25, 0.25, 0, 0))
-        search = max_catalyst_entropy(pair, 2)
-        assert search.exact
-        x = search.certificate[0]
+        c = most_entangled_rank2_catalyst(pair)
+        x = c[0]
         assert x == pytest.approx(0.6, abs=1e-9)
-        assert is_catalyst(pair, search.certificate)
+        assert is_catalyst(pair, c)
         assert not is_catalyst(pair, probe_two_level(x - 2e-9, pair.policy))
-        assert search.value == pytest.approx(binary_entropy(0.6), abs=1e-9)
+        assert _entropy_ceiling(pair, 2) == pytest.approx(binary_entropy(0.6), abs=1e-9)
 
     def test_convertible_pair_rejected(self):
         pair = CatalyticPair(vec(0.25, 0.25, 0.25, 0.25), vec(0.5, 0.25, 0.25, 0))
         with pytest.raises(PreconditionViolated):
-            max_catalyst_entropy(pair, 2)
-
-    def test_separable_rank_empty(self, pairs):
-        with pytest.raises(EmptyCatalystSet):
-            max_catalyst_entropy(pairs["1"], 1)
-
-    def test_rank_below_one_rejected(self, pairs):
-        with pytest.raises(PreconditionViolated):
-            max_catalyst_entropy(pairs["1"], 0)
+            most_entangled_rank2_catalyst(pair)
 
     def test_rank2_empty_set_raises(self):
         pair = random_blocked_pair_with_empty_interval(random.Random(6108))
         with pytest.raises(EmptyCatalystSet):
-            max_catalyst_entropy(pair, 2)
-
-    def test_rank3_search_dominates_rank2(self, pairs):
-        search = max_catalyst_entropy(pairs["1"], 3)
-        assert not search.exact
-        assert search.value >= binary_entropy(0.6) - 1e-12
-        assert is_catalyst(pairs["1"], search.certificate)
-
-    def test_exact_rank4_search_on_first_pair(self, exact_pairs):
-        search = max_catalyst_entropy(exact_pairs["1"], 4)
-        assert not search.exact
-        assert search.value == 1.9709505944546686
-        assert search.certificate == (Fraction(3, 10), Fraction(3, 10), Fraction(1, 5),
-                                      Fraction(1, 5))
-
-    def test_deterministic_given_seed(self, pairs):
-        s1 = max_catalyst_entropy(pairs["2"], 3)
-        s2 = max_catalyst_entropy(pairs["2"], 3)
-        assert s1.value == s2.value
-        assert s1.certificate == s2.certificate
-
-
-def reference_search_candidates(r: int, exact: bool) -> list:
-    """(entropy, vector) of each candidate of the rank-r E_r search, in the
-    list order the full scan visits: the ordered simplex grid, then the
-    seeded random samples read by the exact-mode rule."""
-    steps = SIMPLEX_STEPS
-    if exact:
-        vectors = [SchmidtVector(Fraction(k, steps) for k in parts)
-                   for parts in _ordered_simplex_grid(r, steps)]
-    else:
-        vectors = [SchmidtVector(k / steps for k in parts)
-                   for parts in _ordered_simplex_grid(r, steps)]
-    rng = random.Random(SEARCH_SEED)
-    for _ in range(RANDOM_SAMPLES):
-        raw = sorted((rng.random() for _ in range(r)), reverse=True)
-        if exact:
-            raw = [Fraction(str(x)) for x in raw]
-        total = sum(raw)
-        vectors.append(SchmidtVector(x / total for x in raw))
-    return [(entropy(v), v) for v in vectors]
-
-
-def reference_max_catalyst_entropy(pair, candidates) -> tuple:
-    """(value, certificate) of the rank >= 3 search as a full linear scan:
-    the lowest two-level catalyst, the low end of the pair's exact two-level
-    set, seeds it at every rank, and a candidate replaces the best when it
-    is strictly more entropic and a catalyst.  None for no catalyst."""
-    best_val, best_cert = -1.0, None
-    if pair._two_level:
-        x_min = pair._two_level[0][0]
-        best_val, best_cert = binary_entropy(x_min), probe_two_level(x_min, pair.policy)
-    for ent, v in candidates:
-        if ent > best_val and is_catalyst(pair, v):
-            best_val, best_cert = ent, v
-    return None if best_cert is None else (best_val, best_cert)
-
-
-def random_blocked_rank5_pair(rng):
-    """A blocked pair of ranks 5 and 4, where no rank-2 seed applies."""
-    while True:
-        pair = CatalyticPair(make_schmidt(random_sorted_simplex(rng, 5)),
-                             make_schmidt(random_sorted_simplex(rng, 4)))
-        if pair.nontrivial:
-            return pair
+            most_entangled_rank2_catalyst(pair)
 
 
 #: a float pair with a narrow two-level interval (width 2.6e-3), where the
-#: rank-2 catalyst at x_min beats every candidate of the rank-3 table, though
+#: rank-2 catalyst at x_min beats every rank-3 reference candidate, though
 #: some of them are catalysts too
 SEED_WINS_AT_RANK_3 = CatalyticPair(
     SchmidtVector((0.4845759237219045, 0.4006514095594077, 0.07002214467475609,
@@ -738,62 +667,40 @@ SEED_WINS_AT_RANK_3 = CatalyticPair(
 
 
 #: a rank-5 pair whose two-level set is [53/93, 4/7]: at rank 3 the seed
-#: x_min = 53/93 is the answer, and no candidate of the table is a catalyst
+#: x_min = 53/93 is the answer, and no reference candidate is a catalyst
 SEED_WINS_ABOVE_RANK_4 = ("33/100,59/200,7/40,7/40,1/40", "9/25,49/200,11/50,3/20,1/40")
 
 
 class TestCandidateTables:
-    """max_catalyst_entropy scans a pair-independent candidate table in
-    decreasing entropy and stops at the first catalyst; each result must
-    equal the full linear scan's exactly."""
-
-    @pytest.mark.parametrize("r", [3, 4])
-    def test_search_matches_linear_scan(self, r, exact_pairs):
-        rng = random.Random(6030 + r)
-        cases = [random_nontrivial_pair(rng) for _ in range(100)]
-        cases += [random_blocked_rank5_pair(rng) for _ in range(10)]
-        cases += [*exact_pairs.values(), SEED_WINS_AT_RANK_3]
-        cases += [text_pair(texts, EXACT_POLICY) for texts in (SINGLE_POINT, TWO_PIECES)]
-        cases += [text_pair(SEED_WINS_ABOVE_RANK_4, policy) for policy in (FLOAT_POLICY,
-                                                                           EXACT_POLICY)]
-        candidates = {exact: reference_search_candidates(r, exact) for exact in (False, True)}
-        outcomes = Counter()
-        for pair in cases:
-            want = reference_max_catalyst_entropy(pair, candidates[pair.policy.exact])
-            if want is None:
-                with pytest.raises(EmptyCatalystSet):
-                    max_catalyst_entropy(pair, r)
-                outcomes["empty"] += 1
-                continue
-            search = max_catalyst_entropy(pair, r)
-            assert (search.value, search.certificate) == want, pair
-            assert search.certificate.exact == pair.policy.exact
-            outcomes[len(search.certificate)] += 1
-        # most results come from the table; most rank-5 pairs have no catalyst
-        # of rank r, so their scans run to the end of the table
-        assert outcomes[r] > 50 and outcomes["empty"] > 0
-        assert outcomes[2] == 3 * (r == 3)
+    """The returned-state grid scans a pair-independent candidate table in
+    decreasing entropy from below the entropy ceiling; no candidate it skips
+    could pass its test."""
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("r", [3, 4])
     def test_table_sorted_by_entropy_in_list_order(self, r, exact):
-        # at rank 4 a few distinct candidates share an entropy, so the
-        # order of ties is checked too
-        ents, coefs = _candidate_table(r, SIMPLEX_STEPS, RANDOM_SAMPLES, exact)
-        want = sorted(reference_search_candidates(r, exact), key=lambda t: t[0], reverse=True)
+        steps = dict(GRID_TABLES)[r]
+        ents, coefs = _candidate_table(r, steps, exact)
+        scale = (lambda k: Fraction(k, steps)) if exact else (lambda k: k / steps)
+        rows = [SchmidtVector(map(scale, parts)) for parts in _ordered_simplex_grid(r, steps)]
+        want = sorted(((entropy(v), v) for v in rows), key=lambda t: t[0], reverse=True)
+        if r == 4:  # a few distinct rows share an entropy, so the order of ties is checked too
+            assert len({ent for ent, _ in want}) < len(want)
         assert list(ents) == [ent for ent, _ in want]
         assert list(coefs) == [x for _, v in want for x in v]
 
     def test_second_pair_builds_no_table(self, pairs):
         # a rank-3 loan of a bundled pair has returned-rank cap 4, so the gain
-        # scans the cap-4 grid and its bound the rank-4 E_r table
+        # scans the cap-4 grid, which the second pair reads as built
         c = vec(0.5, 0.3, 0.2)
-        for search in (lambda pair: max_catalyst_entropy(pair, 3),
-                       lambda pair: (gmax_given_c(pair, c), bound_gmax(pair, c))):
-            search(pairs["1"])
-            misses = _candidate_table.cache_info().misses
-            search(pairs["2"])
-            assert _candidate_table.cache_info().misses == misses
+
+        def solve(pair):
+            return gmax_given_c(pair, c), bound_gmax(pair, c)
+
+        solve(pairs["1"])
+        misses = _candidate_table.cache_info().misses
+        solve(pairs["2"])
+        assert _candidate_table.cache_info().misses == misses
 
     def test_import_builds_no_table(self):
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import supercat, supercat.cli; "
@@ -808,8 +715,8 @@ class TestCandidateTables:
                                                       (EXACT_POLICY, (3, 4), 16)],
                              ids=["float", "exact"])
     def test_ceiling_skips_no_catalyst(self, policy, ranks, n_pairs):
-        """No candidate of a table above _entropy_ceiling is a catalyst, and
-        the E_r certificates and the cap >= 3 returned states of the
+        """No reference candidate above _entropy_ceiling is a catalyst, and
+        the reference E_r certificates and the cap >= 3 returned states of the
         TestGridRankGain cases lie at or below the ceiling of their rank.
         Every candidate in the band just above the ceiling is tested, and
         every stride-th one beyond it."""
@@ -819,15 +726,15 @@ class TestCandidateTables:
         cases += [CatalyticPair(SEED_WINS_AT_RANK_3.a, SEED_WINS_AT_RANK_3.b, policy),
                   text_pair(SEED_WINS_ABOVE_RANK_4, policy)]
         skips = Counter()
-        for pair in cases:
-            for r in ranks:
+        for r in ranks:
+            table = reference_search_candidates(r, policy.exact)
+            for pair in cases:
                 ceiling = _entropy_ceiling(pair, r)
-                ents, coefs = _candidate_table(r, SIMPLEX_STEPS, RANDOM_SAMPLES, policy.exact)
-                above = sum(ent > ceiling for ent in ents)
-                assert all(ent > ceiling for ent in ents[:above])  # the table is sorted
+                above = sum(ent > ceiling for ent, _ in table)
+                assert all(ent > ceiling for ent, _ in table[:above])  # the table is sorted
                 far = max(above - band, 0)
                 for i in [*range(far, above), *range(0, far, stride)]:
-                    v = SchmidtVector(coefs[i * r:i * r + r])
+                    v = table[i][1]
                     assert not pair._member(_member_form(v, policy.exact)), (pair, v)
                     skips["tested"] += 1
                 skips["skipped"] += above
@@ -839,7 +746,7 @@ class TestCandidateTables:
         for pair, c in grid_rank_gain_cases(policy):
             cap = returned_rank_bound(pair, c)
             ceiling = _entropy_ceiling(pair, cap)
-            assert entropy(max_catalyst_entropy(pair, cap).certificate) <= ceiling, (pair, c)
+            assert entropy(reference_max_catalyst_entropy(pair, cap)[1]) <= ceiling, (pair, c)
             assert entropy(gmax_given_c(pair, c).returned_state) <= ceiling, (pair, c)
 
 
@@ -947,6 +854,10 @@ SINGLE_POINT = ("107/200,9/50,13/100,21/200,1/20", "111/200,29/200,27/200,27/200
 TWO_PIECES = ("43/100,27/100,37/200,7/100,9/200", "51/100,43/200,29/200,23/200,3/200")
 #: a rank-6 pair whose two pieces [36/61, 3/5] and [38/63, 19/28] are 1/315 apart
 NARROW_GAP = ("33/100,6/25,39/200,23/200,3/50,3/50", "19/50,41/200,17/100,27/200,3/40,7/200")
+#: bundled pair 1 with its last level split, rank 5 -> 3: two-level set [3/5, 5/8]
+SPLIT_FIRST_PAIR = ("2/5,2/5,1/10,1/20,1/20", "1/2,1/4,1/4,0,0")
+#: a blocked rank-5 pair with a1 <= b1 and a5 >= b5 but no two-level catalyst
+EMPTY_ABOVE_RANK_4 = ("9/20,7/20,1/10,1/20,1/20", "1/2,1/4,3/20,1/20,1/20")
 
 
 def text_pair(texts, policy):
@@ -1063,10 +974,44 @@ class TestTwoLevelSet:
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_defect_pairs_rank2_entropy_exact(self, policy):
         for texts, x_min in ((SINGLE_POINT, Fraction(4, 7)), (TWO_PIECES, Fraction(8, 13))):
-            search = max_catalyst_entropy(text_pair(texts, policy), 2)
-            assert search.exact
-            assert search.certificate[0] == pytest.approx(x_min, abs=1e-15)
-            assert search.value == pytest.approx(binary_entropy(x_min), abs=1e-12)
+            pair = text_pair(texts, policy)
+            assert most_entangled_rank2_catalyst(pair)[0] == pytest.approx(x_min, abs=1e-15)
+            assert _entropy_ceiling(pair, 2) == pytest.approx(binary_entropy(x_min), abs=1e-12)
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_extreme_catalysts_above_rank4_are_the_set_ends(self, policy):
+        # above rank 4 the extreme catalysts raised PreconditionViolated
+        cases = [(SINGLE_POINT, Fraction(4, 7), Fraction(4, 7)),
+                 (TWO_PIECES, Fraction(8, 13), Fraction(51, 67)),
+                 (NARROW_GAP, Fraction(36, 61), Fraction(19, 28)),
+                 (SPLIT_FIRST_PAIR, Fraction(3, 5), Fraction(5, 8))]
+        rng = random.Random(6111)
+        cases += [(pair, None, None) for pair in
+                  (random_high_rank_pair(rng, policy) for _ in range(10))]
+        for texts, x_min, x_max in cases:
+            pair = texts if x_min is None else text_pair(texts, policy)
+            assert not pair.dim4
+            most, least = most_entangled_rank2_catalyst(pair), least_entangled_rank2_catalyst(pair)
+            assert most == probe_two_level(pair._two_level[0][0], policy)
+            assert least == probe_two_level(pair._two_level[-1][1], policy)
+            assert is_catalyst(pair, most) and is_catalyst(pair, least), pair
+            assert _entropy_ceiling(pair, 2) == binary_entropy(most[0])
+            if x_min is None:
+                continue
+            if policy.exact:
+                assert (most[0], least[0]) == (x_min, x_max)
+            else:
+                assert (most[0], least[0]) == (pytest.approx(x_min, abs=1e-12),
+                                               pytest.approx(x_max, abs=1e-12))
+
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_extreme_catalysts_of_an_empty_set_above_rank4_raise(self, policy):
+        pair = text_pair(EMPTY_ABOVE_RANK_4, policy)
+        assert pair.nontrivial and not pair.dim4 and pair._two_level == ()
+        with pytest.raises(EmptyCatalystSet):
+            most_entangled_rank2_catalyst(pair)
+        with pytest.raises(EmptyCatalystSet):
+            least_entangled_rank2_catalyst(pair)
 
     def test_float_sets_near_exact(self):
         for texts in (SINGLE_POINT, TWO_PIECES, NARROW_GAP):
@@ -1171,8 +1116,6 @@ class TestOrderGuarantee:
             "extreme catalysts": lambda a, b, c, d, e:
                 (least_entangled_rank2_catalyst(CatalyticPair(a, b, policy)),
                  most_entangled_rank2_catalyst(CatalyticPair(a, b, policy))),
-            "max_catalyst_entropy": lambda a, b, c, d, e:
-                [max_catalyst_entropy(CatalyticPair(a, b, policy), r) for r in (2, 3)],
             "returned_rank_bound": lambda a, b, c, d, e: returned_rank_bound(pair, e),
             "gain": lambda a, b, c, d, e: supercat.gain(a, b, c, d, policy),
             "check_supercatalytic": lambda a, b, c, d, e:

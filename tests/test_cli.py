@@ -344,30 +344,25 @@ class TestGainSweep:
     @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
     @pytest.mark.parametrize("loan", [*HIGH_CAP_LOANS, "rank8"])
     def test_loan_runs_no_entropy_search(self, capsys, monkeypatch, mode, loan):
-        """A loan at cap >= 3 reads its bound from the entropy ceiling: it
-        runs no E_r search and asks for no sampled candidate table.  The
-        rank-8 loan (cap 10) spent 6.0 of 6.1 s, profiled, building the
-        196k-row E_10 table for a bound that then printed 1.0."""
+        """A loan at cap >= 3 reads its bound from the entropy ceiling: the
+        only candidate table it asks for is its cap's returned-state grid.
+        The rank-8 loan (cap 10) once spent 6.0 of 6.1 s, profiled, building
+        the 196k-row E_10 search table for a bound that then printed 1.0."""
         tables = []
         table = supercat.catalysis._candidate_table
 
-        def recorded(r, steps, samples, exact):
-            tables.append((r, steps, samples))
-            return table(r, steps, samples, exact)
-
-        def no_search(*args):
-            raise AssertionError("max_catalyst_entropy ran")
+        def recorded(r, steps, exact):
+            tables.append((r, steps, exact))
+            return table(r, steps, exact)
 
         monkeypatch.setattr(supercat.catalysis, "_candidate_table", recorded)
-        for module in (supercat.catalysis, supercat.supercatalysis, supercat.cli):
-            if hasattr(module, "max_catalyst_entropy"):
-                monkeypatch.setattr(module, "max_catalyst_entropy", no_search)
         a, b, c = HIGH_CAP_LOANS.get(loan, (A1, B1, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"))
         code, out, _ = run(capsys, "gain-sweep", *mode, "--a", a, "--b", b, "--c", c)
         assert code == 0
         payload = json.loads(out)
         assert payload["gain"] <= payload["bound"] <= 1.0
-        assert tables and all(samples == 0 for _, _, samples in tables), tables
+        grid = {"cap3": (3, 200), "cap3-two-level": (3, 200), "cap4": (4, 60), "rank8": (10, 12)}
+        assert tables and set(tables) == {(*grid[loan], bool(mode))}, tables
 
     @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
     @pytest.mark.parametrize("c", ["1", "0.6,0.4"], ids=["separable", "two-level"])
@@ -379,7 +374,7 @@ class TestGainSweep:
         assert err == "error: the transformation already succeeds without a catalyst\n"
 
     def test_exact_rank3_loan_search(self, capsys):
-        # the exact simplex grid, hill-climb and random samples of the rank >= 3 searches
+        # the exact simplex grid and hill-climb of the rank >= 3 returned-state search
         argv = ["gain-sweep", "--a", A1, "--b", B1, "--c", "1/2,3/10,1/5"]
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -42,6 +42,16 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert [m for m in ("dataclasses", "inspect") if m in loaded] == []
 
 
+def test_import_without_site_loads_no_random():
+    # no module of the package draws random numbers.  Under -I alone a site
+    # hook may load random first, so -S keeps the count to the import's own
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", IMPORT_CODE, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    loaded = out.stdout.split()
+    assert "supercat.cli" in loaded
+    assert [m for m in ("random", "dataclasses", "inspect") if m in loaded] == []
+
+
 def test_exports_resolve_once():
     assert [name for name in supercat.__all__ if not hasattr(supercat, name)] == []
     assert len(set(supercat.__all__)) == len(supercat.__all__)

@@ -16,10 +16,10 @@ from supercat import (CatalyticPair, CatalystInterval, EXACT_POLICY, FLOAT_POLIC
                       binary_entropy, bound_gmax, check_supercatalytic, entropy, epsilon_family,
                       gain, gmax_given_c, grid_gmax_rank2, is_catalyst, kron,
                       least_entangled_rank2_catalyst, majorizes, make_schmidt,
-                      max_catalyst_entropy, most_entangled_rank2_catalyst, nielsen_convertible,
-                      prefix_sums, rank2_catalyst_interval, rank_reduce_returned,
-                      returned_rank_bound, schmidt_rank, tilde_gmax_sweep,
-                      trivial_swap_construction, verify_epsilon_family)
+                      most_entangled_rank2_catalyst, nielsen_convertible, prefix_sums,
+                      rank2_catalyst_interval, rank_reduce_returned, returned_rank_bound,
+                      schmidt_rank, tilde_gmax_sweep, trivial_swap_construction,
+                      verify_epsilon_family)
 from supercat.catalysis import (_affine_grid, _entropy_ceiling, _min_feasible_y,
                                 _ordered_simplex_grid, _y_star_pieces, probe_two_level)
 from supercat.cli import main
@@ -31,7 +31,7 @@ from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain,
                                      _gain_value, _solve_loan, _stationary_points)
 
 from conftest import (random_catalyst, random_nontrivial_pair, random_rational_sorted_simplex,
-                      random_sorted_simplex)
+                      random_sorted_simplex, reference_max_catalyst_entropy)
 from test_golden import HIGH_CAP_LOANS
 
 TIGHT_GAIN = 0.07442316637776933  # first bundled pair: (h(0.6)-h(0.625))/(E(a)-E(b))
@@ -471,8 +471,9 @@ class TestBoundGmax:
     def test_unfloored_bound_never_below_gain_at_caps_3_and_4(self, policy):
         """The bound from the entropy ceiling, before _solve_loan floors it at
         the gain, is at least the gain, so the floor never acts.  The bound
-        from the E_r search sat below the gain on 35 of the 400 benchmark
-        loans at seeds 0 and 1; the first of them leads the cases."""
+        from the search-based E_3 sat below the gain on 35 of the 400
+        benchmark loans at seeds 0 and 1; the first of them leads the cases,
+        and the reference search still bounds its gain too low."""
         rng = random.Random(6061)
         pair = CatalyticPair(*(make_schmidt(t.split(","), policy) for t in LOAN_R046[:2]), policy)
         cases = [(pair, make_schmidt(LOAN_R046[2].split(","), policy))]
@@ -488,7 +489,7 @@ class TestBoundGmax:
             caps[cap] += 1
         assert caps[3] >= 50 and caps[4] >= 50, caps
         pair, c = cases[0]
-        search = (max_catalyst_entropy(pair, 3).value - entropy(c)) / pair.entropy_drop
+        search = (reference_max_catalyst_entropy(pair, 3)[0] - entropy(c)) / pair.entropy_drop
         assert search < gmax_given_c(pair, c).gain - 0.009
 
     def test_bound_never_below_gain_at_caps_3_and_4(self, pairs):
@@ -506,15 +507,14 @@ class TestBoundGmax:
         assert caps[3] >= 50 and caps[4] >= 50
 
     def test_loan_without_search_member_keeps_its_gain(self):
-        # no candidate of the rank-3 search is a catalyst, though the loan is
+        # no rank-3 reference candidate is a catalyst, though the loan is
         pair = CatalyticPair(vec(0.519773417811575, 0.39161841841918565, 0.07540497933614343,
                                  0.013203184433095871),
                              vec(0.6018524912999029, 0.30884880361589706, 0.08577879216933693,
                                  0.003519912914863088))
         c = vec(0.5591722900586402, 0.289844528287162, 0.15098318165419777)
         assert returned_rank_bound(pair, c) == 3
-        with pytest.raises(EmptyCatalystSet):
-            max_catalyst_entropy(pair, 3)
+        assert reference_max_catalyst_entropy(pair, 3) is None
         result, bound = _solve_loan(pair, c)
         assert result.gain == pytest.approx(0.0416, abs=1e-4)
         assert result == gmax_given_c(pair, c)
@@ -1145,15 +1145,14 @@ class TestRecordsAreNamedTuples:
         c = probe_two_level("0.61", policy)
         sweep = tilde_gmax_sweep(pair, n_points=3)
         fam = epsilon_family(Fraction(1, 100), policy)
-        return [rank2_catalyst_interval(pair), max_catalyst_entropy(pair, 2),
-                gmax_given_c(pair, c), sweep.points[1], sweep,
+        return [rank2_catalyst_interval(pair), gmax_given_c(pair, c), sweep.points[1], sweep,
                 check_supercatalytic(fam.a, fam.b, fam.c, fam.d, policy), fam,
                 verify_epsilon_family(fam, policy)]
 
     def test_fields_are_read_only_and_replace_keeps_the_type(self, policy):
         records = self.records(policy)
         assert [type(r).__name__ for r in records] == [
-            "CatalystInterval", "CatalystEntropySearch", "GainResult", "SweepPoint",
+            "CatalystInterval", "GainResult", "SweepPoint",
             "SweepResult", "SupercatalysisVerdict", "EpsilonFamily", "EpsilonFamilyReport"]
         for record in records:
             first = record._fields[0]
