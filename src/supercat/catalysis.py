@@ -8,9 +8,9 @@ every dimension the ends of the set are the least and most entangled
 two-level catalysts, and the low end gives the exact E_2.  The pair's
 breakpoint tables are read only here: by the two-level set, by the best
 two-level returned state y* of a two-level loan (_min_feasible_y) and by the
-linear pieces of y*(x) (_y_star_pieces), from which supercatalysis computes
-gains.  In float mode all three count a constraint as sloped only when its
-slope exceeds tol_eq, and give a constant one tol_eq slack.  Above rank 2
+linear pieces of y*(x) (_y_star_pieces), which give an exact sweep its y*.
+In float mode all three count a constraint as sloped only when its slope
+exceeds tol_eq, and give a constant one tol_eq slack.  Above rank 2
 the maximal catalyst entropy E_r has a certified ceiling, which every gain
 bound reads.  Grid scans of two-level vectors live in oracle.
 
@@ -335,12 +335,13 @@ def _min_feasible_y(pair: CatalyticPair, target) -> Optional[Real]:
     In float mode, constraints that are constant in y are compared with
     tol_eq slack so exact ties survive rounding; sloped constraints are
     solved without slack, since slack would shift the optimum and let the
-    reported gain creep past its upper bound.  Exact mode solves the same
-    constraints on the pair's integers (_min_feasible_y_scaled).
+    reported gain creep past its upper bound.  Exact mode runs the same body
+    with slack 0, on the target's sums T_k / q over D, as the segments' are.
     """
+    q, sums_a, c = target[:3]
+    c1, tol = c[0], pair._sides[2]
     if pair.policy.exact:
-        return _min_feasible_y_scaled(pair, target)
-    sums_a, c1, tol = target[1], target[2][0], pair.policy.tol_eq
+        sums_a = [Fraction(t, q) for t in sums_a]
 
     for seg_lo, seg_hi, sums in pair._segments:
         if not seg_lo < c1:
@@ -364,38 +365,6 @@ def _min_feasible_y(pair: CatalyticPair, target) -> Optional[Real]:
     return None
 
 
-def _min_feasible_y_scaled(pair: CatalyticPair, target: tuple) -> Optional[Fraction]:
-    """_min_feasible_y in exact mode, on integers.
-
-    target is (q, T, c, C) with T_k over D q, and the segment coefficients are
-    integers over D, so constraint k reads (coef_const + slope * y) q >= T_k.
-    A slope is 0 or positive, and with slope 0 the constraint is the constant
-    coef_const q >= T_k.  Every y is kept as a numerator and denominator and
-    compared by cross-multiplying; only y* itself becomes a Fraction.
-    """
-    q, sums_a, c = target[:3]
-    hn, hd = c[0].numerator, c[0].denominator
-    for seg_lo, seg_hi, sums in pair._segments:
-        yn, yd = seg_lo.numerator, seg_lo.denominator
-        if not yn * hd < hn * yd:
-            break
-        un, ud = seg_hi.numerator, seg_hi.denominator
-        if not un * hd < hn * ud:
-            un, ud = hn, hd
-        for k, (coef_const, slope) in enumerate(sums):
-            if slope > 0:
-                bn, bd = sums_a[k] - coef_const * q, slope * q
-                if bn * yd > yn * bd:
-                    yn, yd = bn, bd
-                    if yn * ud > un * yd:
-                        break
-            elif coef_const * q < sums_a[k]:
-                break
-        else:
-            return Fraction(yn, yd)
-    return None
-
-
 def _y_star_pieces(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> list:
     """The linear pieces (x0, x1, alpha, beta) of y*(x) = alpha x + beta on [x_lo, x_hi].
 
@@ -409,9 +378,10 @@ def _y_star_pieces(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> list:
     lower end included, and it holds while the constant constraints do and
     y* stays below the segment's upper end.  The targets grow with x as the
     sums grow with y, so y* never decreases: the walk visits the y-segments
-    in order and never goes back.  Exact mode computes every piece end as a
-    Fraction.  In float mode the envelope's active line is the steepest of
-    those within tol_eq of the top.
+    in order and never goes back.  Where y* jumps up the next piece starts
+    at the jump, so y*(x) is read from the lowest piece that holds x.  Exact
+    mode computes every piece end as a Fraction.  In float mode the
+    envelope's active line is the steepest of those within tol_eq of the top.
     """
     tol, ratio = pair._sides[2], (Fraction if pair.policy.exact else operator.truediv)
     segs_b, j, pieces = pair._segments, 0, []

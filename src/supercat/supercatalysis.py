@@ -30,18 +30,20 @@ linear and nondecreasing in x, on the cells of a's breakpoint segments in x
 and b's in y (catalysis._y_star_pieces).  The sweep maximum is found exactly
 from those pieces: on each, the gain peaks at a piece end or at a stationary
 point, and each candidate that could beat the sampled maximum is certified
-by a sample's solve (about one per sweep).  A sweep checks the pair and
-fetches the returned-rank cap and its catalysis._entropy_ceiling once; each
-loan pays only for its membership test (catalysis._require_member), solve
-and bound.  That ceiling, the exact E_2 at cap 2 and certified above it,
-caps every gain bound.
+by the solve (about one per sweep).  A sweep walks the pieces, checks the
+pair and fetches the returned-rank cap (2) and its catalysis._entropy_ceiling
+once; each sample pays only for its membership test
+(catalysis._require_member), y* and bound.  An exact sample reads y* off the
+pieces; a float one solves it, as the walk's float y* can differ by 4e-15.
+That ceiling, the exact E_2 at cap 2 and certified above it, caps every gain
+bound.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
                         _entropy_ceiling, _min_feasible_y, _require_entropy_drop,
@@ -195,15 +197,23 @@ def _gain_value(pair: CatalyticPair, ent_d: float, ent_c: float) -> float:
     return min(max((ent_d - ent_c) / pair.entropy_drop, 0.0), 1.0)
 
 
+def _two_level_gain(pair: CatalyticPair, c1: Real, y, ent_c: float) -> Optional[float]:
+    """The gain of returning (y, 1-y) on a two-level loan of largest coefficient
+    c1 and entropy ent_c, y being its y* or None; None, gain 0 with d = c,
+    unless y lies strictly below c1.  Every two-level gain takes this rule."""
+    if y is None or not pair.policy.strictly_greater(c1, y):
+        return None
+    return _gain_value(pair, binary_entropy(y), ent_c)
+
+
 def _exact_rank2_gain(pair: CatalyticPair, c: SchmidtVector, target, ent_c: float) -> GainResult:
     """Exact best gain when the returned state is forced to two levels;
     target is pair.joint_target(c) and ent_c is entropy(c)."""
-    policy = pair.policy
     y = _min_feasible_y(pair, target)
-    if y is None or not policy.strictly_greater(c[0], y):
+    g = _two_level_gain(pair, c[0], y, ent_c)
+    if g is None:
         return GainResult(0.0, c, EXACT_METHOD)
-    return GainResult(_gain_value(pair, binary_entropy(y), ent_c), probe_two_level(y, policy),
-                      EXACT_METHOD)
+    return GainResult(g, probe_two_level(y, pair.policy), EXACT_METHOD)
 
 
 def _ordered_descending(t) -> bool:
@@ -211,19 +221,19 @@ def _ordered_descending(t) -> bool:
 
 
 def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int,
-                    ent_c: float) -> GainResult:
+                    ent_c: float, ceiling: float) -> GainResult:
     """Approximate best gain over returned states of rank <= rank_cap;
-    target is pair.joint_target(c) and ent_c is entropy(c).
+    target is pair.joint_target(c), ent_c is entropy(c) and ceiling is
+    catalysis._entropy_ceiling(pair, rank_cap).
 
     The most entropic of c, the exact rank-2 optimum for a two-level c, and
     the feasible states of the simplex grid (catalysis._best_candidate)
     seeds a hill-climb.  A grid row d is feasible when b (x) d majorizes
     a (x) c and c majorizes d.  Such a d is a catalyst of rank <= rank_cap,
-    so the scan starts at the first row at or below
-    catalysis._entropy_ceiling(pair, rank_cap), and skips, unbuilt, each row
-    that fails the joint test's first two prefix sums or d1 <= c1, as the
-    full test makes them (CatalyticPair.joint_lead); the rows passed over
-    fail their full test too, so the result is the full scan's.
+    so the scan starts at the first row at or below the ceiling, and skips,
+    unbuilt, each row that fails the joint test's first two prefix sums or
+    d1 <= c1, as the full test makes them (CatalyticPair.joint_lead); the rows
+    passed over fail their full test too, so the result is the full scan's.
     """
     policy = pair.policy
 
@@ -238,8 +248,8 @@ def _grid_rank_gain(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int
             best_ent, best_d = ent, seed.returned_state
 
     grid_steps = {3: 200, 4: 60, 5: 24}.get(rank_cap, 12)
-    found = _best_candidate(rank_cap, grid_steps, policy, best_ent,
-                            _entropy_ceiling(pair, rank_cap), feasible, pair.joint_lead(target))
+    found = _best_candidate(rank_cap, grid_steps, policy, best_ent, ceiling, feasible,
+                            pair.joint_lead(target))
     if found is not None:
         best_ent, best_d = found
 
@@ -282,15 +292,9 @@ def gmax_given_c(pair: CatalyticPair, c: SchmidtVector) -> GainResult:
     gain 0 with d = c.
     """
     c, target, rank_cap, ent_c = _require_loan(pair, c)
-    return _gain_at_cap(pair, c, target, rank_cap, ent_c)
-
-
-def _gain_at_cap(pair: CatalyticPair, c: SchmidtVector, target, rank_cap: int,
-                 ent_c: float) -> GainResult:
-    """gmax_given_c for a checked loan c, its returned-rank cap and its entropy."""
     if rank_cap <= 2:
         return _exact_rank2_gain(pair, c, target, ent_c)
-    return _grid_rank_gain(pair, c, target, rank_cap, ent_c)
+    return _grid_rank_gain(pair, c, target, rank_cap, ent_c, _entropy_ceiling(pair, rank_cap))
 
 
 def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
@@ -305,13 +309,15 @@ def bound_gmax(pair: CatalyticPair, c: SchmidtVector) -> float:
 
 
 def _solve_loan(pair: CatalyticPair, c: SchmidtVector) -> tuple:
-    """(gmax_given_c result, bound) for the loan c, checked once.  The bound,
-    which bound_gmax and gain-sweep --c report, is the gain of a returned state
-    at the entropy ceiling of the loan's cap, clamped as every gain is, and
-    floored at the gain."""
+    """(gmax_given_c result, bound) for the loan c, checked once, with one
+    entropy ceiling of the loan's cap for the grid search and the bound.  The
+    bound, which bound_gmax and gain-sweep --c report, is the gain of a
+    returned state at that ceiling, clamped as every gain is, and floored at
+    the gain."""
     c, target, rank_cap, ent_c = _require_loan(pair, c)
-    result = _gain_at_cap(pair, c, target, rank_cap, ent_c)
     ceiling = _entropy_ceiling(pair, rank_cap)
+    result = (_exact_rank2_gain(pair, c, target, ent_c) if rank_cap <= 2
+              else _grid_rank_gain(pair, c, target, rank_cap, ent_c, ceiling))
     return result, max(_gain_value(pair, ceiling, ent_c), result.gain)
 
 
@@ -348,18 +354,18 @@ def _stationary_points(x0: float, x1: float, al: float, be: float):
             yield lo
 
 
-def _sweep_candidates(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> dict:
+def _sweep_candidates(pair: CatalyticPair, pieces: list, x_lo: Real, x_hi: Real) -> dict:
     """x -> (closed-form gain, kind) of the loans where the gain can peak on [x_lo, x_hi].
 
-    On each piece y* = alpha x + beta of _y_star_pieces the gain is
-    (h(y*) - h(x)) / drop, smooth in x, so its maximum over the piece is at a
-    piece end ("endpoint" at x_lo or x_hi, "kink" elsewhere) or at a
-    stationary point inside ("stationary", a float).  The gain is 0 where y*
-    does not lie strictly below x.
+    On each piece y* = alpha x + beta of pieces, _y_star_pieces(pair, x_lo,
+    x_hi), the gain is (h(y*) - h(x)) / drop, smooth in x, so its maximum
+    over the piece is at a piece end ("endpoint" at x_lo or x_hi, "kink"
+    elsewhere) or at a stationary point inside ("stationary", a float).  The
+    gain is 0 where y* does not lie strictly below x.
     """
     policy, drop = pair.policy, pair.entropy_drop
     cands = {}
-    for x0, x1, al, be in _y_star_pieces(pair, x_lo, x_hi):
+    for x0, x1, al, be in pieces:
         found = [(x, al * x + be, "endpoint" if x in (x_lo, x_hi) else "kink") for x in (x0, x1)]
         fal, fbe = float(al), float(be)
         found += [(x, fal * x + fbe, "stationary")
@@ -379,42 +385,50 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     Samples n_points values of x uniformly over [x_min, x_max] (endpoints
     included) and computes the exact best gain and its raw upper bound
     (_gain_bound) at each, with the pair's checks, returned-rank cap and
-    entropy ceiling made once.  The maximum over the whole range comes from
-    the linear pieces of y*(x) (_sweep_candidates): the candidates are ranked
-    by their closed-form gain and each one that could beat the best value so
-    far is certified by the samples' membership test and solve, again where
-    it is also a sample (rarely: no memo is kept).  So tilde_gmax is the best
-    certified or sampled gain; in exact mode its argmax is a rational kink or
-    endpoint, or a float stationary point that one exact solve re-checks.
-    argmax_kind says which; "sample" would mean a sampled point beat every
-    candidate, which only rounding can cause.  The envelope value (bound at
-    the least entangled catalyst) is the matching upper bound when it is
-    attained.
+    entropy ceiling made once.  An exact sample reads its y* from the pieces
+    of y*(x) (_y_star_pieces), a float one solves it (_min_feasible_y).  The
+    maximum over the whole range comes from the same pieces
+    (_sweep_candidates): the candidates are ranked by their closed-form gain
+    and each one that could beat the best value so far is certified by the
+    samples' membership test and the solve, again where it is also a sample
+    (rarely: no memo is kept).  So tilde_gmax is the best certified or
+    sampled gain; in exact mode its argmax is a rational kink or endpoint, or
+    a float stationary point that one exact solve re-checks.  argmax_kind
+    says which; "sample" would mean a sampled point beat every candidate,
+    which only rounding can cause.  The envelope value (bound at the least
+    entangled catalyst) is the matching upper bound when it is attained.
     """
     if n_points < 2:
         raise PreconditionViolated("a sweep needs at least two points")
     interval, policy, drop = _require_interval(pair), pair.policy, _require_entropy_drop(pair)
     xs = _affine_grid(interval.x_min, interval.x_max, n_points)
     loans = [probe_two_level(x, policy) for x in xs]
-    rank_cap = returned_rank_bound(pair, loans[-1])  # each loan has rank 2: x_max < 1 - b2
-    ceiling = _entropy_ceiling(pair, rank_cap)
+    # each loan has rank 2 (x_max < 1 - b2) and cap 2, so y* gives its gain:
+    # f2(a) > f2(b) + tol_strict leaves b 1e-9 past its top two levels, so
+    # rank_b >= 3, and rank_a <= 4 gives floor(2 rank_a / rank_b) <= 2
+    ceiling = _entropy_ceiling(pair, returned_rank_bound(pair, loans[-1]))
+    pieces = _y_star_pieces(pair, xs[0], xs[-1])
     points = []
     for x, c in zip(xs, loans):
         target, ent_c = _require_member(pair, c)
-        gmax = _gain_at_cap(pair, c, target, rank_cap, ent_c).gain
-        points.append(SweepPoint(float(x), c, binary_entropy(x), gmax,
+        if policy.exact:  # from the lowest piece that holds x
+            y = next(al * x + be for _, x1, al, be in pieces if x <= x1)
+        else:  # the walk's float y* can differ from the solve's; the CSVs pin the solve's
+            y = _min_feasible_y(pair, target)
+        gmax = _two_level_gain(pair, c[0], y, ent_c)
+        points.append(SweepPoint(float(x), c, binary_entropy(x), 0.0 if gmax is None else gmax,
                                  _gain_bound(pair, ceiling, ent_c)))
 
     i_best = max(range(n_points), key=lambda i: points[i].gmax)
     best_x, best_v = xs[i_best], points[i_best].gmax
 
-    cands = _sweep_candidates(pair, xs[0], xs[-1])
+    cands = _sweep_candidates(pair, pieces, xs[0], xs[-1])
     for x, (predicted, _) in sorted(cands.items(), key=lambda kv: kv[1][0], reverse=True):
         if predicted <= best_v:
             break
         c = probe_two_level(x, policy)
         target, ent_c = _require_member(pair, c)
-        g = _gain_at_cap(pair, c, target, rank_cap, ent_c).gain
+        g = _exact_rank2_gain(pair, c, target, ent_c).gain
         if g > best_v:
             best_v, best_x = g, x
 

@@ -1,7 +1,8 @@
 """Golden digests of every output whose bytes must not change: the gain-sweep
-CSV and summary on the four bundled pairs, the examples output tree with its
-stdout, and the stdout of catalyst-range --verify, of gain-sweep --c --verify,
-of loans at returned-rank cap 3 and 4, of epsilon-family and of convert-check.
+CSV and summary on the four bundled pairs and on a pair with a single
+two-level catalyst, the examples output tree with its stdout, and the stdout
+of catalyst-range --verify, of gain-sweep --c --verify, of loans at
+returned-rank cap 3 and 4, of epsilon-family and of convert-check.
 
 This module is the one list of reproducibility cases.  CI runs it under
 PYTHONHASHSEED=1 and 2, so no printed byte may depend on the iteration order
@@ -46,6 +47,12 @@ SUMMARY_GOLDEN = {
     ("exact", "3"): "b9a1fc167cc3366b6641d53a6941875664f7157dc35c8a9aa9a291147128c4cd",
     ("exact", "4"): "62dfa90e7d0fbc7bcb74baec8cb62c14a02c6c97b451308a868c1f06f7c79da5",
 }
+# gain-sweep --exact --points 5 of a pair whose two-level catalysts are the
+# single point x = 3/5, so the pieces of y*(x) the sweep reads have zero
+# width, as (CSV, summary)
+SINGLE_POINT_PAIR = ("2/5,3/8,3/20,3/40", "19/40,1/4,1/4,1/40")
+SINGLE_POINT_GOLDEN = ("a6a7e04762566bcc35fafa853c74a3db812170f54a6eb3e808ee2686ccba0941",
+                       "0de470fc6d2ced2d847e8afb68f8f117f421ea891469786a526d5bdd2908ffb2")
 # examples.summary.json of `supercat examples` at its default 200 points
 EXAMPLES_GOLDEN = {
     "plain": "a10c1cca72d7c74a0fe2c968c75656390fa3f4cc6cc02ff36011517d3f45ec0b",
@@ -166,6 +173,14 @@ def _stdout(argv) -> str:
         code = main(argv)
     assert code == 0
     return stdout.getvalue()
+
+
+def test_single_point_sweep_digest(tmp_path):
+    out = tmp_path / "sweep.csv"
+    stdout = _stdout(["gain-sweep", "--a", SINGLE_POINT_PAIR[0], "--b", SINGLE_POINT_PAIR[1],
+                      "--exact", "--points", "5", "--out", str(out)])
+    assert (tmp_path / "sweep.summary.json").read_text() == stdout
+    assert (_sha256(out.read_bytes()), _sha256(stdout.encode())) == SINGLE_POINT_GOLDEN
 
 
 @pytest.mark.parametrize("mode,name", sorted(RANGE_GOLDEN))

@@ -32,7 +32,7 @@ from supercat.supercatalysis import (GRID_METHOD, GainResult, _exact_rank2_gain,
 
 from conftest import (random_catalyst, random_nontrivial_pair, random_rational_sorted_simplex,
                       random_sorted_simplex, reference_max_catalyst_entropy)
-from test_golden import HIGH_CAP_LOANS
+from test_golden import HIGH_CAP_LOANS, SINGLE_POINT_PAIR
 
 TIGHT_GAIN = 0.07442316637776933  # first bundled pair: (h(0.6)-h(0.625))/(E(a)-E(b))
 #: Benchmark loan r046 of the seed-0 loan-highrank pool, as (a, b, c): the
@@ -540,6 +540,31 @@ class TestBoundGmax:
         bound_gmax(pair, c)
         assert counts == {"joint_target": 1, "joint_feasible": 1}
 
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_one_entropy_ceiling_per_loan_solve(self, policy, monkeypatch):
+        """_solve_loan reads one _entropy_ceiling at caps 3 and 4, which the
+        grid search and the bound share; gmax_given_c reads one there and
+        none at cap 2."""
+        calls = []
+        ceiling = supercat.supercatalysis._entropy_ceiling
+
+        def counted(pair, r):
+            calls.append(r)
+            return ceiling(pair, r)
+
+        monkeypatch.setattr(supercat.supercatalysis, "_entropy_ceiling", counted)
+        for name, cap in (("cap3", 3), ("cap3-two-level", 3), ("cap4", 4)):
+            a, b, c = (make_schmidt(t.split(","), policy) for t in HIGH_CAP_LOANS[name])
+            pair = CatalyticPair(a, b, policy)
+            assert returned_rank_bound(pair, c) == cap
+            for solve in (_solve_loan, gmax_given_c):
+                calls.clear()
+                solve(pair, c)
+                assert calls == [cap], (name, solve)
+        calls.clear()
+        gmax_given_c(example_pair("3", policy), make_schmidt(("0.6", "0.4"), policy))
+        assert calls == []
+
 
 def reference_min_feasible_y(b_coeffs, targets, lo, hi, policy):
     """The breakpoint solve rebuilt from scratch on every call: cuts from b,
@@ -770,14 +795,22 @@ class TestSweep:
         """Each sweep point's gain is, bit for bit, that of _solve_loan on its
         loan, and its raw bound, clamped to 1 and floored at the gain, is
         _solve_loan's bound: the sweep's once-per-pair checks, cap and
-        entropy ceiling change no value."""
+        entropy ceiling, and in exact mode its y* read from the pieces of
+        y*(x), change no value.  Every loan has returned-rank cap 2, which the
+        sweep's y* relies on.  In exact mode the pairs include one whose
+        two-level catalysts are the single point 3/5, so the pieces have zero
+        width; in float mode its interval reads empty."""
         rng = random.Random(28)
         pairs = [example_pair(name, policy) for name in "1234"]
         pairs += [random_nontrivial_pair(rng, policy) for _ in range(100)]
+        if policy.exact:
+            pairs.append(CatalyticPair(*(make_schmidt(t.split(","), policy)
+                                         for t in SINGLE_POINT_PAIR), policy))
         for pair in pairs:
             for p in tilde_gmax_sweep(pair, n_points=30).points:
                 result, bound = _solve_loan(pair, p.c)
                 assert (p.gmax, min(max(p.bound, p.gmax), 1.0)) == (result.gain, bound), (pair, p.x)
+                assert returned_rank_bound(pair, p.c) == 2, (pair, p.x)
 
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_every_sample_is_tested_for_membership(self, policy):
