@@ -2,13 +2,14 @@
 
 A catalyst for an LOCC-blocked transformation a -> b is an auxiliary vector c
 with b (x) c majorizing a (x) c.  The two-level catalysts (x, 1-x) of any
-pair are a union of closed pieces in x, solved exactly here; at main
-dimension at most 4 they are one interval with the paper's closed form.  At
-every dimension the ends of the set are the least and most entangled
-two-level catalysts, and the low end gives the exact E_2.  The pair's
-breakpoint tables are read only here: by the two-level set, by the best
-two-level returned state y* of a two-level loan (_min_feasible_y) and by the
-linear pieces of y*(x) (_y_star_pieces), which give an exact sweep its y*.
+pair are a union of closed pieces in x, cached on the pair
+(CatalyticPair._two_level): at main dimension at most 4 the one interval of
+the paper's closed form, above it pieces solved exactly here.  At every
+dimension the ends of the set are the least and most entangled two-level
+catalysts, and the low end gives the exact E_2.  The pair's breakpoint
+tables are read only here: by the two-level set, by the best two-level
+returned state y* of a two-level loan (_min_feasible_y) and by the linear
+pieces of y*(x) (_y_star_pieces), which give an exact sweep its y*.
 In float mode all three count a constraint as sloped only when its slope
 exceeds tol_eq, and give a constant one tol_eq slack.  Above rank 2
 the maximal catalyst entropy E_r has a certified ceiling, which every gain
@@ -53,8 +54,9 @@ class CatalyticPair:
     facts every question about the pair needs are computed once and cached:
     nontrivial records whether the bare transformation a -> b is blocked,
     dim4 whether both Schmidt ranks are at most 4 (the closed form's domain),
-    _two_level the exact set of two-level catalysts at any rank, and
-    _two_level_ends its two ends, which the extreme catalysts and E_2 read.
+    and _two_level the set of two-level catalysts at any rank, which every
+    two-level question reads: the interval, the sweep's range, the extreme
+    catalysts and E_2.
 
     The pair owns the joint-transfer test a (x) c -> b (x) d that every
     catalyst and gain question reduces to (joint_target, joint_feasible),
@@ -115,20 +117,14 @@ class CatalyticPair:
         return self.rank_a <= 4 and self.rank_b <= 4
 
     @cached_property
-    def _interval(self) -> CatalystInterval:
-        return _closed_form_interval(self)
-
-    @cached_property
     def _two_level(self) -> tuple:
-        return _two_level_pieces(self)
-
-    @cached_property
-    def _two_level_ends(self) -> Optional[tuple]:
-        """(x_min, x_max) of the two-level catalysts, or None if there are
-        none: the closed form at rank <= 4, else the ends of _two_level."""
+        """The closed pieces (lo, hi) of the blocked pair's two-level catalysts,
+        lowest first, () for none: at rank <= 4 the closed form's one interval,
+        whose float ends are the ones printed, above it _two_level_pieces."""
         if self.dim4:
-            return tuple(self._interval) if self._interval.nonempty else None
-        return (self._two_level[0][0], self._two_level[-1][1]) if self._two_level else None
+            interval = _closed_form_interval(self)
+            return (tuple(interval),) if interval.nonempty else ()
+        return _two_level_pieces(self)
 
     @cached_property
     def _sides(self) -> tuple:
@@ -399,6 +395,11 @@ def _y_star_pieces(pair: CatalyticPair, x_lo: Real, x_hi: Real) -> list:
     return pieces
 
 
+def _y_star_at(pieces: list, x: Real) -> Real:
+    """y*(x) from _y_star_pieces: the lowest piece that holds x, as y* jumps up at a piece start."""
+    return next(al * x + be for _, x1, al, be in pieces if x <= x1)
+
+
 def _cell_pieces(pieces: list, x0: Real, x1: Real, sums_a: tuple, seg_b: tuple, tol,
                  ratio) -> tuple:
     """Append the pieces of y* in one cell, from x0 toward x1, to pieces.
@@ -505,14 +506,6 @@ def _require_dim4_nontrivial(pair: CatalyticPair):
         raise PreconditionViolated("both Schmidt ranks must be at most 4")
 
 
-def _require_interval(pair: CatalyticPair) -> CatalystInterval:
-    """The pair's two-level catalyst interval, which must be nonempty."""
-    interval = rank2_catalyst_interval(pair)
-    if not interval.nonempty:
-        raise EmptyCatalystSet("no two-level catalyst exists for this pair")
-    return interval
-
-
 def necessary_conditions_4d(pair: CatalyticPair) -> bool:
     """Necessary partial-sum conditions for a rank <= 4 pair to admit a catalyst.
 
@@ -531,9 +524,11 @@ def rank2_catalyst_interval(pair: CatalyticPair) -> CatalystInterval:
     smallest of b1/(a1+a2), (b1-a1)/(a2-b2) and 1-b4/(a3+a4).  The necessary
     conditions keep b2+b3 and b3-a3 positive, and a term whose denominator
     a2-b2 or a3+a4 is not positive is vacuous, except when float slack admits
-    a3+a4 ~ 0 < b4: the set is then empty.  Computed once per pair and cached.
+    a3+a4 ~ 0 < b4: the set is then empty.  A nonempty interval is the
+    pair's cached _two_level; an empty one keeps the closed form's own ends.
     """
-    return pair._interval
+    _require_dim4_nontrivial(pair)
+    return CatalystInterval(*pair._two_level[0]) if pair._two_level else _closed_form_interval(pair)
 
 
 def _closed_form_interval(pair: CatalyticPair) -> CatalystInterval:
@@ -577,25 +572,25 @@ def _affine_grid(lo: Real, hi: Real, n: int):
     return [lo + span * i / (n - 1) for i in range(n)]
 
 
-def _require_two_level_ends(pair: CatalyticPair) -> tuple:
-    """(x_min, x_max) of the blocked pair's two-level catalysts, which must exist."""
+def _require_two_level(pair: CatalyticPair) -> CatalystInterval:
+    """(x_min, x_max), the ends of the blocked pair's two-level catalysts, which must exist."""
     _require_blocked(pair)
-    if pair._two_level_ends is None:
+    if not pair._two_level:
         raise EmptyCatalystSet("no two-level catalyst exists for this pair")
-    return pair._two_level_ends
+    return CatalystInterval(pair._two_level[0][0], pair._two_level[-1][1])
 
 
 def least_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
     """The two-level catalyst with the least entanglement, (x_max, 1-x_max),
     at every main dimension: the high end of the two-level set."""
-    return probe_two_level(_require_two_level_ends(pair)[1], pair.policy)
+    return probe_two_level(_require_two_level(pair)[1], pair.policy)
 
 
 def most_entangled_rank2_catalyst(pair: CatalyticPair) -> SchmidtVector:
     """The two-level catalyst with the most entanglement, (x_min, 1-x_min),
     at every main dimension: the low end of the two-level set, whose binary
     entropy is the exact E_2 (_entropy_ceiling(pair, 2))."""
-    return probe_two_level(_require_two_level_ends(pair)[0], pair.policy)
+    return probe_two_level(_require_two_level(pair)[0], pair.policy)
 
 
 def returned_rank_bound(pair: CatalyticPair, c: SchmidtVector) -> int:
@@ -635,25 +630,26 @@ def _entropy_ceiling(pair: CatalyticPair, r: int) -> float:
     Schmidt rank <= r of the blocked pair: the entropy every gain bound reads.
 
     At r = 2 it is E_2 itself, exact, where a two-level catalyst exists:
-    the binary entropy of the low end of its set (_two_level_ends).
-    Elsewhere it comes from prefix 2r of the joint test.  For a sorted catalyst c of r entries, prefix 2r of a (x) c is at
-    least t = a_1 + a_2, the sum of a_1 c_j and a_2 c_j.  Prefix 2r of b (x) c
-    is the largest sum of w_j c_j over the order ideals of size 2r of the grid
-    of b's non-zero rows and c's r columns, where w_j sums b over column j of
-    the ideal.  So some ideal has sum_j w_j c_j >= t, and then by the Gibbs
-    inequality H(c) <= log2 sum_j 2^(mu w_j) - mu t for every mu >= 0.  A few
-    Newton steps on mu, each clamped at 0, give each ideal's value with no
-    root bracket: log2 r where the uniform state reaches t, and -inf for an
-    ideal with w_1 < t.  The ceiling is the largest over the ideals, with t
-    lowered and the result raised by tol_strict, which covers the tol_eq
-    slack of the float tests and the rounding of either arithmetic.
+    the binary entropy of the low end of the pair's _two_level.  Elsewhere
+    it comes from prefix 2r of the joint test.  For a sorted catalyst c of
+    r entries, prefix 2r of a (x) c is at least t = a_1 + a_2, the sum of
+    a_1 c_j and a_2 c_j.  Prefix 2r of b (x) c is the largest sum of w_j c_j
+    over the order ideals of size 2r of the grid of b's non-zero rows and
+    c's r columns, where w_j sums b over column j of the ideal.  So some
+    ideal has sum_j w_j c_j >= t, and then by the Gibbs inequality
+    H(c) <= log2 sum_j 2^(mu w_j) - mu t for every mu >= 0.  A few Newton
+    steps on mu, each clamped at 0, give each ideal's value with no root
+    bracket: log2 r where the uniform state reaches t, and -inf for an ideal
+    with w_1 < t.  The ceiling is the largest over the ideals, with t lowered
+    and the result raised by tol_strict, which covers the tol_eq slack of the
+    float tests and the rounding of either arithmetic.
 
     The bound holds for a feasible returned state d of rank <= r too: d -> c
     makes c's prefix r at least d's, which is 1, so prefix 2r of a (x) c is
     at least t, and b (x) d majorizes a (x) c.
     """
-    if r == 2 and pair._two_level_ends:
-        return binary_entropy(pair._two_level_ends[0])
+    if r == 2 and pair._two_level:
+        return binary_entropy(pair._two_level[0][0])
     tol = ComparisonPolicy.tol_strict
     t = float(pair.a[0]) + float(pair.a[1]) - tol
     heads = (0.0, *accumulate(x for x in map(float, pair.b) if x > 0))

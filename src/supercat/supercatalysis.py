@@ -46,10 +46,10 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .catalysis import (CatalyticPair, CatalystInterval, _affine_grid, _best_candidate,
-                        _entropy_ceiling, _min_feasible_y, _require_entropy_drop,
-                        _require_interval, _require_loan, _require_member, _y_star_pieces,
-                        is_catalyst, probe_two_level, rank2_catalyst_interval,
-                        returned_rank_bound)
+                        _entropy_ceiling, _min_feasible_y, _require_dim4_nontrivial,
+                        _require_entropy_drop, _require_loan, _require_member,
+                        _require_two_level, _y_star_at, _y_star_pieces, is_catalyst,
+                        probe_two_level, rank2_catalyst_interval, returned_rank_bound)
 from .errors import InvalidConfiguration, InvalidEpsilon, NotACatalyst, PreconditionViolated
 from .schmidt import (FLOAT_POLICY, ComparisonPolicy, Real, SchmidtVector, _coerce,
                       _coerce_vector, _constants, _pad_to_match, binary_entropy, entropy, kron,
@@ -361,9 +361,8 @@ def _sweep_candidates(pair: CatalyticPair, pieces: list, x_lo: Real, x_hi: Real)
     x_hi), the gain is (h(y*) - h(x)) / drop, smooth in x, so its maximum
     over the piece is at a piece end ("endpoint" at x_lo or x_hi, "kink"
     elsewhere) or at a stationary point inside ("stationary", a float).  The
-    gain is 0 where y* does not lie strictly below x.
+    gain is _two_level_gain's: 0 where y* does not lie strictly below x.
     """
-    policy, drop = pair.policy, pair.entropy_drop
     cands = {}
     for x0, x1, al, be in pieces:
         found = [(x, al * x + be, "endpoint" if x in (x_lo, x_hi) else "kink") for x in (x0, x1)]
@@ -371,9 +370,7 @@ def _sweep_candidates(pair: CatalyticPair, pieces: list, x_lo: Real, x_hi: Real)
         found += [(x, fal * x + fbe, "stationary")
                   for x in _stationary_points(float(x0), float(x1), fal, fbe)]
         for x, y, kind in found:
-            g = 0.0
-            if policy.strictly_greater(x, y):
-                g = (binary_entropy(y) - binary_entropy(x)) / drop
+            g = _two_level_gain(pair, x, y, binary_entropy(x)) or 0.0
             if x not in cands or g > cands[x][0]:
                 cands[x] = g, kind
     return cands
@@ -400,7 +397,8 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     """
     if n_points < 2:
         raise PreconditionViolated("a sweep needs at least two points")
-    interval, policy, drop = _require_interval(pair), pair.policy, _require_entropy_drop(pair)
+    _require_dim4_nontrivial(pair)
+    interval, policy, drop = _require_two_level(pair), pair.policy, _require_entropy_drop(pair)
     xs = _affine_grid(interval.x_min, interval.x_max, n_points)
     loans = [probe_two_level(x, policy) for x in xs]
     # each loan has rank 2 (x_max < 1 - b2) and cap 2, so y* gives its gain:
@@ -411,8 +409,8 @@ def tilde_gmax_sweep(pair: CatalyticPair, n_points: int = 200) -> SweepResult:
     points = []
     for x, c in zip(xs, loans):
         target, ent_c = _require_member(pair, c)
-        if policy.exact:  # from the lowest piece that holds x
-            y = next(al * x + be for _, x1, al, be in pieces if x <= x1)
+        if policy.exact:
+            y = _y_star_at(pieces, x)
         else:  # the walk's float y* can differ from the solve's; the CSVs pin the solve's
             y = _min_feasible_y(pair, target)
         gmax = _two_level_gain(pair, c[0], y, ent_c)

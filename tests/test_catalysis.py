@@ -1,6 +1,7 @@
 """Catalyst membership, the closed-form interval, extreme catalysts, E_r ceilings."""
 
 import copy
+import json
 import math
 import pickle
 import random
@@ -20,7 +21,9 @@ from supercat import (CatalystInterval, CatalyticPair, EXACT_POLICY, FLOAT_POLIC
                       nielsen_convertible, prefix_sums, rank2_catalyst_interval,
                       returned_rank_bound, tilde_gmax_sweep)
 from supercat.catalysis import (_candidate_table, _entropy_ceiling, _min_feasible_y,
-                                _ordered_simplex_grid, _y_star_pieces, probe_two_level)
+                                _ordered_simplex_grid, _two_level_pieces, _y_star_at,
+                                _y_star_pieces, probe_two_level)
+from supercat.cli import main
 from supercat.errors import EmptyCatalystSet, NotNormalized, PreconditionViolated
 from supercat.examples import EXAMPLE_PAIRS, example_pair
 from supercat.oracle import REFINE_TOL, SCAN_RESOLUTION
@@ -899,7 +902,9 @@ def assert_pieces_and_gaps(pair):
 
 
 class TestTwoLevelSet:
-    """The pair's exact set of two-level catalysts, at every rank."""
+    """The pair's exact set of two-level catalysts, at every rank.  At rank
+    <= 4 the pair caches the closed form, so the rank-4 tests call the exact
+    solver _two_level_pieces itself, which the closed form cross-checks."""
 
     def test_equals_closed_form_at_rank4_exact(self):
         rng = random.Random(6101)
@@ -914,7 +919,7 @@ class TestTwoLevelSet:
         for pair in cases:
             interval = rank2_catalyst_interval(pair)
             want = ((interval.x_min, interval.x_max),) if interval.nonempty else ()
-            assert pair._two_level == want, pair
+            assert _two_level_pieces(pair) == want, pair
 
     def test_one_piece_near_closed_form_at_rank4_float(self):
         rng = random.Random(6102)
@@ -922,7 +927,7 @@ class TestTwoLevelSet:
         cases += [random_nontrivial_pair(rng, min_width=0.02) for _ in range(20)]
         for pair in cases:
             interval = rank2_catalyst_interval(pair)
-            (lo, hi), = pair._two_level
+            (lo, hi), = _two_level_pieces(pair)
             assert abs(lo - interval.x_min) <= 1e-9 and abs(hi - interval.x_max) <= 1e-9
             for x in (lo, (lo + hi) / 2, hi):
                 assert is_catalyst(pair, probe_two_level(x, pair.policy)), (pair, x)
@@ -930,7 +935,7 @@ class TestTwoLevelSet:
     def test_empty_where_closed_form_is_empty_float(self):
         rng = random.Random(6103)
         for _ in range(30):
-            assert random_blocked_pair_with_empty_interval(rng)._two_level == ()
+            assert _two_level_pieces(random_blocked_pair_with_empty_interval(rng)) == ()
 
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_pieces_and_gaps_at_ranks_5_to_8(self, policy):
@@ -1013,6 +1018,40 @@ class TestTwoLevelSet:
         with pytest.raises(EmptyCatalystSet):
             least_entangled_rank2_catalyst(pair)
 
+    @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
+    def test_ends_come_from_one_cached_set(self, monkeypatch, capsys, policy):
+        """catalyst-range, a sweep, both extreme catalysts and E_2 read the
+        pair's one cached set: at rank <= 4 the closed form, with the exact
+        solver never run; above it the solver's pieces, solved once per pair."""
+        calls = Counter()
+
+        def counted(pair):
+            calls[pair.dim4] += 1
+            return _two_level_pieces(pair)
+
+        monkeypatch.setattr(supercat.catalysis, "_two_level_pieces", counted)
+        flag = ["--exact"] if policy.exact else []
+        for name, (a, b) in EXAMPLE_PAIRS.items():
+            assert main(["catalyst-range", "--a", ",".join(a), "--b", ",".join(b), *flag]) == 0
+            want = rank2_catalyst_interval(example_pair(name, policy)).to_json_value()
+            assert json.loads(capsys.readouterr().out) == want, name
+        rng = random.Random(6112)
+        pairs = [example_pair(name, policy) for name in EXAMPLE_PAIRS]
+        pairs += [random_nontrivial_pair(rng, policy) for _ in range(20)]
+        for pair in pairs:
+            interval = tilde_gmax_sweep(pair, n_points=5).interval
+            most, least = most_entangled_rank2_catalyst(pair), least_entangled_rank2_catalyst(pair)
+            assert (most[0], least[0]) == tuple(interval) == tuple(rank2_catalyst_interval(pair))
+            assert _entropy_ceiling(pair, 2) == binary_entropy(interval.x_min)
+        assert calls == Counter(), calls
+        for texts in (SINGLE_POINT, TWO_PIECES, NARROW_GAP):
+            pair = text_pair(texts, policy)
+            pieces = _two_level_pieces(pair)
+            most, least = most_entangled_rank2_catalyst(pair), least_entangled_rank2_catalyst(pair)
+            assert (most[0], least[0]) == (pieces[0][0], pieces[-1][1]), texts
+            assert _entropy_ceiling(pair, 2) == binary_entropy(pieces[0][0])
+        assert calls == Counter({False: 3}), calls
+
     def test_float_sets_near_exact(self):
         for texts in (SINGLE_POINT, TWO_PIECES, NARROW_GAP):
             got = text_pair(texts, FLOAT_POLICY)._two_level
@@ -1049,7 +1088,7 @@ class TestTwoLevelSet:
                     seen["zero-length" if x0 == x1 else "piece"] += 1
                 for x in {x for piece in pieces for x in piece[:2]}:
                     low = min(al * x + be for x0, x1, al, be in pieces if x0 <= x <= x1)
-                    assert low == y_star(x), (pair, x)
+                    assert low == _y_star_at(pieces, x) == y_star(x), (pair, x)
         assert seen["jump"] > 0 and seen["zero-length"] > 0, seen
 
     def test_catalysis_owns_no_grid_scan(self):

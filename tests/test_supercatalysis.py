@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import supercat.catalysis
 import supercat.schmidt
 import supercat.supercatalysis
-from supercat import (CatalyticPair, CatalystInterval, EXACT_POLICY, FLOAT_POLICY, SchmidtVector,
+from supercat import (CatalyticPair, EXACT_POLICY, FLOAT_POLICY, SchmidtVector,
                       binary_entropy, bound_gmax, check_supercatalytic, entropy, epsilon_family,
                       gain, gmax_given_c, grid_gmax_rank2, is_catalyst, kron,
                       least_entangled_rank2_catalyst, majorizes, make_schmidt,
@@ -814,12 +814,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("policy", [FLOAT_POLICY, EXACT_POLICY], ids=["float", "exact"])
     def test_every_sample_is_tested_for_membership(self, policy):
-        """An interval widened past x_max, as a wrong closed form would give,
-        makes the sweep raise NotACatalyst at the first sample outside it."""
+        """A two-level set widened past x_max, as a wrong closed form would
+        give, makes the sweep raise NotACatalyst at the first sample outside it."""
         pair = example_pair("1", policy)
         interval = rank2_catalyst_interval(pair)
         widen = Fraction(1, 100) if policy.exact else 0.01
-        vars(pair)["_interval"] = CatalystInterval(interval.x_min, interval.x_max + widen)
+        vars(pair)["_two_level"] = ((interval.x_min, interval.x_max + widen),)
         with pytest.raises(NotACatalyst, match="^the borrowed state is not a catalyst"):
             tilde_gmax_sweep(pair, n_points=30)
 
